@@ -20,7 +20,7 @@ from .behaviour import BehaviourSpace, CostBound, GoalOrder, behaviour_to_json
 from .core import plan_cost
 from .domains import load_problem
 from .domains.puzznic import EMPTY, PuzznicProblem, puzznic_step
-from .errors import BudgetExceeded, DivsimError, InapplicableAction
+from .errors import BudgetExceeded, InapplicableAction
 from .search import (
     NoveltyConfig,
     PlanSetResult,
@@ -174,8 +174,9 @@ def run_suite(
 ):
     """Run every instance in a directory for every mode and k.
 
-    Returns ``(rows, aggregates)``. A task that errors out becomes a row with
-    outcome "error" instead of aborting the rest of the suite.
+    Returns ``(rows, aggregates)``. A task that raises, whatever the
+    exception, becomes a row with outcome "error" and a warning naming the
+    exception type, instead of aborting the rest of the suite.
     """
     paths = sorted(
         p
@@ -205,10 +206,11 @@ def run_suite(
                 )
                 try:
                     _, row, _ = run_task(spec, plans_path)
-                except (DivsimError, ValueError, OSError) as err:
+                except Exception as err:
                     row = SuiteResultRow(path.name, mode, k, False, 0, 0, 0.0, "error")
                     print(
-                        f"warning: {path.name} ({mode}, k={k}): {err}",
+                        f"warning: {path.name} ({mode}, k={k}): "
+                        f"{type(err).__name__}: {err}",
                         file=sys.stderr,
                     )
                 rows.append(row)

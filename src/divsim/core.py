@@ -45,6 +45,10 @@ class Predicate:
     def __lt__(self, other: "Predicate") -> bool:
         return self.index < other.index
 
+    def __reduce__(self):
+        # Unpickling goes through __new__, so the copy is the interned object.
+        return (Predicate, (self.name,))
+
     def __repr__(self) -> str:
         return self.name
 
@@ -98,7 +102,9 @@ class SimulatorProblem(ABC):
     ``actions`` is the full declared universe in declaration order, and
     ``applicable`` must preserve that order, which is what makes breadth-first
     tie-breaking reproducible. ``simulate`` must be deterministic and total on
-    applicable actions.
+    applicable actions. Planner runs memoise ``applicable``, ``simulate`` and
+    ``is_goal`` (see ``TransitionMemo``), so all three must be pure functions
+    of the state.
     """
 
     @property
@@ -136,6 +142,11 @@ class SimulatorProblem(ABC):
         except KeyError:
             raise UnknownAction(name) from None
 
+    def step(self, state: State, action: Action) -> tuple:
+        """``(successor, its goal flag, the goal predicates true in it)``."""
+        raw = self.simulate(state, action)
+        return raw, self.is_goal(raw), self.goal_set & raw
+
 
 def initial_augmented(problem: SimulatorProblem) -> AugmentedState:
     raw = problem.initial
@@ -145,13 +156,87 @@ def initial_augmented(problem: SimulatorProblem) -> AugmentedState:
 def successor_augmented(
     problem: SimulatorProblem, aug: AugmentedState, action: Action
 ) -> AugmentedState:
-    raw = problem.simulate(aug.raw, action)
-    return AugmentedState(
-        raw,
-        aug.cost_so_far + action.cost,
-        problem.is_goal(raw),
-        aug.latched | (problem.goal_set & raw),
-    )
+    raw, goal, reached = problem.step(aug.raw, action)
+    # Reusing the parent's latch set when nothing new latched saves a copy per node.
+    latched = aug.latched if reached <= aug.latched else aug.latched | reached
+    return AugmentedState(raw, aug.cost_so_far + action.cost, goal, latched)
+
+
+# Most entries one TransitionMemo holds, over all its tables.
+MEMO_CAP = 200_000
+
+
+class TransitionMemo(SimulatorProblem):
+    """A problem whose transitions are memoised for one planner run.
+
+    Answers ``applicable``, ``step``, ``simulate`` and ``is_goal`` from
+    tables keyed by state and asks the wrapped problem only on a miss; the
+    contract makes those pure functions of the state, so the answers are
+    exact. Every state the problem returns is interned: the tables share one
+    copy of it, stored with its goal flag and its goal predicates. Once the
+    tables hold ``MEMO_CAP`` entries, misses are still answered but no longer
+    stored.
+
+    Each real ``simulate`` call and each memo hit is counted into
+    ``stats.simulate_calls`` and ``stats.memo_hits``.
+    """
+
+    def __init__(self, problem: SimulatorProblem, stats):
+        self.problem = problem
+        self.stats = stats
+        self._applicable: dict = {}  # state -> applicable actions
+        self._steps: dict = {}  # (state, action name) -> _info of the successor
+        self._states: dict = {}  # state -> (interned state, goal flag, goal predicates)
+        self._initial = self._info(problem.initial)[0]
+
+    def __len__(self) -> int:
+        return len(self._applicable) + len(self._steps) + len(self._states)
+
+    @property
+    def initial(self) -> State:
+        return self._initial
+
+    @property
+    def actions(self) -> tuple:
+        return self.problem.actions
+
+    @property
+    def goal_predicates(self) -> tuple:
+        return self.problem.goal_predicates
+
+    def _info(self, state: State) -> tuple:
+        info = self._states.get(state)
+        if info is None:
+            info = (state, self.problem.is_goal(state), self.goal_set & state)
+            if len(self) < MEMO_CAP:
+                self._states[state] = info
+        return info
+
+    def applicable(self, state: State) -> tuple:
+        got = self._applicable.get(state)
+        if got is None:
+            got = self.problem.applicable(state)
+            if len(self) < MEMO_CAP:
+                self._applicable[state] = got
+        return got
+
+    def step(self, state: State, action: Action) -> tuple:
+        key = (state, action.name)
+        info = self._steps.get(key)
+        if info is not None:
+            self.stats.memo_hits += 1
+            return info
+        self.stats.simulate_calls += 1
+        info = self._info(self.problem.simulate(state, action))
+        if len(self) < MEMO_CAP:
+            self._steps[key] = info
+        return info
+
+    def simulate(self, state: State, action: Action) -> State:
+        return self.step(state, action)[0]
+
+    def is_goal(self, state: State) -> bool:
+        return self._info(state)[1]
 
 
 def replay(problem: SimulatorProblem, plan: Plan) -> Trace:

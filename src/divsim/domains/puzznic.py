@@ -339,7 +339,6 @@ class PuzznicProblem(SimulatorProblem):
         self._walls = tuple(
             tuple(cell == WALL for cell in row) for row in level.grid
         )
-        self._levels = {}
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
@@ -360,9 +359,6 @@ class PuzznicProblem(SimulatorProblem):
         return tuple(Predicate(f"cleared-{p}") for p in self.patterns)
 
     def _decode(self, state: State) -> PuzznicLevel:
-        level = self._levels.get(state)
-        if level is not None:
-            return level
         rows = [
             [WALL if wall else EMPTY for wall in row] for row in self._walls
         ]
@@ -376,14 +372,12 @@ class PuzznicProblem(SimulatorProblem):
                 rows[int(parts[2])][int(parts[3])] = parts[1]
             elif parts[0] == "score":
                 band = int(parts[2])
-        level = replace(
+        return replace(
             self.level0,
             grid=_freeze(rows),
             cursor=cursor,
             score=_band_score(band, self.level0.band_width),
         )
-        self._levels[state] = level
-        return level
 
     def applicable(self, state: State) -> tuple:
         level = self._decode(state)

@@ -212,10 +212,17 @@ def _tokenize(text: str):
     return tokens
 
 
+# Deepest nesting of parentheses, unary operators and right-nested U/R that
+# parse_formula accepts. Each level costs the recursive parser up to five
+# stack frames, so this keeps well inside Python's default recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i][0]
@@ -233,11 +240,24 @@ class _Parser:
         if got != token:
             raise ParseError(f"got {got!r}", position=at, expected=token)
 
+    def nested(self, parse) -> Formula:
+        """``parse()`` one level deeper; too deep raises ParseError, not RecursionError."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"formula nested more than {MAX_NESTING} levels deep",
+                position=self.pos(),
+                expected="shallower nesting",
+            )
+        self.depth += 1
+        got = parse()
+        self.depth -= 1
+        return got
+
     def formula(self) -> Formula:
         left = self.or_level()
         if self.peek() in ("U", "R"):
             op, _ = self.take()
-            right = self.formula()  # right associative
+            right = self.nested(self.formula)  # right associative
             return Until(left, right) if op == "U" else Release(left, right)
         return left
 
@@ -259,17 +279,17 @@ class _Parser:
         tok = self.peek()
         if tok == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         if tok in ("X", "F", "G"):
             self.take()
-            child = self.unary()
+            child = self.nested(self.unary)
             return {"X": Next, "F": Eventually, "G": Always}[tok](child)
         return self.primary()
 
     def primary(self) -> Formula:
         tok, at = self.take()
         if tok == "(":
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         if tok == "true":

@@ -36,6 +36,7 @@ from .core import (
     AugmentedState,
     Plan,
     SimulatorProblem,
+    TransitionMemo,
     augmented_view,
     initial_augmented,
     successor_augmented,
@@ -85,6 +86,8 @@ class SearchStats:
     pruned_by_behaviour: int = 0
     pruned_by_visited: int = 0
     pruned_by_cost: int = 0
+    simulate_calls: int = 0
+    memo_hits: int = 0
     wall_time_by_width: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
@@ -96,6 +99,8 @@ class SearchStats:
             "pruned_by_behaviour": self.pruned_by_behaviour,
             "pruned_by_visited": self.pruned_by_visited,
             "pruned_by_cost": self.pruned_by_cost,
+            "simulate_calls": self.simulate_calls,
+            "memo_hits": self.memo_hits,
             "wall_time_by_width": {str(w): t for w, t in sorted(self.wall_time_by_width.items())},
             "wall_time_s": self.wall_time_s,
         }
@@ -208,6 +213,11 @@ def _visited_key(aug: AugmentedState) -> frozenset:
     return aug.raw | aug.latched
 
 
+def _memoised(problem: SimulatorProblem, stats: SearchStats) -> TransitionMemo:
+    """``problem`` if it already is a planner run's memo, else a new memo over it."""
+    return problem if isinstance(problem, TransitionMemo) else TransitionMemo(problem, stats)
+
+
 def _iw_goal_stream(
     problem: SimulatorProblem,
     novelty: NoveltyConfig,
@@ -294,10 +304,12 @@ def behaviour_generator(
     already complete is dropped when its established goal order equals a
     forbidden behaviour whose formula is latch-monotone and holds on the
     node's trace view (tier 2): every goal reachable from such a node would
-    repeat that behaviour.
+    repeat that behaviour. ``problem`` may be a run's ``TransitionMemo``;
+    any other problem gets a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
+    problem = _memoised(problem, stats)
     forbidden = frozenset(forbidden)
     cost_feature = space.cost_feature
     order_feature = space.order_feature
@@ -364,10 +376,12 @@ def plan_generator(
 
     Returns ``(plan, stats)`` or None. Known plans all end in goal states, so
     by determinism only goal nodes can ever collide with one; interior nodes
-    skip the comparison.
+    skip the comparison. ``problem`` may be a run's ``TransitionMemo``; any
+    other problem gets a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
+    problem = _memoised(problem, stats)
     known = frozenset(tuple(p) for p in known)
 
     def reject(node: _Node, goal: bool) -> bool:
@@ -395,13 +409,15 @@ def fbi(
     runs dry with fewer than k plans, phase 2 keeps the forbidden behaviours
     out of play implicitly (every behaviour is already taken) and forbids
     exact plan sequences instead. On a budget trip the partial result rides
-    on the raised ``BudgetExceeded``.
+    on the raised ``BudgetExceeded``. Every generator call of the run shares
+    one ``TransitionMemo``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     budget = Budget(limits)
     stats = SearchStats()
     started = time.perf_counter()
+    problem = TransitionMemo(problem, stats)
     plans: list = []
     behaviours: list = []
     forbidden: set = set()
@@ -473,6 +489,7 @@ def fbi_naive(
     budget = Budget(limits)
     stats = SearchStats()
     started = time.perf_counter()
+    problem = TransitionMemo(problem, stats)
     plans: list = []
     seen: set = set()
 

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from divsim import bench
 from divsim.bench import (
     CSV_COLUMNS,
     SuiteResultRow,
@@ -154,6 +155,19 @@ class TestRunSuite:
             "fork-naive-k2.json",
         ]
         assert aggregates == aggregate_rows(rows)
+
+    def test_unexpected_exception_becomes_an_error_row(self, monkeypatch, capsys):
+        def crashing_run_task(spec, plans_path=None):
+            if spec.instance.endswith("alley.grid"):
+                raise RuntimeError("simulator crashed")
+            return run_task(spec, plans_path)
+
+        monkeypatch.setattr(bench, "run_task", crashing_run_task)
+        rows, _ = run_suite(fixture_path("suite"), modes=("fbi",), k_list=(2,))
+        outcomes = {r.instance: r.outcome for r in rows}
+        assert outcomes == {"alley.grid": "error", "broken.grid": "error", "fork.json": "done"}
+        err = capsys.readouterr().err
+        assert "alley.grid (fbi, k=2): RuntimeError: simulator crashed" in err
 
     def test_row_invariants(self):
         rows, _ = run_suite(fixture_path("suite"), k_list=(2,))

@@ -1,8 +1,11 @@
+import pickle
+
 import pytest
 
 from divsim.core import (
     Action,
     Predicate,
+    TransitionMemo,
     augmented_view,
     initial_augmented,
     make_state,
@@ -12,11 +15,16 @@ from divsim.core import (
     trace_view,
 )
 from divsim.errors import CostBoundExceeded, InapplicableAction, UnknownAction
+from divsim.search import SearchStats
 
 
 def test_predicates_are_interned():
     assert Predicate("at-1-1") is Predicate("at-1-1")
     assert Predicate("at-1-1") is not Predicate("at-1-2")
+
+
+def test_predicate_pickles_to_the_interned_object():
+    assert pickle.loads(pickle.dumps(Predicate("pickled-p"))) is Predicate("pickled-p")
 
 
 def test_predicate_order_is_first_use_order():
@@ -98,3 +106,34 @@ def test_view_enforces_cost_bound(toggle_problem):
     with pytest.raises(CostBoundExceeded):
         augmented_view(trace.states, cost_bound=1)
     assert len(augmented_view(trace.states, cost_bound=2)) == 3
+
+
+def test_memo_serves_repeats_without_the_simulator(toggle_problem, monkeypatch):
+    simulated = []
+    inner = toggle_problem.simulate
+    monkeypatch.setattr(
+        toggle_problem, "simulate", lambda s, a: simulated.append(a.name) or inner(s, a)
+    )
+    stats = SearchStats()
+    memo = TransitionMemo(toggle_problem, stats)
+    set_a = toggle_problem.action_named("set-a")
+    first = memo.simulate(memo.initial, set_a)
+    assert memo.simulate(memo.initial, set_a) is first
+    assert simulated == ["set-a"]
+    assert (stats.simulate_calls, stats.memo_hits) == (1, 1)
+    assert memo.applicable(first) == toggle_problem.applicable(first)
+
+
+def test_memo_interns_equal_states(toggle_problem):
+    memo = TransitionMemo(toggle_problem, SearchStats())
+    set_a, set_b = (toggle_problem.action_named(n) for n in ("set-a", "set-b"))
+    ab = memo.simulate(memo.simulate(memo.initial, set_a), set_b)
+    ba = memo.simulate(memo.simulate(memo.initial, set_b), set_a)
+    assert ab is ba
+    assert memo.is_goal(ab)
+
+
+def test_memo_replays_like_the_problem(toggle_problem):
+    plan = ("set-a", "unset-a", "set-b", "set-a")
+    memo = TransitionMemo(toggle_problem, SearchStats())
+    assert replay(memo, plan) == replay(toggle_problem, plan)

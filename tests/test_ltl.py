@@ -5,6 +5,7 @@ import pytest
 from divsim.errors import ParseError
 from divsim.ltl import (
     FALSE,
+    MAX_NESTING,
     TRUE,
     Always,
     And,
@@ -62,6 +63,20 @@ class TestParsing:
     def test_malformed_input(self, text):
         with pytest.raises(ParseError):
             parse_formula(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["!" * 5000 + "a", "(" * 3000 + "a" + ")" * 3000, " U ".join("a" * 3000)],
+        ids=["negations", "parentheses", "until-chain"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_formula(text)
+
+    def test_nesting_up_to_the_limit_parses(self):
+        depth = MAX_NESTING
+        assert parse_formula("(" * depth + "a" + ")" * depth) == Atom("a")
+        assert format_formula(parse_formula("!" * depth + "a")) == "!" * depth + "a"
 
     def test_keywords_are_not_atoms(self):
         for word in ("X", "U", "R", "F", "G"):

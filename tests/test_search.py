@@ -1,8 +1,12 @@
+import pickle
+
 import pytest
 
+from divsim import core, search
 from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder, extract_behaviour
 from divsim.core import Action, Predicate, SimulatorProblem, make_state
 from divsim.domains import GridProblem, load_problem
+from divsim.domains.pentest import PentestProblem
 from divsim.errors import BudgetExceeded
 from divsim.search import (
     NoveltyConfig,
@@ -19,6 +23,7 @@ from divsim.search import (
 
 from conftest import fixture_path
 from oracles import plain_iw
+from test_acceptance import star_scenario
 
 
 def _atoms(*names):
@@ -232,6 +237,16 @@ class TestFbi:
         off = fbi(problem, space, k=3, limits=limits, interior_pruning=False)
         assert set(on.behaviours) == set(off.behaviours)
 
+    def test_result_pickles_with_interned_predicates(self):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        res = fbi(problem, _go_space(problem), k=3, limits=SearchLimits(8, 30.0, 1_000_000))
+        loaded = pickle.loads(pickle.dumps(res))
+        assert loaded.plans == res.plans
+        assert loaded.behaviours == res.behaviours
+        assert loaded.stats == res.stats
+        (goal, *_), *_ = loaded.behaviours[0].goal_order
+        assert goal is Predicate(goal.name)
+
     def test_plans_replay_within_bound(self):
         problem = load_problem(fixture_path("three_targets.grid"))
         space = _go_space(problem)
@@ -300,3 +315,79 @@ class TestNaive:
         assert res.plans == (("right", "right"),)
         assert res.behaviours == ()
         assert res.behaviour_count == 0
+
+
+class CountingPentest(PentestProblem):
+    """Pentest problem that records every transition it is asked to simulate."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.simulated = []
+
+    def simulate(self, state, action):
+        self.simulated.append((state, action.name))
+        return super().simulate(state, action)
+
+
+STAR_LIMITS = SearchLimits(8, 30.0, 1_000_000)
+
+
+def _pentest_run(run):
+    """``run(problem, space)`` on a fresh counting three-spoke star network."""
+    problem = CountingPentest.from_text(star_scenario(3, {1, 2, 3}, 1))
+    space = BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(8)))
+    return problem, run(problem, space)
+
+
+def _fbi(problem, space):
+    # Six behaviours exist, so k=12 runs through phase 2 to exhaustion.
+    return fbi(problem, space, k=12, limits=STAR_LIMITS)
+
+
+def _naive(problem, space):
+    return fbi_naive(problem, k=12, limits=STAR_LIMITS, space=space)
+
+
+class TestTransitionMemo:
+    def test_fbi_simulates_each_transition_once(self):
+        problem, res = _pentest_run(_fbi)
+        phase_two = res.plans[res.behaviour_count :]
+        assert phase_two, "the run must reach plan forbidding"
+        assert len(problem.simulated) == len(set(problem.simulated))
+        assert res.stats.simulate_calls == len(problem.simulated)
+        assert res.stats.memo_hits > res.stats.simulate_calls
+        # One lookup per generated node, plus one per step of each phase-2
+        # plan that extract_behaviour replays.
+        lookups = res.stats.nodes_generated + sum(len(p) for p in phase_two)
+        assert res.stats.simulate_calls + res.stats.memo_hits == lookups
+        doc = res.stats.as_dict()
+        assert (doc["simulate_calls"], doc["memo_hits"]) == (
+            res.stats.simulate_calls,
+            res.stats.memo_hits,
+        )
+
+    def test_naive_counts_add_up(self):
+        problem, res = _pentest_run(lambda p, _: fbi_naive(p, k=12, limits=STAR_LIMITS))
+        assert len(problem.simulated) == len(set(problem.simulated))
+        assert res.stats.simulate_calls == len(problem.simulated)
+        assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
+
+    @pytest.mark.parametrize("run", [_fbi, _naive], ids=["fbi", "naive"])
+    def test_capped_memo_gives_the_same_plans(self, run, monkeypatch):
+        _, full = _pentest_run(run)
+        memos = []
+
+        class RecordedMemo(core.TransitionMemo):
+            def __init__(self, *args):
+                super().__init__(*args)
+                memos.append(self)
+
+        monkeypatch.setattr(core, "MEMO_CAP", 5)
+        monkeypatch.setattr(search, "TransitionMemo", RecordedMemo)
+        problem, capped = _pentest_run(run)
+        assert capped.plans == full.plans
+        assert capped.behaviours == full.behaviours
+        assert capped.stats.nodes_generated == full.stats.nodes_generated
+        assert capped.stats.simulate_calls > full.stats.simulate_calls
+        assert len(problem.simulated) > len(set(problem.simulated))
+        assert len(memos) == 1 and len(memos[0]) <= 5
