@@ -24,12 +24,10 @@ class Predicate:
     """Interned boolean state variable.
 
     ``Predicate(name)`` always returns the same object for the same name, so
-    equality and hashing are identity-based and cheap. ``index`` records the
-    interning sequence (declaration order on first use), which gives a stable
-    total order within a run.
+    equality and hashing are identity-based and cheap.
     """
 
-    __slots__ = ("name", "index")
+    __slots__ = ("name",)
 
     _interned: dict[str, "Predicate"] = {}
 
@@ -38,12 +36,8 @@ class Predicate:
         if got is None:
             got = super().__new__(cls)
             got.name = name
-            got.index = len(cls._interned)
             cls._interned[name] = got
         return got
-
-    def __lt__(self, other: "Predicate") -> bool:
-        return self.index < other.index
 
     def __reduce__(self):
         # Unpickling goes through __new__, so the copy is the interned object.
@@ -173,9 +167,15 @@ class TransitionMemo(SimulatorProblem):
     tables keyed by state and asks the wrapped problem only on a miss; the
     contract makes those pure functions of the state, so the answers are
     exact. Every state the problem returns is interned: the tables share one
-    copy of it, stored with its goal flag and its goal predicates. Once the
-    tables hold ``MEMO_CAP`` entries, misses are still answered but no longer
-    stored.
+    copy of it, stored with its goal flag, its goal predicates and its atom
+    bitmask. Once the tables hold ``MEMO_CAP`` entries, misses are still
+    answered but no longer stored.
+
+    The bitmask (``mask``) sets one bit per predicate of the state. Bits are
+    dense ids the memo gives predicates in first-seen order, so a mask means
+    the same thing for the whole run and nothing outside it. The id table
+    has one entry per distinct predicate, which the problem bounds, and is
+    not capped: a mask must not change meaning mid-run.
 
     Each real ``simulate`` call and each memo hit is counted into
     ``stats.simulate_calls`` and ``stats.memo_hits``.
@@ -185,9 +185,11 @@ class TransitionMemo(SimulatorProblem):
         self.problem = problem
         self.stats = stats
         self._applicable: dict = {}  # state -> applicable actions
-        self._steps: dict = {}  # (state, action name) -> _info of the successor
-        self._states: dict = {}  # state -> (interned state, goal flag, goal predicates)
-        self._initial = self._info(problem.initial)[0]
+        self._steps: dict = {}  # (state, action name) -> step answer of the successor
+        # state -> ((interned state, goal flag, goal predicates), mask)
+        self._states: dict = {}
+        self._bits: dict = {}  # predicate -> its bit in every mask of this run
+        self._initial = self._info(problem.initial)[0][0]
 
     def __len__(self) -> int:
         return len(self._applicable) + len(self._steps) + len(self._states)
@@ -207,10 +209,26 @@ class TransitionMemo(SimulatorProblem):
     def _info(self, state: State) -> tuple:
         info = self._states.get(state)
         if info is None:
-            info = (state, self.problem.is_goal(state), self.goal_set & state)
+            answer = (state, self.problem.is_goal(state), self.goal_set & state)
+            info = (answer, self._mask(state))
             if len(self) < MEMO_CAP:
                 self._states[state] = info
         return info
+
+    def _mask(self, state: State) -> int:
+        bits = self._bits
+        mask = 0
+        for pred in state:
+            bit = bits.get(pred)
+            if bit is None:
+                bit = bits[pred] = 1 << len(bits)
+            mask |= bit
+        return mask
+
+    def mask(self, state: State) -> int:
+        """The state's atom bitmask: the OR of the bits of its predicates."""
+        info = self._states.get(state)  # one lookup per generated node
+        return (info or self._info(state))[1]
 
     def applicable(self, state: State) -> tuple:
         got = self._applicable.get(state)
@@ -227,7 +245,7 @@ class TransitionMemo(SimulatorProblem):
             self.stats.memo_hits += 1
             return info
         self.stats.simulate_calls += 1
-        info = self._info(self.problem.simulate(state, action))
+        info = self._info(self.problem.simulate(state, action))[0]
         if len(self) < MEMO_CAP:
             self._steps[key] = info
         return info
@@ -236,7 +254,7 @@ class TransitionMemo(SimulatorProblem):
         return self.step(state, action)[0]
 
     def is_goal(self, state: State) -> bool:
-        return self._info(state)[1]
+        return self._info(state)[0][1]
 
 
 def replay(problem: SimulatorProblem, plan: Plan) -> Trace:

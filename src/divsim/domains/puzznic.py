@@ -330,7 +330,9 @@ class PuzznicProblem(SimulatorProblem):
 
     The grid, cursor, and score are rebuilt from the predicates on every
     step, so the state is self-contained; the band width being at most 100
-    is what makes the score recoverable from its band.
+    is what makes the score recoverable from its band. The last decoded
+    state is kept with its level, because a search asks ``applicable`` and
+    then ``simulate`` for each action on the same state.
     """
 
     def __init__(self, level: PuzznicLevel):
@@ -339,6 +341,7 @@ class PuzznicProblem(SimulatorProblem):
         self._walls = tuple(
             tuple(cell == WALL for cell in row) for row in level.grid
         )
+        self._last = (None, None)  # (state, its level) of the last decode
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
@@ -359,6 +362,9 @@ class PuzznicProblem(SimulatorProblem):
         return tuple(Predicate(f"cleared-{p}") for p in self.patterns)
 
     def _decode(self, state: State) -> PuzznicLevel:
+        last_state, last_level = self._last
+        if state == last_state:
+            return last_level
         rows = [
             [WALL if wall else EMPTY for wall in row] for row in self._walls
         ]
@@ -372,12 +378,14 @@ class PuzznicProblem(SimulatorProblem):
                 rows[int(parts[2])][int(parts[3])] = parts[1]
             elif parts[0] == "score":
                 band = int(parts[2])
-        return replace(
+        level = replace(
             self.level0,
             grid=_freeze(rows),
             cursor=cursor,
             score=_band_score(band, self.level0.band_width),
         )
+        self._last = (state, level)
+        return level
 
     def applicable(self, state: State) -> tuple:
         level = self._decode(state)

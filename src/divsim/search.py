@@ -139,14 +139,14 @@ class Budget:
 
 
 class _Node:
-    __slots__ = ("aug", "parent", "action_name", "depth", "path_tuples")
+    __slots__ = ("aug", "parent", "action_name", "depth", "summary")
 
-    def __init__(self, aug, parent, action_name, depth, path_tuples):
+    def __init__(self, aug, parent, action_name, depth, summary):
         self.aug = aug
         self.parent = parent
         self.action_name = action_name
         self.depth = depth
-        self.path_tuples = path_tuples
+        self.summary = summary  # the novelty summary a child is tested against
 
 
 def _chain(node: _Node) -> list:
@@ -169,6 +169,10 @@ def node_states(node: _Node) -> list:
 def state_tuples(raw: frozenset, width: int) -> frozenset:
     """Predicate combinations of size 1..``width`` of a raw state.
 
+    This is the reference definition of novelty: a state is novel iff one
+    of its tuples is not among those recorded before. ``NoveltyTable``
+    decides the same on bitmasks, and the tests compare the two.
+
     Width-1 tuples are the predicates themselves; larger widths add
     frozensets, so membership is order-free. Sizes below the width are
     included: a state whose raw set is smaller than the width must still
@@ -184,28 +188,57 @@ def state_tuples(raw: frozenset, width: int) -> frozenset:
 
 
 class NoveltyTable:
-    """Width-i novelty test.
+    """Width-i novelty test on atom bitmasks.
 
     A candidate is novel iff some predicate combination of size at most i
     of its raw state has never been simultaneously true "before": in its own
     ancestors for TRACE_LOCAL scope, or in any state generated this width
-    iteration for GLOBAL scope. In GLOBAL scope a true result records the
-    candidate's combinations as a side effect.
+    iteration for GLOBAL scope.
+
+    "Before" is a summary dict. For each atom set K of size below i it maps
+    K, as a bitmask (the empty set is 0), to the OR of the masks of every
+    recorded state that contains K. A state with mask m is novel iff some
+    K within m has ``summary[K] & m != m``: an atom a of m never held
+    together with K, so the combination K + {a} is new. That is the
+    ``state_tuples`` definition, decided without building any tuple.
+
+    In TRACE_LOCAL scope each kept node carries its own summary, a copy of
+    its parent's with the node recorded. In GLOBAL scope one summary serves
+    the whole width iteration, and a true result records the candidate in
+    it as a side effect. Masks must come from one run's ``TransitionMemo``.
     """
 
-    def __init__(self, width: int, scope: NoveltyScope, root_raw: frozenset):
+    def __init__(self, width: int, scope: NoveltyScope):
         self.width = width
         self.scope = scope
-        self.seen = set(state_tuples(root_raw, width)) if scope is NoveltyScope.GLOBAL else None
+        self._keys: dict = {}  # mask -> the masks of its atom sets of size below the width
 
-    def is_novel(self, raw: frozenset, path_tuples: Optional[frozenset]) -> bool:
-        tuples = state_tuples(raw, self.width)
-        if self.scope is NoveltyScope.TRACE_LOCAL:
-            return not tuples <= path_tuples
-        if tuples <= self.seen:
-            return False
-        self.seen |= tuples
-        return True
+    def _subsets(self, mask: int) -> tuple:
+        """The masks of the atom sets of ``mask`` of size below the width."""
+        bits = []
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            bits.append(bit)
+            rest ^= bit
+        got = self._keys[mask] = tuple(
+            sum(combo) for size in range(self.width) for combo in itertools.combinations(bits, size)
+        )
+        return got
+
+    def record(self, summary: dict, mask: int) -> dict:
+        """Record the state ``mask`` in ``summary``, in place; return it."""
+        for key in self._keys.get(mask) or self._subsets(mask):
+            summary[key] = summary.get(key, 0) | mask
+        return summary
+
+    def is_novel(self, mask: int, summary: dict) -> bool:
+        for key in self._keys.get(mask) or self._subsets(mask):
+            if summary.get(key, 0) & mask != mask:
+                if self.scope is NoveltyScope.GLOBAL:
+                    self.record(summary, mask)
+                return True
+        return False
 
 
 def _visited_key(aug: AugmentedState) -> frozenset:
@@ -219,7 +252,7 @@ def _memoised(problem: SimulatorProblem, stats: SearchStats) -> TransitionMemo:
 
 
 def _iw_goal_stream(
-    problem: SimulatorProblem,
+    problem: TransitionMemo,
     novelty: NoveltyConfig,
     limits: SearchLimits,
     budget: Budget,
@@ -228,6 +261,7 @@ def _iw_goal_stream(
 ) -> Iterator[_Node]:
     """Yield every kept goal node, running widths 1..max_width in turn.
 
+    ``problem`` is the run's memo, whose masks the novelty test reads.
     ``reject`` implements condition (b); rejected goal nodes are pruned
     entirely, leaving their visited keys unrecorded so that other routes to
     the same state stay open.
@@ -237,14 +271,8 @@ def _iw_goal_stream(
         started = time.perf_counter()
         try:
             root_aug = initial_augmented(problem)
-            root = _Node(
-                root_aug,
-                None,
-                None,
-                0,
-                state_tuples(root_aug.raw, width) if trace_local else None,
-            )
-            table = NoveltyTable(width, novelty.scope, root_aug.raw)
+            table = NoveltyTable(width, novelty.scope)
+            root = _Node(root_aug, None, None, 0, table.record({}, problem.mask(root_aug.raw)))
             visited = {_visited_key(root_aug)}
             queue = deque([root])
             if root_aug.goal_flag and not reject(root, True):
@@ -257,10 +285,11 @@ def _iw_goal_stream(
                     budget.spend_node()
                     stats.nodes_generated += 1
                     child_aug = successor_augmented(problem, node.aug, action)
-                    if not table.is_novel(child_aug.raw, node.path_tuples):
+                    mask = problem.mask(child_aug.raw)
+                    if not table.is_novel(mask, node.summary):
                         stats.pruned_by_novelty += 1
                         continue
-                    child = _Node(child_aug, node, action.name, node.depth + 1, None)
+                    child = _Node(child_aug, node, action.name, node.depth + 1, node.summary)
                     goal = child_aug.goal_flag
                     if reject(child, goal):
                         stats.pruned_by_behaviour += 1
@@ -274,9 +303,7 @@ def _iw_goal_stream(
                         continue
                     visited.add(key)
                     if trace_local:
-                        child.path_tuples = node.path_tuples | state_tuples(
-                            child_aug.raw, width
-                        )
+                        child.summary = table.record(dict(node.summary), mask)
                     queue.append(child)
                     if goal:
                         yield child

@@ -27,13 +27,6 @@ def test_predicate_pickles_to_the_interned_object():
     assert pickle.loads(pickle.dumps(Predicate("pickled-p"))) is Predicate("pickled-p")
 
 
-def test_predicate_order_is_first_use_order():
-    a = Predicate("order-check-a")
-    b = Predicate("order-check-b")
-    assert a < b
-    assert sorted([b, a]) == [a, b]
-
-
 def test_make_state_equality_is_set_equality():
     assert make_state(["p", "q"]) == make_state(["q", "p"])
     assert make_state([]) == frozenset()
@@ -131,6 +124,20 @@ def test_memo_interns_equal_states(toggle_problem):
     ba = memo.simulate(memo.simulate(memo.initial, set_b), set_a)
     assert ab is ba
     assert memo.is_goal(ab)
+
+
+def test_memo_masks_use_dense_per_run_bits(toggle_problem):
+    memo = TransitionMemo(toggle_problem, SearchStats())
+    set_a, set_b = (toggle_problem.action_named(n) for n in ("set-a", "set-b"))
+    a = memo.simulate(memo.initial, set_a)
+    b = memo.simulate(memo.initial, set_b)
+    ab = memo.simulate(a, set_b)
+    assert memo.mask(memo.initial) == 0
+    assert (memo.mask(a), memo.mask(b), memo.mask(ab)) == (0b01, 0b10, 0b11)
+    assert memo.mask(make_state(["gb", "ga"])) == memo.mask(ab)
+    # Another run numbers predicates in the order it meets them.
+    other = TransitionMemo(toggle_problem, SearchStats())
+    assert other.mask(b) == 0b01
 
 
 def test_memo_replays_like_the_problem(toggle_problem):

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 from divsim.core import Predicate, replay
-from divsim.domains import PuzznicProblem, load_problem
+from divsim.domains import PuzznicProblem, load_problem, puzznic
 from divsim.domains.puzznic import (
     applicable_moves,
     level_goal,
@@ -230,3 +230,18 @@ class TestProblem:
         problem = load_problem(fixture_path("single_pair.puz"))
         state = problem.simulate(problem.initial, problem.action_named("push-right"))
         assert Predicate("cleared-a") in state
+
+    def test_expanding_a_state_decodes_it_once(self, monkeypatch):
+        problem = load_problem(fixture_path("pairs.puz"))
+        decodes = []
+        band_score = puzznic._band_score
+        monkeypatch.setattr(
+            puzznic, "_band_score", lambda *args: decodes.append(args) or band_score(*args)
+        )
+        state = problem.initial
+        children = [problem.simulate(state, a) for a in problem.applicable(state)]
+        assert len(decodes) == 1
+        # The kept decode never answers for another state.
+        for child in children:
+            assert problem.level_of(child) == PuzznicProblem(problem.level0).level_of(child)
+        assert problem.level_of(state) == problem.level0

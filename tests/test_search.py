@@ -1,4 +1,5 @@
 import pickle
+import random
 
 import pytest
 
@@ -62,24 +63,79 @@ class AlreadyDone(SimulatorProblem):
         return self.goal_set <= state
 
 
+class PairsThenTriple(SimulatorProblem):
+    """Chain whose goal state is new only as a triple of atoms.
+
+    ``next`` walks {} -> {a, b} -> {b, c} -> {a, c} -> {a, b, c}, the goal;
+    ``back`` returns to {}. Every atom and pair of the goal state already
+    held on its own path, so IW reaches it only at width 3. Only c is a goal
+    predicate, so that no visited key (raw plus latched) repeats on the way.
+    """
+
+    CHAIN = tuple(make_state(f"triple-{n}" for n in names)
+                  for names in ((), "ab", "bc", "ac", "abc"))
+
+    @property
+    def initial(self):
+        return self.CHAIN[0]
+
+    @property
+    def actions(self):
+        return (Action("next"), Action("back"))
+
+    @property
+    def goal_predicates(self):
+        return (Predicate("triple-c"),)
+
+    def applicable(self, state):
+        return tuple(
+            a for a in self.actions
+            if (a.name == "next" and state != self.CHAIN[-1])
+            or (a.name == "back" and state != self.CHAIN[0])
+        )
+
+    def simulate(self, state, action):
+        if action.name == "back":
+            return self.CHAIN[0]
+        return self.CHAIN[self.CHAIN.index(state) + 1]
+
+    def is_goal(self, state):
+        return state == self.CHAIN[-1]
+
+
+# Test-local atom numbering; in a search the run's TransitionMemo assigns it.
+BITS = {"p": 1, "q": 2, "r": 4}
+
+
+def _mask(*names):
+    return sum(BITS[n] for n in names)
+
+
+def _summary(table, *states):
+    """``table``'s summary with each state, given as atom names, recorded."""
+    summary = {}
+    for names in states:
+        table.record(summary, _mask(*names))
+    return summary
+
+
 class TestNovelty:
     def test_width_one_new_atom_is_novel(self):
-        table = NoveltyTable(1, NoveltyScope.TRACE_LOCAL, _atoms("p"))
-        assert table.is_novel(_atoms("p", "q"), path_tuples=_atoms("p"))
+        table = NoveltyTable(1, NoveltyScope.TRACE_LOCAL)
+        assert table.is_novel(_mask("p", "q"), _summary(table, ("p",)))
 
     def test_width_one_no_new_atom_is_not_novel(self):
-        table = NoveltyTable(1, NoveltyScope.TRACE_LOCAL, _atoms("p", "q"))
-        assert not table.is_novel(_atoms("p"), path_tuples=_atoms("p", "q"))
+        table = NoveltyTable(1, NoveltyScope.TRACE_LOCAL)
+        assert not table.is_novel(_mask("p"), _summary(table, ("p", "q")))
 
     def test_width_two_fresh_pair_is_novel(self):
-        path = state_tuples(_atoms("p"), 2) | state_tuples(_atoms("q"), 2)
-        table = NoveltyTable(2, NoveltyScope.TRACE_LOCAL, _atoms("p"))
-        assert table.is_novel(_atoms("p", "q"), path_tuples=path)
+        table = NoveltyTable(2, NoveltyScope.TRACE_LOCAL)
+        assert table.is_novel(_mask("p", "q"), _summary(table, ("p",), ("q",)))
 
     def test_width_two_accepts_single_new_atom(self):
         # a state smaller than the width can still prove novelty by a singleton
-        table = NoveltyTable(2, NoveltyScope.TRACE_LOCAL, _atoms("p"))
-        assert table.is_novel(_atoms("q"), path_tuples=state_tuples(_atoms("p"), 2))
+        table = NoveltyTable(2, NoveltyScope.TRACE_LOCAL)
+        assert table.is_novel(_mask("q"), _summary(table, ("p",)))
 
     def test_width_two_tuples_include_singletons_and_pairs(self):
         p, q, r = Predicate("p"), Predicate("q"), Predicate("r")
@@ -97,10 +153,42 @@ class TestNovelty:
         assert state_tuples(_atoms("p", "q"), 1) == _atoms("p", "q")
 
     def test_global_scope_records_on_success(self):
-        table = NoveltyTable(1, NoveltyScope.GLOBAL, _atoms("p"))
-        assert table.is_novel(_atoms("q"), path_tuples=None)
-        assert not table.is_novel(_atoms("q"), path_tuples=None)
-        assert not table.is_novel(_atoms("p", "q"), path_tuples=None)
+        table = NoveltyTable(1, NoveltyScope.GLOBAL)
+        summary = _summary(table, ("p",))
+        assert table.is_novel(_mask("q"), summary)
+        assert not table.is_novel(_mask("q"), summary)
+        assert not table.is_novel(_mask("p", "q"), summary)
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_bitmask_decisions_match_tuple_definition(self, width, scope):
+        rng = random.Random(f"novelty-{width}-{scope.value}")
+        atoms = [Predicate(f"novelty-atom-{i}") for i in range(6)]
+        bit = {a: 1 << i for i, a in enumerate(atoms)}
+
+        def draw():
+            return frozenset(rng.sample(atoms, rng.randint(0, 4)))
+
+        decisions = []
+        for _ in range(40):
+            table = NoveltyTable(width, scope)
+            root = draw()
+            # (summary, tuples recorded) per kept node; GLOBAL shares one pair.
+            kept = [(table.record({}, sum(bit[a] for a in root)), set(state_tuples(root, width)))]
+            for _ in range(30):
+                state = draw()
+                mask = sum(bit[a] for a in state)
+                tuples = state_tuples(state, width)
+                summary, seen = rng.choice(kept)
+                expected = not tuples <= seen
+                got = table.is_novel(mask, summary)
+                assert got == expected, (sorted(map(repr, state)), width, scope)
+                decisions.append(got)
+                if got and scope is NoveltyScope.GLOBAL:
+                    seen |= tuples
+                elif got:
+                    kept.append((table.record(dict(summary), mask), seen | tuples))
+        assert True in decisions and False in decisions
 
     def test_config_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -119,6 +207,31 @@ class TestGenerators:
             assert plan == plain_iw(problem, 2, LIMITS.cost_bound)
             assert behaviour == extract_behaviour(_go_space(problem), problem, plan)
             assert stats.nodes_generated >= stats.nodes_expanded - 1
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            PairsThenTriple(),
+            *(load_problem(fixture_path(name))
+              for name in ("two_targets_line.grid", "pairs.puz", "diamond.json")),
+        ],
+        ids=["pairs-then-triple", "two_targets_line", "pairs", "diamond"],
+    )
+    def test_width_three_generator_equals_plain_iw(self, problem):
+        out = behaviour_generator(
+            problem, _go_space(problem), frozenset(), NoveltyConfig(3), LIMITS
+        )
+        assert out is not None
+        assert out[0] == plain_iw(problem, 3, LIMITS.cost_bound)
+
+    def test_width_three_is_needed_and_reached(self):
+        problem = PairsThenTriple()
+        assert plain_iw(problem, 2, LIMITS.cost_bound) is None
+        plan, _, stats = behaviour_generator(
+            problem, _go_space(problem), frozenset(), NoveltyConfig(3), LIMITS
+        )
+        assert plan == ("next",) * 4
+        assert sorted(stats.wall_time_by_width) == [1, 2, 3]
 
     def test_goal_initial_state_returns_empty_plan(self):
         problem = AlreadyDone()
