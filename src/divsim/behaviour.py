@@ -23,7 +23,6 @@ from .core import (
     LATCH_ATOM_PREFIX,
     Plan,
     SimulatorProblem,
-    Trace,
     replay,
 )
 from .errors import CostBoundExceeded, NotAGoalPlan
@@ -96,18 +95,6 @@ class Behaviour:
     goal_order: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class PartialBehaviour:
-    """Behaviour of a trace that may not have reached the goal yet."""
-
-    cost: Optional[int] = None
-    goal_order: Optional[tuple] = None
-    complete: bool = False
-
-    def value(self) -> Behaviour:
-        return Behaviour(self.cost, self.goal_order)
-
-
 def latch_groups(states: Sequence, goals: Sequence) -> tuple:
     """Group goal predicates by the trace position where each first latched.
 
@@ -146,26 +133,6 @@ def extract_behaviour(space: BehaviourSpace, problem: SimulatorProblem, plan: Pl
     if of is not None:
         order = latch_groups(trace.states, of.goals)
     return Behaviour(cost, order)
-
-
-def partial_behaviour(
-    space: BehaviourSpace, trace: Trace, goal_predicates: Optional[Sequence] = None
-) -> PartialBehaviour:
-    """Behaviour established so far by a trace, goal reached or not.
-
-    ``complete`` needs the full goal-predicate set to decide whether every
-    goal has latched; callers that have the problem at hand should pass
-    ``problem.goal_predicates``. Without it the order feature's goals are
-    used, and a space with no order feature falls back to the goal flag alone.
-    """
-    last = trace.states[-1]
-    cost = last.cost_so_far if space.cost_feature is not None else None
-    of = space.order_feature
-    order = latch_groups(trace.states, of.goals) if of is not None else None
-    if goal_predicates is None:
-        goal_predicates = of.goals if of is not None else ()
-    complete = last.goal_flag and all(g in last.latched for g in goal_predicates)
-    return PartialBehaviour(cost, order, complete)
 
 
 def behaviour_formula(space: BehaviourSpace, behaviour: Behaviour) -> ltl.Formula:

@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 from .behaviour import BehaviourSpace, CostBound, GoalOrder, behaviour_to_json
 from .core import plan_cost
 from .domains import load_problem
-from .domains.puzznic import EMPTY, PuzznicProblem, puzznic_step
-from .errors import BudgetExceeded, InapplicableAction
+from .errors import BudgetExceeded
 from .search import (
     NoveltyConfig,
     PlanSetResult,
@@ -56,7 +55,6 @@ class TaskSpec:
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
     time_budget_s: float = 1800.0
     node_budget: int = 10_000_000
-    interior_pruning: bool = True
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -127,14 +125,7 @@ def run_task(spec: TaskSpec, plans_path=None):
     space = build_space(problem, spec.features, spec.cost_bound)
     try:
         if spec.mode == "fbi":
-            result = fbi(
-                problem,
-                space,
-                spec.k,
-                spec.novelty,
-                spec.limits,
-                interior_pruning=spec.interior_pruning,
-            )
+            result = fbi(problem, space, spec.k, spec.novelty, spec.limits)
         else:
             result = fbi_naive(problem, spec.k, spec.novelty, spec.limits, space=space)
         outcome = "exhausted" if result.exhausted else "done"
@@ -290,63 +281,3 @@ def write_rows_csv(path, rows: Sequence[SuiteResultRow]):
                     r.outcome,
                 ]
             )
-
-
-def _compose_frame(caption: str, grid, cursor, score: int, extra: str = "") -> str:
-    rows = []
-    for r, row in enumerate(grid):
-        cells = []
-        for c, cell in enumerate(row):
-            if (r, c) == cursor:
-                cells.append("@" if cell == EMPTY else cell.upper())
-            else:
-                cells.append(cell)
-        rows.append("".join(cells))
-    lines = [caption] + rows + [f"score {score}"]
-    if extra:
-        lines.append(extra)
-    return "\n".join(lines)
-
-
-def render_puzznic(problem: PuzznicProblem, plan: Sequence[str]) -> list:
-    """ASCII playback: one frame per action plus fall/clear frames.
-
-    The last frame carries the final score and the order in which patterns
-    cleared. Replay failures surface as InapplicableAction tagged with the
-    failing plan step.
-    """
-    level = problem.level0
-    frames = [_compose_frame("initial", level.grid, level.cursor, level.score)]
-    clear_order = []
-    for index, name in enumerate(plan):
-        record = []
-        try:
-            after = puzznic_step(level, name, record)
-        except InapplicableAction as err:
-            raise InapplicableAction(
-                f"{err.reason} (frame {len(frames)})", index=index
-            ) from None
-        if not record:
-            frames.append(
-                _compose_frame(name, after.grid, after.cursor, after.score)
-            )
-        else:
-            score = level.score
-            for kind, grid, info in record:
-                if kind == "push":
-                    caption = name
-                elif kind == "fall":
-                    caption = "fall"
-                else:
-                    wave, cleared, gain = info
-                    score += gain
-                    patterns = sorted({p for _, _, p in cleared})
-                    for p in patterns:
-                        if p not in clear_order:
-                            clear_order.append(p)
-                    caption = f"clear wave {wave}: {len(cleared)} block(s) +{gain}"
-                frames.append(_compose_frame(caption, grid, after.cursor, score))
-        level = after
-    if clear_order:
-        frames[-1] += "\ncleared order: " + ", ".join(clear_order)
-    return frames

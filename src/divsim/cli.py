@@ -18,13 +18,13 @@ from .bench import (
     TaskSpec,
     build_space,
     format_aggregates,
-    render_puzznic,
     run_suite,
     run_task,
     write_rows_csv,
 )
 from .behaviour import behaviour_to_json
 from .domains import load_problem
+from .domains.puzznic import render_puzznic
 from .errors import BudgetExceeded, DivsimError
 from .oracle import brute_force_behaviours
 from .search import NoveltyConfig, NoveltyScope

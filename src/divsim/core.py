@@ -11,7 +11,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CostBoundExceeded, InapplicableAction, UnknownAction
 
@@ -274,7 +274,7 @@ def plan_cost(problem: SimulatorProblem, plan: Plan) -> int:
     return sum(problem.action_named(name).cost for name in plan)
 
 
-def augmented_view(states: Sequence[AugmentedState], cost_bound: int) -> tuple:
+def trace_view(trace: Trace, cost_bound: int) -> tuple:
     """Atom sets the temporal-logic layer evaluates over.
 
     Each position exposes the raw predicate names plus exactly one ``cost-X``
@@ -282,7 +282,7 @@ def augmented_view(states: Sequence[AugmentedState], cost_bound: int) -> tuple:
     per latched goal predicate.
     """
     views = []
-    for aug in states:
+    for aug in trace.states:
         if aug.cost_so_far > cost_bound:
             raise CostBoundExceeded(aug.cost_so_far, cost_bound)
         atoms = {p.name for p in aug.raw}
@@ -292,7 +292,3 @@ def augmented_view(states: Sequence[AugmentedState], cost_bound: int) -> tuple:
         atoms.update(f"{LATCH_ATOM_PREFIX}{p.name}" for p in aug.latched)
         views.append(frozenset(atoms))
     return tuple(views)
-
-
-def trace_view(trace: Trace, cost_bound: int) -> tuple:
-    return augmented_view(trace.states, cost_bound)

@@ -27,6 +27,7 @@ import warnings
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import Sequence
 
 from ..core import Action, Predicate, SimulatorProblem, State
 from ..errors import InapplicableAction, LevelInvalid, ParseError, UnknownAction
@@ -401,3 +402,60 @@ class PuzznicProblem(SimulatorProblem):
 
     def level_of(self, state: State) -> PuzznicLevel:
         return self._decode(state)
+
+
+def _compose_frame(caption: str, grid, cursor, score: int) -> str:
+    rows = []
+    for r, row in enumerate(grid):
+        cells = []
+        for c, cell in enumerate(row):
+            if (r, c) == cursor:
+                cells.append("@" if cell == EMPTY else cell.upper())
+            else:
+                cells.append(cell)
+        rows.append("".join(cells))
+    return "\n".join([caption] + rows + [f"score {score}"])
+
+
+def render_puzznic(problem: PuzznicProblem, plan: Sequence[str]) -> list:
+    """ASCII playback: one frame per action plus fall/clear frames.
+
+    The last frame carries the final score and the order in which patterns
+    cleared. Replay failures surface as InapplicableAction tagged with the
+    failing plan step.
+    """
+    level = problem.level0
+    frames = [_compose_frame("initial", level.grid, level.cursor, level.score)]
+    clear_order = []
+    for index, name in enumerate(plan):
+        record = []
+        try:
+            after = puzznic_step(level, name, record)
+        except InapplicableAction as err:
+            raise InapplicableAction(
+                f"{err.reason} (frame {len(frames)})", index=index
+            ) from None
+        if not record:
+            frames.append(
+                _compose_frame(name, after.grid, after.cursor, after.score)
+            )
+        else:
+            score = level.score
+            for kind, grid, info in record:
+                if kind == "push":
+                    caption = name
+                elif kind == "fall":
+                    caption = "fall"
+                else:
+                    wave, cleared, gain = info
+                    score += gain
+                    patterns = sorted({p for _, _, p in cleared})
+                    for p in patterns:
+                        if p not in clear_order:
+                            clear_order.append(p)
+                    caption = f"clear wave {wave}: {len(cleared)} block(s) +{gain}"
+                frames.append(_compose_frame(caption, grid, after.cursor, score))
+        level = after
+    if clear_order:
+        frames[-1] += "\ncleared order: " + ", ".join(clear_order)
+    return frames

@@ -394,12 +394,15 @@ def _eval(f: Formula, view, i: int, n: int) -> bool:
 
 
 def is_latch_monotone(f: Formula, latch_atoms: Iterable[str]) -> bool:
-    """Shape check backing interior-node pruning.
+    """Whether satisfaction of ``f`` survives every latch-preserving extension.
 
     True only for atoms, ``Until(Not a, b)``, or conjunctions of those, where
     every mentioned atom is in ``latch_atoms``. For such formulas,
     satisfaction on a trace prefix is preserved by any extension in which the
-    latch atoms never turn false again.
+    latch atoms never turn false again. The search does not call it: its
+    interior pruning compares goal orders, and a behaviour's formula has this
+    shape exactly when its goal order has two or more groups, which is what
+    makes that comparison sound.
     """
     atoms = set(latch_atoms)
 

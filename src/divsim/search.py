@@ -5,7 +5,9 @@ a successor only if
 
 (a) it is novel at width i,
 (b) it does not establish a forbidden behaviour (or, in plan-forbidding mode,
-    is not itself a known plan),
+    is not itself a known plan): a goal node's behaviour is not forbidden,
+    and an interior node whose goals have all latched has not already fixed
+    a forbidden goal order of two or more groups,
 (c) its visited key (raw truths plus latched goals) is unseen this iteration,
 (d) its cost does not exceed the cost bound.
 
@@ -24,25 +26,20 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from .behaviour import (
-    Behaviour,
-    BehaviourSpace,
-    behaviour_formula,
-    extract_behaviour,
-    latch_groups,
-)
+from .behaviour import Behaviour, BehaviourSpace, extract_behaviour, latch_groups
 from .core import (
-    LATCH_ATOM_PREFIX,
     AugmentedState,
     Plan,
     SimulatorProblem,
     TransitionMemo,
-    augmented_view,
     initial_augmented,
     successor_augmented,
 )
 from .errors import BudgetExceeded
-from .ltl import evaluate, is_latch_monotone
+
+# Not called by the search: perfbench/tracing.py rebinds these names to count calls.
+from .behaviour import behaviour_formula  # noqa: F401
+from .ltl import evaluate, is_latch_monotone  # noqa: F401
 
 
 class NoveltyScope(Enum):
@@ -326,13 +323,15 @@ def behaviour_generator(
     """One plan whose behaviour is not forbidden, or None when none is reachable.
 
     Returns ``(plan, behaviour, stats)``. Goal nodes are always checked
-    against the forbidden set (tier 1). With ``interior_pruning`` on and no
-    cost dimension in the space, an interior node whose latched goals are
-    already complete is dropped when its established goal order equals a
-    forbidden behaviour whose formula is latch-monotone and holds on the
-    node's trace view (tier 2): every goal reachable from such a node would
-    repeat that behaviour. ``problem`` may be a run's ``TransitionMemo``;
-    any other problem gets a memo of its own.
+    against the forbidden set. With ``interior_pruning`` on and no cost
+    dimension in the space, an interior node within the cost bound whose
+    goals have all latched is dropped when its goal order is the goal order
+    of a forbidden behaviour with at least two groups: latched goals stay
+    latched, so every goal reachable from it would repeat that order. (The
+    behaviour's formula has this latch-monotone shape exactly when it has
+    two or more groups; a one-group behaviour is never pruned inside the
+    tree.) ``problem`` may be a run's ``TransitionMemo``; any other problem
+    gets a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
@@ -341,17 +340,11 @@ def behaviour_generator(
     cost_feature = space.cost_feature
     order_feature = space.order_feature
     goal_set = problem.goal_set
-    latch_atoms = (
-        {f"{LATCH_ATOM_PREFIX}{g.name}" for g in order_feature.goals}
-        if order_feature is not None
+    interior_orders = (
+        {b.goal_order for b in forbidden if len(b.goal_order or ()) > 1}
+        if interior_pruning and cost_feature is None
         else set()
     )
-    monotone_forbidden = []
-    if interior_pruning and cost_feature is None:
-        for b in forbidden:
-            f = behaviour_formula(space, b)
-            if is_latch_monotone(f, latch_atoms):
-                monotone_forbidden.append((b, f))
 
     def behaviour_at(node: _Node) -> Behaviour:
         cost = node.aug.cost_so_far if cost_feature is not None else None
@@ -365,23 +358,13 @@ def behaviour_generator(
     def reject(node: _Node, goal: bool) -> bool:
         if goal:
             return behaviour_at(node) in forbidden
-        if not monotone_forbidden:
+        if not interior_orders:
             return False
         if node.aug.cost_so_far > limits.cost_bound:
             return False  # condition (d) will drop it anyway
         if not goal_set <= node.aug.latched:
             return False
-        states = node_states(node)
-        order = latch_groups(states, order_feature.goals)
-        view = None
-        for b, f in monotone_forbidden:
-            if b.goal_order != order:
-                continue
-            if view is None:
-                view = augmented_view(states, limits.cost_bound)
-            if evaluate(f, view):
-                return True
-        return False
+        return latch_groups(node_states(node), order_feature.goals) in interior_orders
 
     stream = _iw_goal_stream(problem, novelty, limits, budget, stats, reject)
     with closing(stream):

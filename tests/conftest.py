@@ -62,6 +62,23 @@ class ToggleProblem(SimulatorProblem):
         return self.goal_set <= state
 
 
+class UndoToggleProblem(ToggleProblem):
+    """``ToggleProblem`` whose unset-a also leaves an ``undone-a`` mark.
+
+    The mark keeps the state after an undo novel, so the search reaches
+    non-goal nodes whose goals have all latched: the nodes interior pruning
+    acts on, which no built-in domain produces.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._undone = Predicate("undone-a")
+
+    def simulate(self, state, action):
+        after = super().simulate(state, action)
+        return after | {self._undone} if action.name == "unset-a" else after
+
+
 @pytest.fixture
 def toggle_problem():
     return ToggleProblem()

@@ -37,7 +37,7 @@ from divsim.oracle import brute_force_behaviours
 from divsim.search import NoveltyConfig, SearchLimits, behaviour_generator, fbi, fbi_naive
 from divsim.stats import paired_t_test
 
-from conftest import fixture_path
+from conftest import UndoToggleProblem, fixture_path
 from oracles import eval_reference, plain_iw, random_formula, random_view
 
 
@@ -414,8 +414,27 @@ def test_criterion_6_interior_pruning_soundness(micro_runs):
         )
         if set(unpruned.behaviours) != set(run["result"].behaviours):
             differing.append(run["label"])
+    # No built-in domain can undo a goal, so their runs never reach a node
+    # interior pruning acts on; the undo fixture does.
+    problem = UndoToggleProblem()
+    space = _space(problem, ("go",), 10)
+    limits = SearchLimits(10, 60.0, 1_000_000)
+    k = len(brute_force_behaviours(problem, space, 6)) + 5
+    extra = []
+    for width in (1, 2):
+        novelty = NoveltyConfig(max_width=width)
+        on = fbi(problem, space, k, novelty, limits)
+        off = fbi(problem, space, k, novelty, limits, interior_pruning=False)
+        label = f"undo toggle w{width}"
+        if set(on.behaviours) != set(off.behaviours) or on.plans != off.plans:
+            differing.append(label)
+        pruned = (on.stats.pruned_by_behaviour, off.stats.pruned_by_behaviour)
+        if pruned[0] <= pruned[1]:
+            differing.append(f"{label}: no tier-2 prune")
+        extra.append(f"{label} (behaviour prunes on/off {pruned[0]}/{pruned[1]})")
     detail = (
-        f"tier-2 pruning on vs off agrees on {len(micro_runs)} micro runs"
+        f"tier-2 pruning on vs off agrees on {len(micro_runs)} micro runs and on "
+        + ", ".join(extra)
         + (f"; differing: {differing}" if differing else "")
     )
     _verdict(6, not differing, detail)

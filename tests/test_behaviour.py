@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from divsim.behaviour import (
@@ -10,12 +12,11 @@ from divsim.behaviour import (
     behaviour_to_json,
     extract_behaviour,
     latch_groups,
-    partial_behaviour,
 )
 from divsim.core import Predicate, replay, trace_view
 from divsim.domains import load_problem
 from divsim.errors import CostBoundExceeded, NotAGoalPlan
-from divsim.ltl import evaluate, format_formula
+from divsim.ltl import evaluate, format_formula, is_latch_monotone
 
 from conftest import fixture_path
 
@@ -82,6 +83,18 @@ class TestLatchGroups:
         groups = latch_groups(trace.states, problem.goal_predicates)
         assert groups == (frozenset(problem.goal_predicates),)
 
+    def test_prefix_orders_extend_each_other(self, toggle_problem):
+        # interior pruning compares a node's order, so a prefix's order must
+        # stay a prefix of every extension's order
+        trace = replay(toggle_problem, ("set-a", "unset-a", "set-b"))
+        seen = [
+            latch_groups(trace.states[:cut], toggle_problem.goal_predicates)
+            for cut in range(1, len(trace.states) + 1)
+        ]
+        for earlier, later in zip(seen, seen[1:]):
+            assert later[: len(earlier)] == earlier
+        assert seen[-1] == (frozenset({Predicate("ga")}), frozenset({Predicate("gb")}))
+
 
 class TestExtract:
     def test_cost_and_order_dimensions(self, toggle_problem):
@@ -113,36 +126,6 @@ class TestExtract:
         space = _space(CostBound(2))
         with pytest.raises(CostBoundExceeded):
             extract_behaviour(space, toggle_problem, ("set-a", "unset-a", "set-a", "set-b"))
-
-
-class TestPartial:
-    def test_initial_trace_is_incomplete_and_empty(self, toggle_problem):
-        space = _space(CostBound(5), GoalOrder(toggle_problem.goal_predicates))
-        trace = replay(toggle_problem, ())
-        got = partial_behaviour(space, trace, toggle_problem.goal_predicates)
-        assert got.cost == 0
-        assert got.goal_order == ()
-        assert not got.complete
-
-    def test_complete_partial_matches_extraction(self, toggle_problem):
-        space = _space(CostBound(5), GoalOrder(toggle_problem.goal_predicates))
-        plan = ("set-a", "set-b")
-        trace = replay(toggle_problem, plan)
-        got = partial_behaviour(space, trace, toggle_problem.goal_predicates)
-        assert got.complete
-        assert got.value() == extract_behaviour(space, toggle_problem, plan)
-
-    def test_partials_grow_monotonically(self, toggle_problem):
-        space = _space(GoalOrder(toggle_problem.goal_predicates))
-        plan = ("set-a", "unset-a", "set-b")
-        full = replay(toggle_problem, plan)
-        seen = []
-        for cut in range(len(plan) + 1):
-            trace = replay(toggle_problem, plan[:cut])
-            seen.append(partial_behaviour(space, trace).goal_order)
-        # each prefix order extends the previous one
-        for earlier, later in zip(seen, seen[1:]):
-            assert later[: len(earlier)] == earlier
 
 
 class TestFormula:
@@ -178,6 +161,30 @@ class TestFormula:
         b = Behaviour(goal_order=(frozenset({self.G1, self.G2}), frozenset({self.G3})))
         f = behaviour_formula(space, b)
         assert format_formula(f) == "(!first-g3 U first-g1) & (!first-g3 U first-g2)"
+
+    def test_latch_monotone_iff_two_or_more_groups(self):
+        # interior pruning compares goal orders only for behaviours with 2+
+        # groups, which is sound because exactly their formulas have this shape
+        goals = (self.G1, self.G2, self.G3)
+        latches = [f"first-{g.name}" for g in goals]
+
+        def orders(rest):
+            yield ()
+            for size in range(1, len(rest) + 1):
+                for group in itertools.combinations(rest, size):
+                    left = tuple(g for g in rest if g not in group)
+                    for tail in orders(left):
+                        yield (frozenset(group),) + tail
+
+        checked = 0
+        for order in orders(goals):
+            b = Behaviour(cost=4, goal_order=order)
+            f = behaviour_formula(_space(GoalOrder(goals)), b)
+            assert is_latch_monotone(f, latches) == (len(order) >= 2), format_formula(f)
+            with_cost = behaviour_formula(_space(CostBound(9), GoalOrder(goals)), b)
+            assert not is_latch_monotone(with_cost, latches)
+            checked += 1
+        assert checked == 26  # every ordered partition of every subset of 3 goals
 
     def test_formula_separates_behaviours_on_real_traces(self):
         problem = load_problem(fixture_path("open3x3.grid"))

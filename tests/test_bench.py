@@ -1,4 +1,4 @@
-"""Benchmark harness: task runs, suite rows, aggregates, CSV, rendering."""
+"""Benchmark harness: task runs, suite rows, aggregates, CSV."""
 
 import csv
 import json
@@ -13,14 +13,13 @@ from divsim.bench import (
     aggregate_rows,
     build_space,
     format_aggregates,
-    render_puzznic,
     run_suite,
     run_task,
     write_rows_csv,
 )
 from divsim.behaviour import CostBound, GoalOrder
 from divsim.domains import load_problem
-from divsim.errors import InapplicableAction, LevelInvalid
+from divsim.errors import LevelInvalid
 from divsim.search import NoveltyConfig
 
 from conftest import fixture_path
@@ -226,36 +225,3 @@ class TestCsv:
         assert records[0] == list(CSV_COLUMNS)
         assert records[1] == ["a.grid", "fbi", "2", "true", "2", "2", "0.125", "done"]
         assert records[2] == ["b.json", "naive", "5", "false", "0", "0", "0.5", "error"]
-
-
-class TestRenderPuzznic:
-    def test_empty_plan_is_one_initial_frame(self):
-        problem = load_problem(fixture_path("single_pair.puz"))
-        frames = render_puzznic(problem, ())
-        assert len(frames) == 1
-        assert frames[0].startswith("initial\n")
-        assert "score 0" in frames[0]
-        # the cursor shows as the uppercase pattern letter when on a block
-        assert "#A.a#" in frames[0]
-
-    def test_cursor_move_adds_one_frame(self):
-        problem = load_problem(fixture_path("single_pair.puz"))
-        frames = render_puzznic(problem, ("cursor-right",))
-        assert len(frames) == 2
-        assert frames[1].startswith("cursor-right\n")
-        assert "#a@a#" in frames[1]
-
-    def test_push_and_clear_frames_carry_the_score(self):
-        problem = load_problem(fixture_path("single_pair.puz"))
-        frames = render_puzznic(problem, ("push-right",))
-        assert len(frames) == 3
-        assert frames[1].startswith("push-right\n")
-        assert "clear wave 1: 2 block(s) +200" in frames[2]
-        assert "score 200" in frames[2]
-        assert frames[2].rstrip().endswith("cleared order: a")
-
-    def test_replay_failure_points_at_the_step(self):
-        problem = load_problem(fixture_path("single_pair.puz"))
-        with pytest.raises(InapplicableAction, match=r"frame 3") as exc:
-            render_puzznic(problem, ("push-right", "push-right"))
-        assert exc.value.index == 1

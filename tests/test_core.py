@@ -6,7 +6,6 @@ from divsim.core import (
     Action,
     Predicate,
     TransitionMemo,
-    augmented_view,
     initial_augmented,
     make_state,
     plan_cost,
@@ -97,8 +96,8 @@ def test_view_exposes_cost_goal_and_latch_atoms(toggle_problem):
 def test_view_enforces_cost_bound(toggle_problem):
     trace = replay(toggle_problem, ("set-a", "set-b"))
     with pytest.raises(CostBoundExceeded):
-        augmented_view(trace.states, cost_bound=1)
-    assert len(augmented_view(trace.states, cost_bound=2)) == 3
+        trace_view(trace, cost_bound=1)
+    assert len(trace_view(trace, cost_bound=2)) == 3
 
 
 def test_memo_serves_repeats_without_the_simulator(toggle_problem, monkeypatch):

@@ -10,6 +10,7 @@ from divsim.domains.puzznic import (
     parse_puzznic,
     puzznic_predicates,
     puzznic_step,
+    render_puzznic,
     settle,
     score_gain,
 )
@@ -245,3 +246,36 @@ class TestProblem:
         for child in children:
             assert problem.level_of(child) == PuzznicProblem(problem.level0).level_of(child)
         assert problem.level_of(state) == problem.level0
+
+
+class TestRenderPuzznic:
+    def test_empty_plan_is_one_initial_frame(self):
+        problem = load_problem(fixture_path("single_pair.puz"))
+        frames = render_puzznic(problem, ())
+        assert len(frames) == 1
+        assert frames[0].startswith("initial\n")
+        assert "score 0" in frames[0]
+        # the cursor shows as the uppercase pattern letter when on a block
+        assert "#A.a#" in frames[0]
+
+    def test_cursor_move_adds_one_frame(self):
+        problem = load_problem(fixture_path("single_pair.puz"))
+        frames = render_puzznic(problem, ("cursor-right",))
+        assert len(frames) == 2
+        assert frames[1].startswith("cursor-right\n")
+        assert "#a@a#" in frames[1]
+
+    def test_push_and_clear_frames_carry_the_score(self):
+        problem = load_problem(fixture_path("single_pair.puz"))
+        frames = render_puzznic(problem, ("push-right",))
+        assert len(frames) == 3
+        assert frames[1].startswith("push-right\n")
+        assert "clear wave 1: 2 block(s) +200" in frames[2]
+        assert "score 200" in frames[2]
+        assert frames[2].rstrip().endswith("cleared order: a")
+
+    def test_replay_failure_points_at_the_step(self):
+        problem = load_problem(fixture_path("single_pair.puz"))
+        with pytest.raises(InapplicableAction, match=r"frame 3") as exc:
+            render_puzznic(problem, ("push-right", "push-right"))
+        assert exc.value.index == 1

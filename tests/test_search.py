@@ -4,8 +4,14 @@ import random
 import pytest
 
 from divsim import core, search
-from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder, extract_behaviour
-from divsim.core import Action, Predicate, SimulatorProblem, make_state
+from divsim.behaviour import (
+    Behaviour,
+    BehaviourSpace,
+    CostBound,
+    GoalOrder,
+    extract_behaviour,
+)
+from divsim.core import Action, Predicate, SimulatorProblem, make_state, replay
 from divsim.domains import GridProblem, load_problem
 from divsim.domains.pentest import PentestProblem
 from divsim.errors import BudgetExceeded
@@ -22,7 +28,7 @@ from divsim.search import (
     state_tuples,
 )
 
-from conftest import fixture_path
+from conftest import UndoToggleProblem, fixture_path
 from oracles import plain_iw
 from test_acceptance import star_scenario
 
@@ -343,12 +349,33 @@ class TestFbi:
         assert first.behaviours == second.behaviours
 
     def test_interior_pruning_toggle_preserves_behaviours(self):
-        problem = load_problem(fixture_path("two_targets_line.grid"))
+        problem = UndoToggleProblem()
         space = _go_space(problem)
         limits = SearchLimits(7, 30.0, 1_000_000)
         on = fbi(problem, space, k=3, limits=limits, interior_pruning=True)
         off = fbi(problem, space, k=3, limits=limits, interior_pruning=False)
         assert set(on.behaviours) == set(off.behaviours)
+        assert on.plans == off.plans
+        assert on.stats.pruned_by_behaviour > off.stats.pruned_by_behaviour
+
+    def test_one_group_forbidden_behaviour_prunes_no_interior_node(self):
+        problem = UndoToggleProblem()
+        ga, gb = problem.goal_predicates
+        # set-b, set-a, unset-a: both goals latched, not a goal state
+        tip = replay(problem, ("set-b", "set-a", "unset-a")).states[-1]
+        assert tip.latched == {ga, gb} and not tip.goal_flag
+        space = BehaviourSpace((GoalOrder((ga,)),))
+        forbidden = frozenset({Behaviour(goal_order=(frozenset({ga}),))})
+        counts = []
+        for pruning in (True, False):
+            stats = search.SearchStats()
+            got = behaviour_generator(
+                problem, space, forbidden, NoveltyConfig(), LIMITS,
+                stats=stats, interior_pruning=pruning,
+            )
+            assert got is None  # every goal node repeats the only order
+            counts.append(stats.pruned_by_behaviour)
+        assert counts[0] == counts[1]
 
     def test_result_pickles_with_interned_predicates(self):
         problem = load_problem(fixture_path("three_targets.grid"))
