@@ -132,15 +132,24 @@ def _cmd_bench(args) -> int:
     return EXIT_OK
 
 
+def _plan_actions(doc, index: int) -> list:
+    """The action names of plan ``index`` of a plan set document from solve."""
+    plans = doc.get("plans", []) if isinstance(doc, dict) else None
+    if not isinstance(plans, list):
+        raise DivsimError("plan file must be a JSON object whose 'plans' is a list")
+    if not 0 <= index < len(plans):
+        raise DivsimError(f"plan index {index} out of range; file holds {len(plans)} plan(s)")
+    plan = plans[index]
+    actions = plan.get("actions") if isinstance(plan, dict) else None
+    if not isinstance(actions, list) or not all(isinstance(a, str) for a in actions):
+        raise DivsimError(f"plan {index} must be an object whose 'actions' is a list of names")
+    return actions
+
+
 def _cmd_render(args) -> int:
     problem = load_problem(args.instance, "puzznic")
     doc = json.loads(Path(args.plan).read_text())
-    plans = doc.get("plans", [])
-    if not 0 <= args.index < len(plans):
-        raise DivsimError(
-            f"plan index {args.index} out of range; file holds {len(plans)} plan(s)"
-        )
-    frames = render_puzznic(problem, plans[args.index]["actions"])
+    frames = render_puzznic(problem, _plan_actions(doc, args.index))
     print("\n\n".join(frames))
     return EXIT_OK
 

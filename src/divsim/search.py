@@ -11,9 +11,12 @@ a successor only if
 (c) its visited key (raw truths plus latched goals) is unseen this iteration,
 (d) its cost does not exceed the cost bound.
 
-A kept successor that is a goal state ends a generator call. The top-level
+A kept successor that is a goal state is yielded to the caller, which may
+forbid its behaviour (or plan) before the search resumes. The top-level
 planner first forbids behaviours until the space is exhausted, then falls back
-to forbidding whole plans to fill the requested count.
+to forbidding whole plans to fill the requested count. Each phase resumes one
+search rather than restarting it for every plan, and finds the plans, in the
+same order, that a restart per plan would find.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class SearchStats:
     pruned_by_cost: int = 0
     simulate_calls: int = 0
     memo_hits: int = 0
+    restarts: int = 0
     wall_time_by_width: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
 
@@ -98,6 +102,7 @@ class SearchStats:
             "pruned_by_cost": self.pruned_by_cost,
             "simulate_calls": self.simulate_calls,
             "memo_hits": self.memo_hits,
+            "restarts": self.restarts,
             "wall_time_by_width": {str(w): t for w, t in sorted(self.wall_time_by_width.items())},
             "wall_time_s": self.wall_time_s,
         }
@@ -262,6 +267,12 @@ def _iw_goal_stream(
     ``reject`` implements condition (b); rejected goal nodes are pruned
     entirely, leaving their visited keys unrecorded so that other routes to
     the same state stay open.
+
+    A goal node is yielded before its visited key, novelty summary and queue
+    entry are recorded, and ``reject`` is asked again on resume. A caller
+    that has forbidden the node's behaviour (or plan) in between thus sees
+    it pruned exactly as a restart under the larger forbidden set would
+    prune it, and the stream goes on where a restart would arrive.
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
     for width in range(1, novelty.max_width + 1):
@@ -298,15 +309,149 @@ def _iw_goal_stream(
                     if child_aug.cost_so_far > limits.cost_bound:
                         stats.pruned_by_cost += 1
                         continue
+                    if goal:
+                        yield child
+                        if reject(child, True):
+                            stats.pruned_by_behaviour += 1
+                            continue
                     visited.add(key)
                     if trace_local:
                         child.summary = table.record(dict(node.summary), mask)
                     queue.append(child)
-                    if goal:
-                        yield child
         finally:
             elapsed = time.perf_counter() - started
             stats.wall_time_by_width[width] = stats.wall_time_by_width.get(width, 0.0) + elapsed
+
+
+class _BehaviourRule:
+    """Condition (b) of phase 1, against a forbidden set that grows.
+
+    Goal nodes are checked against the forbidden set. With interior pruning
+    on and no cost dimension in the space, an interior node within the cost
+    bound whose goals have all latched is dropped when its goal order is the
+    goal order of a forbidden behaviour with at least two groups: latched
+    goals stay latched, so every goal reachable from it would repeat that
+    order. (The behaviour's formula has this latch-monotone shape exactly
+    when it has two or more groups; a one-group behaviour is never pruned
+    inside the tree.)
+
+    ``passed`` holds the goal orders of the all-latched interior nodes that
+    ``reject`` let through. Forbidding a behaviour whose order is among them
+    would have pruned such a node, so only a fresh stream matches a restart.
+    """
+
+    def __init__(
+        self,
+        problem: TransitionMemo,
+        space: BehaviourSpace,
+        limits: SearchLimits,
+        interior_pruning: bool,
+    ):
+        self.cost_feature = space.cost_feature
+        self.order_feature = space.order_feature
+        self.interior = (
+            interior_pruning and self.cost_feature is None and self.order_feature is not None
+        )
+        self.goal_set = problem.goal_set
+        self.cost_bound = limits.cost_bound
+        self.forbidden: set = set()
+        self.interior_orders: set = set()
+        self.passed: set = set()
+
+    def behaviour_at(self, node: _Node) -> Behaviour:
+        cost = node.aug.cost_so_far if self.cost_feature is not None else None
+        order = (
+            latch_groups(node_states(node), self.order_feature.goals)
+            if self.order_feature is not None
+            else None
+        )
+        return Behaviour(cost, order)
+
+    def reject(self, node: _Node, goal: bool) -> bool:
+        if goal:
+            return self.behaviour_at(node) in self.forbidden
+        if not self.interior:
+            return False
+        if node.aug.cost_so_far > self.cost_bound:
+            return False  # condition (d) will drop it anyway
+        if not self.goal_set <= node.aug.latched:
+            return False
+        order = latch_groups(node_states(node), self.order_feature.goals)
+        if order in self.interior_orders:
+            return True
+        self.passed.add(order)
+        return False
+
+    def forbid(self, behaviour: Behaviour) -> bool:
+        """Forbid ``behaviour``; True when a stream resumed past it could
+        differ from a restart and must be replaced by a fresh one."""
+        self.forbidden.add(behaviour)
+        order = behaviour.goal_order
+        if not self.interior or len(order or ()) < 2:
+            return False
+        self.interior_orders.add(order)
+        return order in self.passed
+
+
+def _behaviour_stream(
+    problem: TransitionMemo,
+    space: BehaviourSpace,
+    forbidden,
+    novelty: NoveltyConfig,
+    limits: SearchLimits,
+    budget: Budget,
+    stats: SearchStats,
+    interior_pruning: bool,
+) -> Iterator[tuple]:
+    """Yield ``(plan, behaviour)`` pairs with behaviours outside ``forbidden``,
+    each one forbidden as the caller resumes, until none is reachable.
+
+    One IW stream serves every behaviour. When a forbidden order would have
+    pruned an interior node the stream already kept, the stream is closed
+    and a fresh one starts under the whole forbidden set
+    (``stats.restarts``).
+    """
+    rule = _BehaviourRule(problem, space, limits, interior_pruning)
+    for behaviour in forbidden:
+        rule.forbid(behaviour)
+    while True:
+        stream = _iw_goal_stream(problem, novelty, limits, budget, stats, rule.reject)
+        with closing(stream):
+            for node in stream:
+                behaviour = rule.behaviour_at(node)
+                yield node_plan(node), behaviour
+                if rule.forbid(behaviour):
+                    break
+            else:
+                return
+        stats.restarts += 1
+        rule.passed.clear()
+
+
+def _plan_stream(
+    problem: TransitionMemo,
+    known,
+    novelty: NoveltyConfig,
+    limits: SearchLimits,
+    budget: Budget,
+    stats: SearchStats,
+) -> Iterator[Plan]:
+    """Yield goal plans outside ``known``, each one known as the caller
+    resumes, from one IW stream.
+
+    Known plans all end in goal states, so by determinism only goal nodes
+    can ever collide with one; interior nodes skip the comparison.
+    """
+    known = {tuple(p) for p in known}
+
+    def reject(node: _Node, goal: bool) -> bool:
+        return goal and node_plan(node) in known
+
+    with closing(_iw_goal_stream(problem, novelty, limits, budget, stats, reject)) as stream:
+        for node in stream:
+            plan = node_plan(node)
+            yield plan
+            known.add(plan)
 
 
 def behaviour_generator(
@@ -322,54 +467,20 @@ def behaviour_generator(
 ) -> Optional[tuple]:
     """One plan whose behaviour is not forbidden, or None when none is reachable.
 
-    Returns ``(plan, behaviour, stats)``. Goal nodes are always checked
-    against the forbidden set. With ``interior_pruning`` on and no cost
-    dimension in the space, an interior node within the cost bound whose
-    goals have all latched is dropped when its goal order is the goal order
-    of a forbidden behaviour with at least two groups: latched goals stay
-    latched, so every goal reachable from it would repeat that order. (The
-    behaviour's formula has this latch-monotone shape exactly when it has
-    two or more groups; a one-group behaviour is never pruned inside the
-    tree.) ``problem`` may be a run's ``TransitionMemo``; any other problem
-    gets a memo of its own.
+    Returns ``(plan, behaviour, stats)``. This is the first pair of the
+    phase-1 stream that ``fbi`` runs; ``_BehaviourRule`` says which nodes
+    ``interior_pruning`` drops. ``problem`` may be a run's
+    ``TransitionMemo``; any other problem gets a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
     problem = _memoised(problem, stats)
-    forbidden = frozenset(forbidden)
-    cost_feature = space.cost_feature
-    order_feature = space.order_feature
-    goal_set = problem.goal_set
-    interior_orders = (
-        {b.goal_order for b in forbidden if len(b.goal_order or ()) > 1}
-        if interior_pruning and cost_feature is None
-        else set()
+    stream = _behaviour_stream(
+        problem, space, forbidden, novelty, limits, budget, stats, interior_pruning
     )
-
-    def behaviour_at(node: _Node) -> Behaviour:
-        cost = node.aug.cost_so_far if cost_feature is not None else None
-        order = (
-            latch_groups(node_states(node), order_feature.goals)
-            if order_feature is not None
-            else None
-        )
-        return Behaviour(cost, order)
-
-    def reject(node: _Node, goal: bool) -> bool:
-        if goal:
-            return behaviour_at(node) in forbidden
-        if not interior_orders:
-            return False
-        if node.aug.cost_so_far > limits.cost_bound:
-            return False  # condition (d) will drop it anyway
-        if not goal_set <= node.aug.latched:
-            return False
-        return latch_groups(node_states(node), order_feature.goals) in interior_orders
-
-    stream = _iw_goal_stream(problem, novelty, limits, budget, stats, reject)
     with closing(stream):
-        for node in stream:
-            return node_plan(node), behaviour_at(node), stats
+        for plan, behaviour in stream:
+            return plan, behaviour, stats
     return None
 
 
@@ -384,23 +495,16 @@ def plan_generator(
 ) -> Optional[tuple]:
     """One goal-reaching plan differing as an action sequence from every known plan.
 
-    Returns ``(plan, stats)`` or None. Known plans all end in goal states, so
-    by determinism only goal nodes can ever collide with one; interior nodes
-    skip the comparison. ``problem`` may be a run's ``TransitionMemo``; any
+    Returns ``(plan, stats)`` or None: the first plan of the phase-2 stream
+    that ``fbi`` runs. ``problem`` may be a run's ``TransitionMemo``; any
     other problem gets a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
     problem = _memoised(problem, stats)
-    known = frozenset(tuple(p) for p in known)
-
-    def reject(node: _Node, goal: bool) -> bool:
-        return goal and node_plan(node) in known
-
-    stream = _iw_goal_stream(problem, novelty, limits, budget, stats, reject)
-    with closing(stream):
-        for node in stream:
-            return node_plan(node), stats
+    with closing(_plan_stream(problem, known, novelty, limits, budget, stats)) as stream:
+        for plan in stream:
+            return plan, stats
     return None
 
 
@@ -418,9 +522,11 @@ def fbi(
     Phase 1 produces pairwise-distinct behaviours. When the behaviour space
     runs dry with fewer than k plans, phase 2 keeps the forbidden behaviours
     out of play implicitly (every behaviour is already taken) and forbids
-    exact plan sequences instead. On a budget trip the partial result rides
-    on the raised ``BudgetExceeded``. Every generator call of the run shares
-    one ``TransitionMemo``.
+    exact plan sequences instead. Each phase resumes one IW stream after
+    every plan rather than restarting the search, with the plans and order
+    a restart per plan would give. On a budget trip the partial result rides
+    on the raised ``BudgetExceeded``. Both phases share one
+    ``TransitionMemo``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -430,39 +536,20 @@ def fbi(
     problem = TransitionMemo(problem, stats)
     plans: list = []
     behaviours: list = []
-    forbidden: set = set()
     try:
-        while len(plans) < k:
-            got = behaviour_generator(
-                problem,
-                space,
-                frozenset(forbidden),
-                novelty,
-                limits,
-                budget=budget,
-                stats=stats,
-                interior_pruning=interior_pruning,
-            )
-            if got is None:
-                break
-            plan, behaviour, _ = got
-            plans.append(plan)
-            behaviours.append(behaviour)
-            forbidden.add(behaviour)
-        while len(plans) < k:
-            got = plan_generator(
-                problem,
-                frozenset(plans),
-                novelty,
-                limits,
-                budget=budget,
-                stats=stats,
-            )
-            if got is None:
-                break
-            plan, _ = got
-            plans.append(plan)
-            behaviours.append(extract_behaviour(space, problem, plan))
+        phase_one = _behaviour_stream(
+            problem, space, (), novelty, limits, budget, stats, interior_pruning
+        )
+        with closing(phase_one):
+            for plan, behaviour in itertools.islice(phase_one, k):
+                plans.append(plan)
+                behaviours.append(behaviour)
+        if len(plans) < k:
+            phase_two = _plan_stream(problem, plans, novelty, limits, budget, stats)
+            with closing(phase_two):
+                for plan in itertools.islice(phase_two, k - len(plans)):
+                    plans.append(plan)
+                    behaviours.append(extract_behaviour(space, problem, plan))
     except BudgetExceeded as err:
         stats.wall_time_s = time.perf_counter() - started
         err.partial = PlanSetResult(

@@ -79,6 +79,35 @@ class UndoToggleProblem(ToggleProblem):
         return after | {self._undone} if action.name == "unset-a" else after
 
 
+class FinishToggleProblem(ToggleProblem):
+    """``ToggleProblem`` whose goal state also needs a non-goal ``done`` mark.
+
+    finish sets ``done`` once both goals hold, so set-a, set-b is an
+    all-latched interior node that comes before the goal node of the same
+    goal order: the case where forbidding a behaviour would prune a node
+    the search already kept.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._done = Predicate("done")
+        self._actions = self._actions + (Action("finish"),)
+
+    def applicable(self, state):
+        out = super().applicable(state)
+        if self.goal_set <= state and self._done not in state:
+            out += (self._actions[-1],)
+        return out
+
+    def simulate(self, state, action):
+        if action.name == "finish":
+            return state | {self._done}
+        return super().simulate(state, action)
+
+    def is_goal(self, state):
+        return self.goal_set <= state and self._done in state
+
+
 @pytest.fixture
 def toggle_problem():
     return ToggleProblem()

@@ -4,7 +4,10 @@ Everything here is deliberately written from the definitions rather than by
 calling into the package's own logic: the temporal evaluator expands the
 quantifiers literally and derives Release through its Until dual, the width
 search is a separate BFS, and the behaviour enumerator is a depth-first walk
-with no deduplication. Slow is fine; these only run on tiny inputs.
+with no deduplication. The one exception is ``restart_fbi``, the
+forbid-and-restart loop, which calls the package's one-shot generators
+(themselves checked against ``plain_iw``). Slow is fine; these only run on
+tiny inputs.
 """
 
 from __future__ import annotations
@@ -12,8 +15,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from divsim.behaviour import Behaviour
+from divsim.behaviour import Behaviour, extract_behaviour
 from divsim.core import initial_augmented, successor_augmented
+from divsim.errors import BudgetExceeded
 from divsim.ltl import (
     FALSE,
     TRUE,
@@ -28,6 +32,15 @@ from divsim.ltl import (
     Release,
     TrueF,
     Until,
+)
+from divsim.search import (
+    Budget,
+    NoveltyConfig,
+    PlanSetResult,
+    SearchLimits,
+    SearchStats,
+    behaviour_generator,
+    plan_generator,
 )
 
 ATOM_POOL = ("p", "q", "r")
@@ -175,3 +188,48 @@ def dfs_behaviours(problem, space, max_len, cost_bound):
 
     walk([initial_augmented(problem)], ())
     return found
+
+
+def restart_fbi(
+    problem, space, k, novelty=NoveltyConfig(), limits=SearchLimits(), *, interior_pruning=True
+):
+    """``fbi`` by restarting the search for every plan.
+
+    Phase 1 calls ``behaviour_generator`` afresh under every behaviour found
+    so far, phase 2 calls ``plan_generator`` afresh under every plan found
+    so far, each a new IW sweep from width 1. ``fbi`` resumes one sweep per
+    phase instead and must return the same plans and behaviours. All calls
+    share one budget; on a trip the plans so far ride on the raised
+    ``BudgetExceeded``.
+    """
+    budget = Budget(limits)
+    stats = SearchStats()
+    plans, behaviours = [], []
+
+    def result(exhausted):
+        return PlanSetResult(
+            tuple(plans), tuple(behaviours), len(set(behaviours)), stats, exhausted
+        )
+
+    try:
+        while len(plans) < k:
+            got = behaviour_generator(
+                problem, space, frozenset(behaviours), novelty, limits,
+                budget=budget, stats=stats, interior_pruning=interior_pruning,
+            )
+            if got is None:
+                break
+            plans.append(got[0])
+            behaviours.append(got[1])
+        while len(plans) < k:
+            got = plan_generator(
+                problem, frozenset(plans), novelty, limits, budget=budget, stats=stats
+            )
+            if got is None:
+                break
+            plans.append(got[0])
+            behaviours.append(extract_behaviour(space, problem, got[0]))
+    except BudgetExceeded as err:
+        err.partial = result(False)
+        raise
+    return result(len(plans) < k)

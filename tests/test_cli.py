@@ -256,6 +256,33 @@ class TestRender:
         assert code == EXIT_DATA
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [{"actions": ["push-right"]}],
+            {"plans": [{"cost": 1}]},
+            {"plans": [{"actions": 5}]},
+            {"plans": "ab"},
+            {"plans": [["push-right"]]},
+            {"plans": [{"actions": [["push-right"]]}]},
+        ],
+        ids=["top-level-list", "no-actions", "actions-int", "plans-str", "plan-list",
+             "action-list"],
+    )
+    def test_malformed_plan_document_exits_65(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys,
+            "render",
+            "--instance",
+            str(fixture_path("single_pair.puz")),
+            "--plan",
+            str(bad),
+        )
+        assert code == EXIT_DATA
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestOracle:
     def test_enumeration_document(self, capsys):

@@ -28,8 +28,8 @@ from divsim.search import (
     state_tuples,
 )
 
-from conftest import UndoToggleProblem, fixture_path
-from oracles import plain_iw
+from conftest import FinishToggleProblem, UndoToggleProblem, fixture_path
+from oracles import plain_iw, restart_fbi
 from test_acceptance import star_scenario
 
 
@@ -531,3 +531,91 @@ class TestTransitionMemo:
         assert capped.stats.simulate_calls > full.stats.simulate_calls
         assert len(problem.simulated) > len(set(problem.simulated))
         assert len(memos) == 1 and len(memos[0]) <= 5
+
+
+def _star(n_lans, sensitive, pads=0):
+    return lambda: PentestProblem.from_text(star_scenario(n_lans, sensitive, pads))
+
+
+def _fixture(name):
+    return lambda: load_problem(fixture_path(name))
+
+
+def _go_cb_space(problem, bound=8):
+    return BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(bound)))
+
+
+# (id, problem factory, space factory, k, cost bound). The toggles exercise
+# interior pruning, which needs a space without cost; the stars have cost so
+# that they reach phase 2 with trace-local novelty.
+RESUME_CASES = (
+    ("corridor_bend", _fixture("corridor_bend.grid"), _go_space, 4, 8),
+    ("two_targets_line", _fixture("two_targets_line.grid"), _go_space, 6, 7),
+    ("three_targets", _fixture("three_targets.grid"), _go_space, 10, 8),
+    ("star-3", _star(3, {1, 2, 3}, 1), _go_cb_space, 12, 8),
+    ("star-4", _star(4, {1, 3}, 1), _go_cb_space, 12, 8),
+    ("star-5", _star(5, {2, 4}), _go_cb_space, 12, 8),
+    ("undo-toggle", UndoToggleProblem, _go_space, 6, 10),
+    ("finish-toggle", FinishToggleProblem, _go_space, 6, 10),
+    ("pairs", _fixture("pairs.puz"), _go_space, 6, 6),
+)
+
+
+class TestResumedStreams:
+    @pytest.mark.parametrize("pruning", [True, False], ids=["pruning", "no-pruning"])
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2])
+    @pytest.mark.parametrize("case", RESUME_CASES, ids=[c[0] for c in RESUME_CASES])
+    def test_resumed_fbi_equals_restart_reference(self, case, width, scope, pruning):
+        name, make, make_space, k, bound = case
+        problem = make()
+        space = make_space(problem)
+        limits = SearchLimits(bound, 30.0, 1_000_000)
+        novelty = NoveltyConfig(width, scope)
+        got = fbi(problem, space, k, novelty, limits, interior_pruning=pruning)
+        ref = restart_fbi(problem, space, k, novelty, limits, interior_pruning=pruning)
+        assert got.plans == ref.plans
+        assert got.behaviours == ref.behaviours
+        assert got.exhausted == ref.exhausted
+        assert got.stats.nodes_generated <= ref.stats.nodes_generated
+        if name.startswith("star") and scope is NoveltyScope.TRACE_LOCAL:
+            assert len(got.plans) > got.behaviour_count, "the run must reach phase 2"
+
+    def test_no_restart_on_a_star(self):
+        problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
+        res = fbi(problem, _go_cb_space(problem), k=12, limits=STAR_LIMITS)
+        assert len(res.plans) > res.behaviour_count
+        assert res.stats.restarts == 0
+        assert res.stats.as_dict()["restarts"] == 0
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_fallback_restarts_when_a_kept_interior_node_is_forbidden(self, width):
+        # set-a, set-b is kept with both goals latched before finish reaches
+        # the goal with the same order; forbidding that order must restart,
+        # or the other order's route stays visited-pruned behind it.
+        problem = FinishToggleProblem()
+        space = _go_space(problem)
+        limits = SearchLimits(10, 30.0, 1_000_000)
+        novelty = NoveltyConfig(width)
+        res = fbi(problem, space, 4, novelty, limits)
+        assert res.stats.restarts >= 1
+        assert res.stats.as_dict()["restarts"] == res.stats.restarts
+        assert res.plans == restart_fbi(problem, space, 4, novelty, limits).plans
+        assert res.behaviour_count == 2
+
+    def test_node_budget_reaches_more_plans_than_restarting(self):
+        problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
+        space = _go_cb_space(problem)
+        full = restart_fbi(problem, space, 12, limits=STAR_LIMITS)
+        resumed = fbi(problem, space, 12, limits=STAR_LIMITS)
+        assert resumed.stats.nodes_generated < full.stats.nodes_generated
+        # A budget of exactly the nodes resumed fbi generates.
+        limits = SearchLimits(8, 30.0, resumed.stats.nodes_generated)
+        within = fbi(problem, space, 12, limits=limits)
+        assert within.plans == full.plans
+        with pytest.raises(BudgetExceeded) as err:
+            restart_fbi(problem, space, 12, limits=limits)
+        assert err.value.kind == "nodes"
+        partial = err.value.partial.plans
+        assert len(partial) < len(full.plans)
+        assert partial == full.plans[: len(partial)]
