@@ -21,10 +21,8 @@ from .behaviour import (
 from .core import (
     Action,
     AugmentedState,
-    Predicate,
     SimulatorProblem,
     Trace,
-    make_state,
     plan_cost,
     replay,
     trace_view,
@@ -76,7 +74,6 @@ __all__ = [
     "OracleTooLarge",
     "ParseError",
     "PlanSetResult",
-    "Predicate",
     "ScenarioInvalid",
     "SearchLimits",
     "SearchStats",
@@ -94,7 +91,6 @@ __all__ = [
     "fbi",
     "fbi_naive",
     "format_formula",
-    "make_state",
     "paired_t_test",
     "parse_formula",
     "plan_cost",

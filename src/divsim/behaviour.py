@@ -165,8 +165,8 @@ def behaviour_formula(space: BehaviourSpace, behaviour: Behaviour) -> ltl.Formul
                     for b in groups[later_at]:
                         parts.append(
                             ltl.Until(
-                                ltl.Not(ltl.Atom(f"{LATCH_ATOM_PREFIX}{b.name}")),
-                                ltl.Atom(f"{LATCH_ATOM_PREFIX}{a.name}"),
+                                ltl.Not(ltl.Atom(f"{LATCH_ATOM_PREFIX}{b}")),
+                                ltl.Atom(f"{LATCH_ATOM_PREFIX}{a}"),
                             )
                         )
     return ltl.conj(parts)
@@ -183,5 +183,5 @@ def behaviour_to_json(behaviour: Behaviour) -> dict:
     if behaviour.cost is not None:
         out["cost"] = behaviour.cost
     if behaviour.goal_order is not None:
-        out["goal_order"] = [sorted(p.name for p in group) for group in behaviour.goal_order]
+        out["goal_order"] = [sorted(group) for group in behaviour.goal_order]
     return out

@@ -51,10 +51,10 @@ class TaskSpec:
     k: int = 1
     domain: Optional[str] = None
     features: tuple = FEATURES
-    cost_bound: int = 1000
+    cost_bound: int = SearchLimits.cost_bound
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
-    time_budget_s: float = 1800.0
-    node_budget: int = 10_000_000
+    time_budget_s: float = SearchLimits.time_budget_s
+    node_budget: int = SearchLimits.node_budget
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -157,10 +157,10 @@ def run_suite(
     k_list: Sequence[int] = (2, 5, 10),
     *,
     features: tuple = FEATURES,
-    cost_bound: int = 1000,
+    cost_bound: int = SearchLimits.cost_bound,
     novelty: NoveltyConfig = NoveltyConfig(),
-    time_budget_s: float = 1800.0,
-    node_budget: int = 10_000_000,
+    time_budget_s: float = SearchLimits.time_budget_s,
+    node_budget: int = SearchLimits.node_budget,
     plans_dir=None,
 ):
     """Run every instance in a directory for every mode and k.

@@ -15,6 +15,8 @@ import sys
 from pathlib import Path
 
 from .bench import (
+    FEATURES,
+    MODES,
     TaskSpec,
     build_space,
     format_aggregates,
@@ -27,7 +29,7 @@ from .domains import load_problem
 from .domains.puzznic import render_puzznic
 from .errors import BudgetExceeded, DivsimError
 from .oracle import brute_force_behaviours
-from .search import NoveltyConfig, NoveltyScope
+from .search import NoveltyConfig, NoveltyScope, SearchLimits
 
 EXIT_OK = 0
 EXIT_UNSOLVED = 2
@@ -63,24 +65,30 @@ def _k_list(text: str) -> tuple:
     return values
 
 
-def _add_search_options(sub, with_mode=True):
+def _add_instance_options(sub):
     sub.add_argument("--domain", choices=("grid", "puzznic", "pentest"))
     sub.add_argument("--instance", required=True)
-    if with_mode:
-        sub.add_argument("--mode", choices=("fbi", "naive"), default="fbi")
-        sub.add_argument("--k", type=int, default=1)
+
+
+def _add_space_options(sub):
     sub.add_argument(
         "--features",
         type=_csv_list,
-        default=("go", "cb"),
+        default=FEATURES,
         help="comma-separated diversity features: go (goal order), cb (cost)",
     )
-    sub.add_argument("--cost-bound", type=int, default=1000)
-    if with_mode:
-        sub.add_argument("--max-width", type=int, default=2)
-        sub.add_argument("--novelty", choices=("trace", "global"), default="trace")
-        sub.add_argument("--time-limit", type=float, default=1800.0)
-        sub.add_argument("--node-limit", type=int, default=10_000_000)
+    sub.add_argument("--cost-bound", type=int, default=SearchLimits.cost_bound)
+
+
+def _add_search_options(sub):
+    """The run options of ``solve`` and ``bench``, defaulting as the library does."""
+    _add_space_options(sub)
+    sub.add_argument("--max-width", type=int, default=NoveltyConfig.max_width)
+    sub.add_argument(
+        "--novelty", choices=[s.value for s in NoveltyScope], default=NoveltyConfig.scope.value
+    )
+    sub.add_argument("--time-limit", type=float, default=SearchLimits.time_budget_s)
+    sub.add_argument("--node-limit", type=int, default=SearchLimits.node_budget)
 
 
 def _novelty(args) -> NoveltyConfig:
@@ -176,20 +184,18 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     solve = subs.add_parser("solve", help="run one planning task", epilog=_EPILOG)
+    _add_instance_options(solve)
+    solve.add_argument("--mode", choices=MODES, default=TaskSpec.mode)
+    solve.add_argument("--k", type=int, default=TaskSpec.k)
     _add_search_options(solve)
     solve.add_argument("--out", help="write the plan set JSON here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 
     bench = subs.add_parser("bench", help="run a directory of instances", epilog=_EPILOG)
     bench.add_argument("--suite", required=True)
-    bench.add_argument("--modes", type=_csv_list, default=("fbi", "naive"))
+    bench.add_argument("--modes", type=_csv_list, default=MODES)
     bench.add_argument("--k-list", type=_k_list, default=(2, 5, 10))
-    bench.add_argument("--features", type=_csv_list, default=("go", "cb"))
-    bench.add_argument("--cost-bound", type=int, default=1000)
-    bench.add_argument("--max-width", type=int, default=2)
-    bench.add_argument("--novelty", choices=("trace", "global"), default="trace")
-    bench.add_argument("--time-limit", type=float, default=1800.0)
-    bench.add_argument("--node-limit", type=int, default=10_000_000)
+    _add_search_options(bench)
     bench.add_argument("--plans-dir", help="also write one plan JSON per task here")
     bench.add_argument("--out", required=True, help="result table CSV path")
     bench.set_defaults(handler=_cmd_bench)
@@ -202,7 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     render.set_defaults(handler=_cmd_render)
 
     oracle = subs.add_parser("oracle", help="enumerate all behaviours exhaustively")
-    _add_search_options(oracle, with_mode=False)
+    _add_instance_options(oracle)
+    _add_space_options(oracle)
     oracle.add_argument("--max-len", type=int, required=True)
     oracle.set_defaults(handler=_cmd_oracle)
 

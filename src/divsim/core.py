@@ -1,6 +1,7 @@
-"""Simulator-facing planning model: predicates, states, actions, plans, traces.
+"""Simulator-facing planning model: atoms, states, actions, plans, traces.
 
-A state is a plain frozenset of interned predicates. Everything the planner
+An atom (a boolean state variable, or predicate) is a plain string, and a
+state is the frozenset of the atoms true in it. Everything the planner
 derives from a trajectory (cost so far, goal flag, latched goal predicates)
 lives in an augmentation layer on traces and search nodes, never inside the
 simulator's raw state, so novelty pruning only ever sees raw predicates.
@@ -11,7 +12,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .errors import CostBoundExceeded, InapplicableAction, UnknownAction
 
@@ -19,40 +19,8 @@ GOAL_ATOM = "goal-state"
 COST_ATOM_PREFIX = "cost-"
 LATCH_ATOM_PREFIX = "first-"
 
-
-class Predicate:
-    """Interned boolean state variable.
-
-    ``Predicate(name)`` always returns the same object for the same name, so
-    equality and hashing are identity-based and cheap.
-    """
-
-    __slots__ = ("name",)
-
-    _interned: dict[str, "Predicate"] = {}
-
-    def __new__(cls, name: str) -> "Predicate":
-        got = cls._interned.get(name)
-        if got is None:
-            got = super().__new__(cls)
-            got.name = name
-            cls._interned[name] = got
-        return got
-
-    def __reduce__(self):
-        # Unpickling goes through __new__, so the copy is the interned object.
-        return (Predicate, (self.name,))
-
-    def __repr__(self) -> str:
-        return self.name
-
-
-State = frozenset  # frozenset[Predicate]; two states are equal iff their truth sets are
+State = frozenset  # frozenset[str] of true atoms; two states are equal iff their truth sets are
 Plan = tuple  # tuple[str, ...] of action ids, applied left to right
-
-
-def make_state(names: Iterable[str]) -> State:
-    return frozenset(Predicate(n) for n in names)
 
 
 @dataclass(frozen=True)
@@ -99,6 +67,10 @@ class SimulatorProblem(ABC):
     applicable actions. Planner runs memoise ``applicable``, ``simulate`` and
     ``is_goal`` (see ``TransitionMemo``), so all three must be pure functions
     of the state.
+
+    States are frozensets of atom strings. A domain should build each
+    distinct atom once per problem and reuse that string object in every
+    state it returns, so the states a run keeps share their atoms.
     """
 
     @property
@@ -171,11 +143,12 @@ class TransitionMemo(SimulatorProblem):
     bitmask. Once the tables hold ``MEMO_CAP`` entries, misses are still
     answered but no longer stored.
 
-    The bitmask (``mask``) sets one bit per predicate of the state. Bits are
-    dense ids the memo gives predicates in first-seen order, so a mask means
-    the same thing for the whole run and nothing outside it. The id table
-    has one entry per distinct predicate, which the problem bounds, and is
-    not capped: a mask must not change meaning mid-run.
+    The bitmask (``mask``) sets one bit per atom of the state. Bits are
+    dense ids the memo gives atoms in first-seen order, which is set order
+    and follows the string hash seed; a mask means the same thing for the
+    whole run and nothing outside it. The id table has one entry per
+    distinct atom, which the problem bounds, and is not capped: a mask must
+    not change meaning mid-run.
 
     Each real ``simulate`` call and each memo hit is counted into
     ``stats.simulate_calls`` and ``stats.memo_hits``.
@@ -188,7 +161,7 @@ class TransitionMemo(SimulatorProblem):
         self._steps: dict = {}  # (state, action name) -> step answer of the successor
         # state -> ((interned state, goal flag, goal predicates), mask)
         self._states: dict = {}
-        self._bits: dict = {}  # predicate -> its bit in every mask of this run
+        self._bits: dict = {}  # atom -> its bit in every mask of this run
         self._initial = self._info(problem.initial)[0][0]
 
     def __len__(self) -> int:
@@ -226,7 +199,7 @@ class TransitionMemo(SimulatorProblem):
         return mask
 
     def mask(self, state: State) -> int:
-        """The state's atom bitmask: the OR of the bits of its predicates."""
+        """The state's atom bitmask: the OR of the bits of its atoms."""
         info = self._states.get(state)  # one lookup per generated node
         return (info or self._info(state))[1]
 
@@ -277,7 +250,7 @@ def plan_cost(problem: SimulatorProblem, plan: Plan) -> int:
 def trace_view(trace: Trace, cost_bound: int) -> tuple:
     """Atom sets the temporal-logic layer evaluates over.
 
-    Each position exposes the raw predicate names plus exactly one ``cost-X``
+    Each position exposes the raw atoms plus exactly one ``cost-X``
     atom, ``goal-state`` when the position is a goal, and one ``first-g`` atom
     per latched goal predicate.
     """
@@ -285,10 +258,10 @@ def trace_view(trace: Trace, cost_bound: int) -> tuple:
     for aug in trace.states:
         if aug.cost_so_far > cost_bound:
             raise CostBoundExceeded(aug.cost_so_far, cost_bound)
-        atoms = {p.name for p in aug.raw}
+        atoms = set(aug.raw)
         atoms.add(f"{COST_ATOM_PREFIX}{aug.cost_so_far}")
         if aug.goal_flag:
             atoms.add(GOAL_ATOM)
-        atoms.update(f"{LATCH_ATOM_PREFIX}{p.name}" for p in aug.latched)
+        atoms.update(f"{LATCH_ATOM_PREFIX}{p}" for p in aug.latched)
         views.append(frozenset(atoms))
     return tuple(views)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..core import Action, Predicate, SimulatorProblem, State, make_state
+from ..core import Action, SimulatorProblem, State
 from ..errors import InapplicableAction, LevelInvalid
 
 _MOVES = (("up", -1, 0), ("down", 1, 0), ("left", 0, -1), ("right", 0, 1))
@@ -61,12 +61,14 @@ def parse_grid(text: str) -> GridWorld:
 class GridProblem(SimulatorProblem):
     def __init__(self, world: GridWorld):
         self.world = world
-        self._at = {}
-        for r in range(world.height):
-            for c in range(world.width):
-                if (r, c) not in world.walls:
-                    self._at[Predicate(f"at-{r}-{c}")] = (r, c)
-        self._visited = {cell: Predicate(f"visited-{cell[0]}-{cell[1]}") for cell in world.targets}
+        self._at_atom = {
+            (r, c): f"at-{r}-{c}"
+            for r in range(world.height)
+            for c in range(world.width)
+            if (r, c) not in world.walls
+        }
+        self._at = {atom: cell for cell, atom in self._at_atom.items()}
+        self._visited = {cell: f"visited-{cell[0]}-{cell[1]}" for cell in world.targets}
 
     @classmethod
     def from_text(cls, text: str) -> "GridProblem":
@@ -74,10 +76,11 @@ class GridProblem(SimulatorProblem):
 
     @cached_property
     def initial(self) -> State:
-        names = [f"at-{self.world.start[0]}-{self.world.start[1]}"]
-        if self.world.start in self._visited:
-            names.append(f"visited-{self.world.start[0]}-{self.world.start[1]}")
-        return make_state(names)
+        start = self.world.start
+        atoms = [self._at_atom[start]]
+        if start in self._visited:
+            atoms.append(self._visited[start])
+        return frozenset(atoms)
 
     @cached_property
     def actions(self) -> tuple:
@@ -119,8 +122,8 @@ class GridProblem(SimulatorProblem):
             raise InapplicableAction(f"cannot move {action.name} from {self._position(state)}")
         here = self._position(state)
         out = set(state)
-        out.discard(Predicate(f"at-{here[0]}-{here[1]}"))
-        out.add(Predicate(f"at-{dest[0]}-{dest[1]}"))
+        out.discard(self._at_atom[here])
+        out.add(self._at_atom[dest])
         visited = self._visited.get(dest)
         if visited is not None:
             out.add(visited)

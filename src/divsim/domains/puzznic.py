@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from ..core import Action, Predicate, SimulatorProblem, State
+from ..core import Action, SimulatorProblem, State
 from ..errors import InapplicableAction, LevelInvalid, ParseError, UnknownAction
 
 WALL = "#"
@@ -297,7 +297,7 @@ def level_goal(level: PuzznicLevel) -> bool:
 
 
 def puzznic_predicates(level: PuzznicLevel, patterns=None) -> State:
-    """Predicate encoding of a level.
+    """Atom encoding of a level.
 
     ``patterns`` is the pattern universe for the ``cleared-*`` atoms; it
     defaults to the patterns present in the grid (in which case none of them
@@ -314,7 +314,7 @@ def puzznic_predicates(level: PuzznicLevel, patterns=None) -> State:
     for pattern in patterns:
         if pattern not in remaining:
             names.append(f"cleared-{pattern}")
-    return frozenset(Predicate(n) for n in names)
+    return frozenset(names)
 
 
 def _band_score(band: int, band_width: int) -> int:
@@ -343,6 +343,7 @@ class PuzznicProblem(SimulatorProblem):
             tuple(cell == WALL for cell in row) for row in level.grid
         )
         self._last = (None, None)  # (state, its level) of the last decode
+        self._atoms: dict = {}  # atom -> the one copy of it this problem's states hold
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
@@ -350,7 +351,7 @@ class PuzznicProblem(SimulatorProblem):
 
     @cached_property
     def initial(self) -> State:
-        return puzznic_predicates(self.level0, self.patterns)
+        return self._canonical(puzznic_predicates(self.level0, self.patterns))
 
     @cached_property
     def actions(self) -> tuple:
@@ -360,7 +361,7 @@ class PuzznicProblem(SimulatorProblem):
 
     @cached_property
     def goal_predicates(self) -> tuple:
-        return tuple(Predicate(f"cleared-{p}") for p in self.patterns)
+        return tuple(f"cleared-{p}" for p in self.patterns)
 
     def _decode(self, state: State) -> PuzznicLevel:
         last_state, last_level = self._last
@@ -372,7 +373,7 @@ class PuzznicProblem(SimulatorProblem):
         cursor = None
         band = 0
         for pred in state:
-            parts = pred.name.split("-")
+            parts = pred.split("-")
             if parts[0] == "cursor":
                 cursor = (int(parts[1]), int(parts[2]))
             elif parts[0] == "block":
@@ -395,7 +396,11 @@ class PuzznicProblem(SimulatorProblem):
 
     def simulate(self, state: State, action: Action) -> State:
         after = puzznic_step(self._decode(state), action.name)
-        return puzznic_predicates(after, self.patterns)
+        return self._canonical(puzznic_predicates(after, self.patterns))
+
+    def _canonical(self, state: State) -> State:
+        atoms = self._atoms
+        return frozenset(atoms.setdefault(a, a) for a in state)
 
     def is_goal(self, state: State) -> bool:
         return self.goal_set <= state

@@ -25,7 +25,7 @@ import itertools
 import time
 from collections import deque
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
@@ -93,19 +93,9 @@ class SearchStats:
     wall_time_s: float = 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "nodes_expanded": self.nodes_expanded,
-            "nodes_generated": self.nodes_generated,
-            "pruned_by_novelty": self.pruned_by_novelty,
-            "pruned_by_behaviour": self.pruned_by_behaviour,
-            "pruned_by_visited": self.pruned_by_visited,
-            "pruned_by_cost": self.pruned_by_cost,
-            "simulate_calls": self.simulate_calls,
-            "memo_hits": self.memo_hits,
-            "restarts": self.restarts,
-            "wall_time_by_width": {str(w): t for w, t in sorted(self.wall_time_by_width.items())},
-            "wall_time_s": self.wall_time_s,
-        }
+        out = asdict(self)
+        out["wall_time_by_width"] = {str(w): t for w, t in sorted(self.wall_time_by_width.items())}
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,7 +159,7 @@ def node_states(node: _Node) -> list:
 
 
 def state_tuples(raw: frozenset, width: int) -> frozenset:
-    """Predicate combinations of size 1..``width`` of a raw state.
+    """Atom combinations of size 1..``width`` of a raw state.
 
     This is the reference definition of novelty: a state is novel iff one
     of its tuples is not among those recorded before. ``NoveltyTable``

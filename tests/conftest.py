@@ -2,13 +2,21 @@ import pathlib
 
 import pytest
 
-from divsim.core import Action, Predicate, SimulatorProblem, make_state
+from divsim.core import Action, SimulatorProblem
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def assert_one_object_per_atom(*states):
+    """Equal atoms anywhere in ``states`` are one and the same string object."""
+    first = {}
+    for state in states:
+        for atom in state:
+            assert first.setdefault(atom, atom) is atom, atom
 
 
 class ToggleProblem(SimulatorProblem):
@@ -20,8 +28,8 @@ class ToggleProblem(SimulatorProblem):
     """
 
     def __init__(self):
-        self._ga = Predicate("ga")
-        self._gb = Predicate("gb")
+        self._ga = "ga"
+        self._gb = "gb"
         self._actions = (
             Action("set-a"),
             Action("unset-a"),
@@ -30,7 +38,7 @@ class ToggleProblem(SimulatorProblem):
 
     @property
     def initial(self):
-        return make_state(())
+        return frozenset()
 
     @property
     def actions(self):
@@ -72,7 +80,7 @@ class UndoToggleProblem(ToggleProblem):
 
     def __init__(self):
         super().__init__()
-        self._undone = Predicate("undone-a")
+        self._undone = "undone-a"
 
     def simulate(self, state, action):
         after = super().simulate(state, action)
@@ -90,7 +98,7 @@ class FinishToggleProblem(ToggleProblem):
 
     def __init__(self):
         super().__init__()
-        self._done = Predicate("done")
+        self._done = "done"
         self._actions = self._actions + (Action("finish"),)
 
     def applicable(self, state):

@@ -13,7 +13,7 @@ from divsim.behaviour import (
     extract_behaviour,
     latch_groups,
 )
-from divsim.core import Predicate, replay, trace_view
+from divsim.core import replay, trace_view
 from divsim.domains import load_problem
 from divsim.errors import CostBoundExceeded, NotAGoalPlan
 from divsim.ltl import evaluate, format_formula, is_latch_monotone
@@ -23,10 +23,6 @@ from conftest import fixture_path
 
 def _space(*features):
     return BehaviourSpace(tuple(features))
-
-
-def _goals(*names):
-    return tuple(Predicate(n) for n in names)
 
 
 class TestFeatureValidation:
@@ -39,7 +35,7 @@ class TestFeatureValidation:
     def test_goal_order_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
             GoalOrder(())
-        g = Predicate("g-dup")
+        g = "g-dup"
         with pytest.raises(ValueError):
             GoalOrder((g, g))
 
@@ -57,7 +53,7 @@ class TestFeatureValidation:
 
     def test_feature_accessors(self):
         cb = CostBound(9)
-        go = GoalOrder(_goals("g-acc"))
+        go = GoalOrder(("g-acc",))
         space = _space(cb, go)
         assert space.cost_feature is cb
         assert space.order_feature is go
@@ -69,12 +65,12 @@ class TestLatchGroups:
     def test_goals_group_by_first_latch_position(self, toggle_problem):
         trace = replay(toggle_problem, ("set-a", "unset-a", "set-b"))
         groups = latch_groups(trace.states, toggle_problem.goal_predicates)
-        assert groups == (frozenset({Predicate("ga")}), frozenset({Predicate("gb")}))
+        assert groups == (frozenset({"ga"}), frozenset({"gb"}))
 
     def test_unachieved_goals_are_absent(self, toggle_problem):
         trace = replay(toggle_problem, ("set-b",))
         groups = latch_groups(trace.states, toggle_problem.goal_predicates)
-        assert groups == (frozenset({Predicate("gb")}),)
+        assert groups == (frozenset({"gb"}),)
         assert latch_groups(trace.states[:1], toggle_problem.goal_predicates) == ()
 
     def test_same_step_goals_share_a_group(self):
@@ -93,7 +89,7 @@ class TestLatchGroups:
         ]
         for earlier, later in zip(seen, seen[1:]):
             assert later[: len(earlier)] == earlier
-        assert seen[-1] == (frozenset({Predicate("ga")}), frozenset({Predicate("gb")}))
+        assert seen[-1] == (frozenset({"ga"}), frozenset({"gb"}))
 
 
 class TestExtract:
@@ -102,7 +98,7 @@ class TestExtract:
         got = extract_behaviour(space, toggle_problem, ("set-b", "set-a"))
         assert got == Behaviour(
             cost=2,
-            goal_order=(frozenset({Predicate("gb")}), frozenset({Predicate("ga")})),
+            goal_order=(frozenset({"gb"}), frozenset({"ga"})),
         )
 
     def test_missing_dimensions_stay_none(self, toggle_problem):
@@ -129,7 +125,7 @@ class TestExtract:
 
 
 class TestFormula:
-    G1, G2, G3 = _goals("g1", "g2", "g3")
+    G1, G2, G3 = "g1", "g2", "g3"
 
     def test_cost_and_strict_order_renders_frozen_text(self):
         space = _space(CostBound(10), GoalOrder((self.G1, self.G2)))
@@ -166,7 +162,7 @@ class TestFormula:
         # interior pruning compares goal orders only for behaviours with 2+
         # groups, which is sound because exactly their formulas have this shape
         goals = (self.G1, self.G2, self.G3)
-        latches = [f"first-{g.name}" for g in goals]
+        latches = [f"first-{g}" for g in goals]
 
         def orders(rest):
             yield ()
@@ -211,7 +207,7 @@ class TestCountAndJson:
         assert behaviour_count(space, toggle_problem, plans) == 2
 
     def test_json_form(self):
-        g1, g2, g3 = _goals("g1", "g2", "g3")
+        g1, g2, g3 = "g1", "g2", "g3"
         b = Behaviour(cost=5, goal_order=(frozenset({g1}), frozenset({g3, g2})))
         assert behaviour_to_json(b) == {
             "cost": 5,

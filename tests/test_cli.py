@@ -1,19 +1,39 @@
 """Command line behaviour: exit codes, output documents, error channels."""
 
+import inspect
 import json
 
 import pytest
 
+from divsim.bench import FEATURES, TaskSpec, run_suite
 from divsim.cli import (
     EXIT_BUDGET,
     EXIT_DATA,
     EXIT_OK,
     EXIT_UNSOLVED,
     EXIT_USAGE,
+    build_parser,
     main,
 )
+from divsim.search import NoveltyConfig, NoveltyScope, SearchLimits
 
 from conftest import fixture_path
+
+# The stats block of every plan set document, in this order.
+STATS_KEYS = [
+    "nodes_expanded",
+    "nodes_generated",
+    "pruned_by_novelty",
+    "pruned_by_behaviour",
+    "pruned_by_visited",
+    "pruned_by_cost",
+    "simulate_calls",
+    "memo_hits",
+    "restarts",
+    "wall_time_by_width",
+    "wall_time_s",
+    "outcome",
+]
 
 
 def run_cli(capsys, *argv):
@@ -33,6 +53,15 @@ class TestSolve:
         assert doc["behaviour_count"] == 1
         assert doc["plans"][0]["actions"] == ["right", "right"]
         assert doc["stats"]["outcome"] == "done"
+
+    def test_stats_keys_keep_their_order(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "solve", "--instance", str(fixture_path("corridor3.grid")), "--k", "3"
+        )
+        assert code == EXIT_UNSOLVED
+        stats = json.loads(out)["stats"]
+        assert list(stats) == STATS_KEYS
+        assert list(stats["wall_time_by_width"]) == ["1", "2"]
 
     def test_out_file_gets_the_json_and_stdout_the_summary(self, capsys, tmp_path):
         out_path = tmp_path / "plan.json"
@@ -192,11 +221,36 @@ class TestBench:
         assert names == ["alley-fbi-k2.json", "fork-fbi-k2.json"]
         doc = json.loads((plans / "alley-fbi-k2.json").read_text())
         assert doc["k"] == 2
+        assert list(doc["stats"]) == STATS_KEYS
 
     def test_bad_k_list_exits_64(self):
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--suite", "x", "--k-list", "2,zero", "--out", "y.csv"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestDefaults:
+    @pytest.mark.parametrize(
+        "argv", [["solve", "--instance", "x"], ["bench", "--suite", "s", "--out", "o"]]
+    )
+    def test_solve_and_bench_parse_to_the_library_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        limits = SearchLimits(args.cost_bound, args.time_limit, args.node_limit)
+        assert limits == SearchLimits()
+        assert NoveltyConfig(args.max_width, NoveltyScope(args.novelty)) == NoveltyConfig()
+        assert args.features == FEATURES
+
+    def test_task_spec_and_run_suite_default_alike(self):
+        spec = TaskSpec("x")
+        assert (spec.limits, spec.novelty, spec.features) == (
+            SearchLimits(),
+            NoveltyConfig(),
+            FEATURES,
+        )
+        suite = {n: p.default for n, p in inspect.signature(run_suite).parameters.items()}
+        limits = SearchLimits(suite["cost_bound"], suite["time_budget_s"], suite["node_budget"])
+        assert limits == SearchLimits()
+        assert (suite["novelty"], suite["features"]) == (NoveltyConfig(), FEATURES)
 
 
 class TestRender:

@@ -1,13 +1,9 @@
-import pickle
-
 import pytest
 
 from divsim.core import (
     Action,
-    Predicate,
     TransitionMemo,
     initial_augmented,
-    make_state,
     plan_cost,
     replay,
     successor_augmented,
@@ -15,20 +11,6 @@ from divsim.core import (
 )
 from divsim.errors import CostBoundExceeded, InapplicableAction, UnknownAction
 from divsim.search import SearchStats
-
-
-def test_predicates_are_interned():
-    assert Predicate("at-1-1") is Predicate("at-1-1")
-    assert Predicate("at-1-1") is not Predicate("at-1-2")
-
-
-def test_predicate_pickles_to_the_interned_object():
-    assert pickle.loads(pickle.dumps(Predicate("pickled-p"))) is Predicate("pickled-p")
-
-
-def test_make_state_equality_is_set_equality():
-    assert make_state(["p", "q"]) == make_state(["q", "p"])
-    assert make_state([]) == frozenset()
 
 
 @pytest.mark.parametrize("cost", [0, -1, 1.5, True])
@@ -58,7 +40,7 @@ def test_replay_rejects_unknown_action(toggle_problem):
 
 def test_latch_survives_goal_undo(toggle_problem):
     trace = replay(toggle_problem, ("set-a", "unset-a", "set-b", "set-a"))
-    ga = Predicate("ga")
+    ga = "ga"
     assert [ga in aug.raw for aug in trace.states] == [False, True, False, False, True]
     assert [ga in aug.latched for aug in trace.states] == [False, True, True, True, True]
     assert trace.states[-1].goal_flag
@@ -133,7 +115,7 @@ def test_memo_masks_use_dense_per_run_bits(toggle_problem):
     ab = memo.simulate(a, set_b)
     assert memo.mask(memo.initial) == 0
     assert (memo.mask(a), memo.mask(b), memo.mask(ab)) == (0b01, 0b10, 0b11)
-    assert memo.mask(make_state(["gb", "ga"])) == memo.mask(ab)
+    assert memo.mask(frozenset(["gb", "ga"])) == memo.mask(ab)
     # Another run numbers predicates in the order it meets them.
     other = TransitionMemo(toggle_problem, SearchStats())
     assert other.mask(b) == 0b01

@@ -1,11 +1,11 @@
 import pytest
 
-from divsim.core import Predicate, replay
+from divsim.core import replay
 from divsim.domains import GridProblem, load_problem
 from divsim.domains.grid import parse_grid
 from divsim.errors import InapplicableAction, LevelInvalid
 
-from conftest import fixture_path
+from conftest import assert_one_object_per_atom, fixture_path
 
 
 SMALL = "#####\n#S.T#\n#####\n"
@@ -58,8 +58,8 @@ class TestProblem:
     def test_simulate_moves_the_agent(self):
         problem = GridProblem.from_text(SMALL)
         state = problem.simulate(problem.initial, problem.action_named("right"))
-        assert Predicate("at-1-2") in state
-        assert Predicate("at-1-1") not in state
+        assert "at-1-2" in state
+        assert "at-1-1" not in state
 
     def test_blocked_move_raises(self):
         problem = GridProblem.from_text(SMALL)
@@ -69,7 +69,7 @@ class TestProblem:
     def test_target_visit_is_recorded_in_state(self):
         problem = GridProblem.from_text(SMALL)
         trace = replay(problem, ("right", "right", "left"))
-        visited = Predicate("visited-1-3")
+        visited = "visited-1-3"
         assert visited not in trace.states[1].raw
         assert visited in trace.states[2].raw
         # the marker is part of the raw state, so it survives leaving the cell
@@ -82,9 +82,18 @@ class TestProblem:
         trace = replay(problem, ("up", "left", "down", "right", "right", "right", "up"))
         assert trace.states[-1].goal_flag
 
+    def test_states_share_one_string_per_atom(self):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        left_up = replay(problem, ("left", "up")).states[-1].raw
+        up_left = replay(problem, ("up", "left")).states[-1].raw
+        back = replay(problem, ("right", "left")).states[-1].raw
+        assert left_up == up_left == {"at-1-1", "visited-1-1"}
+        assert back == problem.initial
+        assert_one_object_per_atom(problem.initial, left_up, up_left, back)
+
     def test_goal_predicates_follow_target_order(self):
         problem = load_problem(fixture_path("two_targets_line.grid"))
-        assert tuple(p.name for p in problem.goal_predicates) == (
+        assert problem.goal_predicates == (
             "visited-1-1",
             "visited-1-4",
         )

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from divsim.core import Predicate, replay
+from divsim.core import replay
 from divsim.domains import PuzznicProblem, load_problem, puzznic
 from divsim.domains.puzznic import (
     applicable_moves,
@@ -21,7 +21,7 @@ from divsim.errors import (
     UnknownAction,
 )
 
-from conftest import fixture_path
+from conftest import assert_one_object_per_atom, fixture_path
 
 
 def _grid(*rows):
@@ -204,7 +204,7 @@ class TestProblem:
 
     def test_goal_predicates_are_cleared_patterns(self):
         problem = load_problem(fixture_path("cascade.puz"))
-        assert tuple(p.name for p in problem.goal_predicates) == (
+        assert problem.goal_predicates == (
             "cleared-a",
             "cleared-b",
         )
@@ -220,17 +220,26 @@ class TestProblem:
     def test_score_band_predicate_tracks_band_width(self):
         problem = PuzznicProblem.from_text("; band-width: 50\n#####\n#A.a#\n#####\n")
         state = problem.simulate(problem.initial, problem.action_named("push-right"))
-        assert Predicate("score-band-4") in state
+        assert "score-band-4" in state
 
     def test_predicates_expose_blocks_cursor_and_bands(self):
         level = parse_puzznic("#####\n#A.a#\n#####\n")
-        atoms = {p.name for p in puzznic_predicates(level)}
+        atoms = puzznic_predicates(level)
         assert atoms == {"cursor-1-1", "score-band-0", "block-a-1-1", "block-a-1-3"}
 
     def test_cleared_pattern_atom_appears_after_match(self):
         problem = load_problem(fixture_path("single_pair.puz"))
         state = problem.simulate(problem.initial, problem.action_named("push-right"))
-        assert Predicate("cleared-a") in state
+        assert "cleared-a" in state
+
+    def test_states_share_one_string_per_atom(self):
+        problem = load_problem(fixture_path("pairs.puz"))
+        start = problem.initial
+        left = problem.simulate(start, problem.action_named("cursor-left"))
+        up = problem.simulate(start, problem.action_named("cursor-up"))
+        back = problem.simulate(left, problem.action_named("cursor-right"))
+        assert back == start and "block-a-1-1" in left & up
+        assert_one_object_per_atom(start, left, up, back)
 
     def test_expanding_a_state_decodes_it_once(self, monkeypatch):
         problem = load_problem(fixture_path("pairs.puz"))

@@ -11,7 +11,7 @@ from divsim.behaviour import (
     GoalOrder,
     extract_behaviour,
 )
-from divsim.core import Action, Predicate, SimulatorProblem, make_state, replay
+from divsim.core import Action, SimulatorProblem, replay
 from divsim.domains import GridProblem, load_problem
 from divsim.domains.pentest import PentestProblem
 from divsim.errors import BudgetExceeded
@@ -34,7 +34,7 @@ from test_acceptance import star_scenario
 
 
 def _atoms(*names):
-    return make_state(names)
+    return frozenset(names)
 
 
 LIMITS = SearchLimits(cost_bound=20, time_budget_s=30.0, node_budget=1_000_000)
@@ -49,7 +49,7 @@ class AlreadyDone(SimulatorProblem):
 
     @property
     def initial(self):
-        return make_state(["done"])
+        return frozenset(["done"])
 
     @property
     def actions(self):
@@ -57,7 +57,7 @@ class AlreadyDone(SimulatorProblem):
 
     @property
     def goal_predicates(self):
-        return (Predicate("done"),)
+        return ("done",)
 
     def applicable(self, state):
         return ()
@@ -78,7 +78,7 @@ class PairsThenTriple(SimulatorProblem):
     predicate, so that no visited key (raw plus latched) repeats on the way.
     """
 
-    CHAIN = tuple(make_state(f"triple-{n}" for n in names)
+    CHAIN = tuple(frozenset(f"triple-{n}" for n in names)
                   for names in ((), "ab", "bc", "ac", "abc"))
 
     @property
@@ -91,7 +91,7 @@ class PairsThenTriple(SimulatorProblem):
 
     @property
     def goal_predicates(self):
-        return (Predicate("triple-c"),)
+        return ("triple-c",)
 
     def applicable(self, state):
         return tuple(
@@ -144,16 +144,15 @@ class TestNovelty:
         assert table.is_novel(_mask("q"), _summary(table, ("p",)))
 
     def test_width_two_tuples_include_singletons_and_pairs(self):
-        p, q, r = Predicate("p"), Predicate("q"), Predicate("r")
         got = state_tuples(_atoms("p", "q", "r"), 2)
         assert got == frozenset(
             {
-                p,
-                q,
-                r,
-                frozenset({p, q}),
-                frozenset({p, r}),
-                frozenset({q, r}),
+                "p",
+                "q",
+                "r",
+                frozenset({"p", "q"}),
+                frozenset({"p", "r"}),
+                frozenset({"q", "r"}),
             }
         )
         assert state_tuples(_atoms("p", "q"), 1) == _atoms("p", "q")
@@ -169,7 +168,7 @@ class TestNovelty:
     @pytest.mark.parametrize("width", [1, 2, 3])
     def test_bitmask_decisions_match_tuple_definition(self, width, scope):
         rng = random.Random(f"novelty-{width}-{scope.value}")
-        atoms = [Predicate(f"novelty-atom-{i}") for i in range(6)]
+        atoms = [f"novelty-atom-{i}" for i in range(6)]
         bit = {a: 1 << i for i, a in enumerate(atoms)}
 
         def draw():
@@ -377,15 +376,13 @@ class TestFbi:
             counts.append(stats.pruned_by_behaviour)
         assert counts[0] == counts[1]
 
-    def test_result_pickles_with_interned_predicates(self):
+    def test_result_pickles_round_trip(self):
         problem = load_problem(fixture_path("three_targets.grid"))
         res = fbi(problem, _go_space(problem), k=3, limits=SearchLimits(8, 30.0, 1_000_000))
         loaded = pickle.loads(pickle.dumps(res))
         assert loaded.plans == res.plans
         assert loaded.behaviours == res.behaviours
         assert loaded.stats == res.stats
-        (goal, *_), *_ = loaded.behaviours[0].goal_order
-        assert goal is Predicate(goal.name)
 
     def test_plans_replay_within_bound(self):
         problem = load_problem(fixture_path("three_targets.grid"))
