@@ -116,23 +116,28 @@ def latch_groups(states: Sequence, goals: Sequence) -> tuple:
     return tuple(frozenset(by_position[i]) for i in sorted(by_position))
 
 
+def behaviour_of(space: BehaviourSpace, states: Sequence) -> Behaviour:
+    """Behaviour of a trace given as its augmented states, initial state first.
+
+    The cost is the last state's and the order comes from ``latch_groups``.
+    Nothing is checked: ``extract_behaviour`` is the checked entry for a plan.
+    """
+    cost = states[-1].cost_so_far if space.cost_feature is not None else None
+    of = space.order_feature
+    order = latch_groups(states, of.goals) if of is not None else None
+    return Behaviour(cost, order)
+
+
 def extract_behaviour(space: BehaviourSpace, problem: SimulatorProblem, plan: Plan) -> Behaviour:
     """Behaviour of a goal-reaching plan; errors on non-goal or over-budget plans."""
     trace = replay(problem, plan)
     last = trace.states[-1]
     if not last.goal_flag:
         raise NotAGoalPlan(f"plan of length {len(plan)} does not end in a goal state")
-    cost = None
     cf = space.cost_feature
-    if cf is not None:
-        if last.cost_so_far > cf.bound:
-            raise CostBoundExceeded(last.cost_so_far, cf.bound)
-        cost = last.cost_so_far
-    order = None
-    of = space.order_feature
-    if of is not None:
-        order = latch_groups(trace.states, of.goals)
-    return Behaviour(cost, order)
+    if cf is not None and last.cost_so_far > cf.bound:
+        raise CostBoundExceeded(last.cost_so_far, cf.bound)
+    return behaviour_of(space, trace.states)
 
 
 def behaviour_formula(space: BehaviourSpace, behaviour: Behaviour) -> ltl.Formula:

@@ -12,13 +12,13 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .behaviour import BehaviourSpace, CostBound, GoalOrder, behaviour_to_json
 from .core import plan_cost
-from .domains import load_problem
+from .domains import EXTENSIONS, load_problem
 from .errors import BudgetExceeded
 from .search import (
     NoveltyConfig,
@@ -31,18 +31,6 @@ from .search import (
 MODES = ("fbi", "naive")
 FEATURES = ("go", "cb")
 OUTCOMES = ("done", "exhausted", "timeout", "nodecap", "error")
-
-CSV_COLUMNS = (
-    "instance",
-    "mode",
-    "k",
-    "solved",
-    "plans_found",
-    "behaviour_count",
-    "wall_time_s",
-    "outcome",
-)
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -82,6 +70,9 @@ class SuiteResultRow:
     behaviour_count: int
     wall_time_s: float
     outcome: str
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SuiteResultRow))
 
 
 def build_space(problem, features: Sequence[str], cost_bound: int) -> BehaviourSpace:
@@ -148,9 +139,6 @@ def run_task(spec: TaskSpec, plans_path=None):
     return result, row, doc
 
 
-INSTANCE_SUFFIXES = (".grid", ".puz", ".json")
-
-
 def run_suite(
     suite_dir,
     modes: Sequence[str] = MODES,
@@ -172,7 +160,7 @@ def run_suite(
     paths = sorted(
         p
         for p in Path(suite_dir).iterdir()
-        if p.is_file() and p.suffix.lower() in INSTANCE_SUFFIXES
+        if p.is_file() and p.suffix.lower() in EXTENSIONS
     )
     if plans_dir is not None:
         Path(plans_dir).mkdir(parents=True, exist_ok=True)
@@ -269,15 +257,4 @@ def write_rows_csv(path, rows: Sequence[SuiteResultRow]):
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow(
-                [
-                    r.instance,
-                    r.mode,
-                    r.k,
-                    str(r.solved).lower(),
-                    r.plans_found,
-                    r.behaviour_count,
-                    r.wall_time_s,
-                    r.outcome,
-                ]
-            )
+            writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in astuple(r))

@@ -25,7 +25,7 @@ from .bench import (
     write_rows_csv,
 )
 from .behaviour import behaviour_to_json
-from .domains import load_problem
+from .domains import DOMAINS, load_problem
 from .domains.puzznic import render_puzznic
 from .errors import BudgetExceeded, DivsimError
 from .oracle import brute_force_behaviours
@@ -36,12 +36,6 @@ EXIT_UNSOLVED = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
-
-_EPILOG = (
-    "The DIVSIM_SEED environment variable is reserved for future stochastic "
-    "components; every current component is deterministic and ignores it."
-)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2."""
@@ -66,7 +60,7 @@ def _k_list(text: str) -> tuple:
 
 
 def _add_instance_options(sub):
-    sub.add_argument("--domain", choices=("grid", "puzznic", "pentest"))
+    sub.add_argument("--domain", choices=tuple(DOMAINS))
     sub.add_argument("--instance", required=True)
 
 
@@ -180,10 +174,10 @@ def _cmd_oracle(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="divsim", description=__doc__.splitlines()[0], epilog=_EPILOG)
+    parser = _Parser(prog="divsim", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    solve = subs.add_parser("solve", help="run one planning task", epilog=_EPILOG)
+    solve = subs.add_parser("solve", help="run one planning task")
     _add_instance_options(solve)
     solve.add_argument("--mode", choices=MODES, default=TaskSpec.mode)
     solve.add_argument("--k", type=int, default=TaskSpec.k)
@@ -191,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="write the plan set JSON here instead of stdout")
     solve.set_defaults(handler=_cmd_solve)
 
-    bench = subs.add_parser("bench", help="run a directory of instances", epilog=_EPILOG)
+    bench = subs.add_parser("bench", help="run a directory of instances")
     bench.add_argument("--suite", required=True)
     bench.add_argument("--modes", type=_csv_list, default=MODES)
     bench.add_argument("--k-list", type=_k_list, default=(2, 5, 10))
@@ -201,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(handler=_cmd_bench)
 
     render = subs.add_parser("render", help="replay a plan as ASCII frames")
-    render.add_argument("--domain", choices=("puzznic",), default="puzznic")
     render.add_argument("--instance", required=True)
     render.add_argument("--plan", required=True, help="plan set JSON from solve")
     render.add_argument("--index", type=int, default=0)

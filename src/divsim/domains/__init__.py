@@ -23,16 +23,16 @@ DOMAINS = {
     "pentest": PentestProblem.from_text,
 }
 
-_EXTENSIONS = {".grid": "grid", ".puz": "puzznic", ".json": "pentest"}
+EXTENSIONS = {".grid": "grid", ".puz": "puzznic", ".json": "pentest"}
 
 
 def domain_for_path(path) -> str:
     suffix = Path(path).suffix.lower()
     try:
-        return _EXTENSIONS[suffix]
+        return EXTENSIONS[suffix]
     except KeyError:
         raise ParseError(
-            f"cannot infer domain from {path!r}; expected one of {sorted(_EXTENSIONS)}"
+            f"cannot infer domain from {path!r}; expected one of {sorted(EXTENSIONS)}"
         ) from None
 
 
@@ -53,6 +53,7 @@ def load_problem(path, domain: str = None):
 
 __all__ = [
     "DOMAINS",
+    "EXTENSIONS",
     "GridProblem",
     "GridWorld",
     "Host",

@@ -11,18 +11,11 @@ from __future__ import annotations
 from collections import deque
 from typing import Optional
 
-from .behaviour import Behaviour, BehaviourSpace, latch_groups
+from .behaviour import BehaviourSpace, behaviour_of
 from .core import SimulatorProblem, initial_augmented, successor_augmented
 from .errors import OracleTooLarge
 
 NODE_GUARD = 10_000_000
-
-
-def _behaviour_of(space: BehaviourSpace, states: tuple) -> Behaviour:
-    cost = states[-1].cost_so_far if space.cost_feature is not None else None
-    of = space.order_feature
-    order = latch_groups(states, of.goals) if of is not None else None
-    return Behaviour(cost, order)
 
 
 def brute_force_behaviours(
@@ -61,7 +54,7 @@ def brute_force_behaviours(
         states, plan, key = queue.popleft()
         tip = states[-1]
         if tip.goal_flag:
-            behaviour = _behaviour_of(space, states)
+            behaviour = behaviour_of(space, states)
             if behaviour not in found:
                 found[behaviour] = plan
         if len(plan) == max_len:

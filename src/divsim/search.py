@@ -16,7 +16,9 @@ forbid its behaviour (or plan) before the search resumes. The top-level
 planner first forbids behaviours until the space is exhausted, then falls back
 to forbidding whole plans to fill the requested count. Each phase resumes one
 search rather than restarting it for every plan, and finds the plans, in the
-same order, that a restart per plan would find.
+same order, that a restart per plan would find. Every behaviour is read off
+the states of the goal node that ends its plan; no plan is replayed. ``fbi``
+and ``fbi_naive`` share one run driver, ``_top_k``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ import itertools
 import time
 from collections import deque
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from .behaviour import Behaviour, BehaviourSpace, extract_behaviour, latch_groups
+from .behaviour import Behaviour, BehaviourSpace, behaviour_of, latch_groups
 from .core import (
     AugmentedState,
     Plan,
@@ -41,7 +43,7 @@ from .core import (
 from .errors import BudgetExceeded
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
-from .behaviour import behaviour_formula  # noqa: F401
+from .behaviour import behaviour_formula, extract_behaviour  # noqa: F401
 from .ltl import evaluate, is_latch_monotone  # noqa: F401
 
 
@@ -108,9 +110,12 @@ class PlanSetResult:
 
     plans: tuple
     behaviours: tuple
-    behaviour_count: int
     stats: SearchStats
     exhausted: bool
+
+    @property
+    def behaviour_count(self) -> int:
+        return len(set(self.behaviours))
 
 
 class Budget:
@@ -131,13 +136,12 @@ class Budget:
 
 
 class _Node:
-    __slots__ = ("aug", "parent", "action_name", "depth", "summary")
+    __slots__ = ("aug", "parent", "action_name", "summary")
 
-    def __init__(self, aug, parent, action_name, depth, summary):
+    def __init__(self, aug, parent, action_name, summary):
         self.aug = aug
         self.parent = parent
         self.action_name = action_name
-        self.depth = depth
         self.summary = summary  # the novelty summary a child is tested against
 
 
@@ -270,7 +274,7 @@ def _iw_goal_stream(
         try:
             root_aug = initial_augmented(problem)
             table = NoveltyTable(width, novelty.scope)
-            root = _Node(root_aug, None, None, 0, table.record({}, problem.mask(root_aug.raw)))
+            root = _Node(root_aug, None, None, table.record({}, problem.mask(root_aug.raw)))
             visited = {_visited_key(root_aug)}
             queue = deque([root])
             if root_aug.goal_flag and not reject(root, True):
@@ -287,7 +291,7 @@ def _iw_goal_stream(
                     if not table.is_novel(mask, node.summary):
                         stats.pruned_by_novelty += 1
                         continue
-                    child = _Node(child_aug, node, action.name, node.depth + 1, node.summary)
+                    child = _Node(child_aug, node, action.name, node.summary)
                     goal = child_aug.goal_flag
                     if reject(child, goal):
                         stats.pruned_by_behaviour += 1
@@ -337,10 +341,10 @@ class _BehaviourRule:
         limits: SearchLimits,
         interior_pruning: bool,
     ):
-        self.cost_feature = space.cost_feature
+        self.space = space
         self.order_feature = space.order_feature
         self.interior = (
-            interior_pruning and self.cost_feature is None and self.order_feature is not None
+            interior_pruning and space.cost_feature is None and self.order_feature is not None
         )
         self.goal_set = problem.goal_set
         self.cost_bound = limits.cost_bound
@@ -348,18 +352,9 @@ class _BehaviourRule:
         self.interior_orders: set = set()
         self.passed: set = set()
 
-    def behaviour_at(self, node: _Node) -> Behaviour:
-        cost = node.aug.cost_so_far if self.cost_feature is not None else None
-        order = (
-            latch_groups(node_states(node), self.order_feature.goals)
-            if self.order_feature is not None
-            else None
-        )
-        return Behaviour(cost, order)
-
     def reject(self, node: _Node, goal: bool) -> bool:
         if goal:
-            return self.behaviour_at(node) in self.forbidden
+            return behaviour_of(self.space, node_states(node)) in self.forbidden
         if not self.interior:
             return False
         if node.aug.cost_so_far > self.cost_bound:
@@ -408,7 +403,7 @@ def _behaviour_stream(
         stream = _iw_goal_stream(problem, novelty, limits, budget, stats, rule.reject)
         with closing(stream):
             for node in stream:
-                behaviour = rule.behaviour_at(node)
+                behaviour = behaviour_of(space, node_states(node))
                 yield node_plan(node), behaviour
                 if rule.forbid(behaviour):
                     break
@@ -425,9 +420,9 @@ def _plan_stream(
     limits: SearchLimits,
     budget: Budget,
     stats: SearchStats,
-) -> Iterator[Plan]:
-    """Yield goal plans outside ``known``, each one known as the caller
-    resumes, from one IW stream.
+) -> Iterator[_Node]:
+    """Yield the goal nodes of plans outside ``known``, each plan known as
+    the caller resumes, from one IW stream.
 
     Known plans all end in goal states, so by determinism only goal nodes
     can ever collide with one; interior nodes skip the comparison.
@@ -439,9 +434,8 @@ def _plan_stream(
 
     with closing(_iw_goal_stream(problem, novelty, limits, budget, stats, reject)) as stream:
         for node in stream:
-            plan = node_plan(node)
-            yield plan
-            known.add(plan)
+            yield node
+            known.add(node_plan(node))
 
 
 def behaviour_generator(
@@ -493,9 +487,51 @@ def plan_generator(
     stats = stats if stats is not None else SearchStats()
     problem = _memoised(problem, stats)
     with closing(_plan_stream(problem, known, novelty, limits, budget, stats)) as stream:
-        for plan in stream:
-            return plan, stats
+        for node in stream:
+            return node_plan(node), stats
     return None
+
+
+def _top_k(
+    problem: SimulatorProblem,
+    space: Optional[BehaviourSpace],
+    k: int,
+    limits: SearchLimits,
+    pairs: Callable[..., Iterator[tuple]],
+) -> PlanSetResult:
+    """The first ``k`` pairs of ``pairs(memo, limits, budget, stats)`` as a result.
+
+    ``pairs`` yields ``(plan, behaviour)``, with None for no behaviour, over
+    the run's ``TransitionMemo``. The limits it gets cap the cost at the
+    space's cost bound, so that every behaviour lies in the space. On a
+    budget trip the partial result rides on the raised ``BudgetExceeded``.
+    """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    cf = space.cost_feature if space is not None else None
+    if cf is not None and cf.bound < limits.cost_bound:
+        limits = replace(limits, cost_bound=cf.bound)
+    budget = Budget(limits)
+    stats = SearchStats()
+    started = time.perf_counter()
+    memo = TransitionMemo(problem, stats)
+    plans: list = []
+    behaviours: list = []
+
+    def result(exhausted: bool) -> PlanSetResult:
+        stats.wall_time_s = time.perf_counter() - started
+        return PlanSetResult(tuple(plans), tuple(behaviours), stats, exhausted)
+
+    try:
+        with closing(pairs(memo, limits, budget, stats)) as stream:
+            for plan, behaviour in itertools.islice(stream, k):
+                plans.append(plan)
+                if behaviour is not None:
+                    behaviours.append(behaviour)
+    except BudgetExceeded as err:
+        err.partial = result(False)
+        raise
+    return result(len(plans) < k)
 
 
 def fbi(
@@ -514,46 +550,27 @@ def fbi(
     out of play implicitly (every behaviour is already taken) and forbids
     exact plan sequences instead. Each phase resumes one IW stream after
     every plan rather than restarting the search, with the plans and order
-    a restart per plan would give. On a budget trip the partial result rides
-    on the raised ``BudgetExceeded``. Both phases share one
-    ``TransitionMemo``.
+    a restart per plan would give. Every behaviour is read off the states of
+    the goal node the stream yields; no plan is replayed. The search runs
+    under the smaller of ``limits.cost_bound`` and the space's cost bound.
+    On a budget trip the partial result rides on the raised
+    ``BudgetExceeded``. Both phases share one ``TransitionMemo``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    budget = Budget(limits)
-    stats = SearchStats()
-    started = time.perf_counter()
-    problem = TransitionMemo(problem, stats)
-    plans: list = []
-    behaviours: list = []
-    try:
+
+    def pairs(memo, limits, budget, stats):
         phase_one = _behaviour_stream(
-            problem, space, (), novelty, limits, budget, stats, interior_pruning
+            memo, space, (), novelty, limits, budget, stats, interior_pruning
         )
+        plans = []
         with closing(phase_one):
-            for plan, behaviour in itertools.islice(phase_one, k):
+            for plan, behaviour in phase_one:
                 plans.append(plan)
-                behaviours.append(behaviour)
-        if len(plans) < k:
-            phase_two = _plan_stream(problem, plans, novelty, limits, budget, stats)
-            with closing(phase_two):
-                for plan in itertools.islice(phase_two, k - len(plans)):
-                    plans.append(plan)
-                    behaviours.append(extract_behaviour(space, problem, plan))
-    except BudgetExceeded as err:
-        stats.wall_time_s = time.perf_counter() - started
-        err.partial = PlanSetResult(
-            tuple(plans), tuple(behaviours), len(set(behaviours)), stats, False
-        )
-        raise
-    stats.wall_time_s = time.perf_counter() - started
-    return PlanSetResult(
-        tuple(plans),
-        tuple(behaviours),
-        len(set(behaviours)),
-        stats,
-        exhausted=len(plans) < k,
-    )
+                yield plan, behaviour
+        with closing(_plan_stream(memo, plans, novelty, limits, budget, stats)) as phase_two:
+            for node in phase_two:
+                yield node_plan(node), behaviour_of(space, node_states(node))
+
+    return _top_k(problem, space, k, limits, pairs)
 
 
 def fbi_naive(
@@ -568,44 +585,21 @@ def fbi_naive(
 
     Every kept goal node contributes its plan (duplicates across width
     iterations are skipped) and the search continues from the same frontier
-    until k plans, exhaustion, or a budget trip. ``space`` is only used to
-    extract behaviours for reporting; it does not steer the search.
+    until k plans, exhaustion, or a budget trip. ``space``, when given,
+    caps the search's cost bound at its own, as in ``fbi``, and gives each
+    plan the behaviour read off its goal node; otherwise it does not steer
+    the search. Without it the result holds no behaviours.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    budget = Budget(limits)
-    stats = SearchStats()
-    started = time.perf_counter()
-    problem = TransitionMemo(problem, stats)
-    plans: list = []
-    seen: set = set()
 
-    def reject(node: _Node, goal: bool) -> bool:
-        return False
-
-    def wrap_up(exhausted: bool) -> PlanSetResult:
-        stats.wall_time_s = time.perf_counter() - started
-        behaviours = (
-            tuple(extract_behaviour(space, problem, p) for p in plans)
-            if space is not None
-            else ()
-        )
-        return PlanSetResult(
-            tuple(plans), behaviours, len(set(behaviours)), stats, exhausted
-        )
-
-    stream = _iw_goal_stream(problem, novelty, limits, budget, stats, reject)
-    try:
+    def pairs(memo, limits, budget, stats):
+        seen = set()
+        stream = _iw_goal_stream(memo, novelty, limits, budget, stats, lambda node, goal: False)
         with closing(stream):
             for node in stream:
                 plan = node_plan(node)
                 if plan in seen:
                     continue
                 seen.add(plan)
-                plans.append(plan)
-                if len(plans) == k:
-                    break
-    except BudgetExceeded as err:
-        err.partial = wrap_up(False)
-        raise
-    return wrap_up(len(plans) < k)
+                yield plan, (behaviour_of(space, node_states(node)) if space is not None else None)
+
+    return _top_k(problem, space, k, limits, pairs)

@@ -207,9 +207,7 @@ def restart_fbi(
     plans, behaviours = [], []
 
     def result(exhausted):
-        return PlanSetResult(
-            tuple(plans), tuple(behaviours), len(set(behaviours)), stats, exhausted
-        )
+        return PlanSetResult(tuple(plans), tuple(behaviours), stats, exhausted)
 
     try:
         while len(plans) < k:

@@ -485,6 +485,14 @@ def _naive(problem, space):
     return fbi_naive(problem, k=12, limits=STAR_LIMITS, space=space)
 
 
+def _fbi_k(problem, space, k, limits):
+    return fbi(problem, space, k, limits=limits)
+
+
+def _naive_k(problem, space, k, limits):
+    return fbi_naive(problem, k, limits=limits, space=space)
+
+
 class TestTransitionMemo:
     def test_fbi_simulates_each_transition_once(self):
         problem, res = _pentest_run(_fbi)
@@ -493,10 +501,9 @@ class TestTransitionMemo:
         assert len(problem.simulated) == len(set(problem.simulated))
         assert res.stats.simulate_calls == len(problem.simulated)
         assert res.stats.memo_hits > res.stats.simulate_calls
-        # One lookup per generated node, plus one per step of each phase-2
-        # plan that extract_behaviour replays.
-        lookups = res.stats.nodes_generated + sum(len(p) for p in phase_two)
-        assert res.stats.simulate_calls + res.stats.memo_hits == lookups
+        # One lookup per generated node: behaviours come from the nodes, so
+        # no plan is replayed.
+        assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
         doc = res.stats.as_dict()
         assert (doc["simulate_calls"], doc["memo_hits"]) == (
             res.stats.simulate_calls,
@@ -577,6 +584,10 @@ class TestResumedStreams:
         assert got.stats.nodes_generated <= ref.stats.nodes_generated
         if name.startswith("star") and scope is NoveltyScope.TRACE_LOCAL:
             assert len(got.plans) > got.behaviour_count, "the run must reach phase 2"
+        naive = fbi_naive(problem, k, novelty, limits, space=space)
+        assert len(naive.behaviours) == len(naive.plans)
+        for plan, behaviour in zip(naive.plans, naive.behaviours):
+            assert behaviour == extract_behaviour(space, problem, plan)
 
     def test_no_restart_on_a_star(self):
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
@@ -616,3 +627,19 @@ class TestResumedStreams:
         partial = err.value.partial.plans
         assert len(partial) < len(full.plans)
         assert partial == full.plans[: len(partial)]
+
+
+class TestSpaceCapsCost:
+    """A space's cost bound below the search limit caps the search."""
+
+    @pytest.mark.parametrize("k", [3, 20])
+    @pytest.mark.parametrize("bound", [3, 7, 8])
+    @pytest.mark.parametrize("run", [_fbi_k, _naive_k], ids=["fbi", "naive"])
+    def test_loose_limits_give_the_space_bound_result(self, run, bound, k):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        space = _go_cb_space(problem, bound)
+        loose = run(problem, space, k, SearchLimits())
+        tight = run(problem, space, k, SearchLimits(cost_bound=bound))
+        assert loose.plans == tight.plans
+        assert loose.behaviours == tight.behaviours
+        assert all(b.cost <= bound for b in loose.behaviours)
