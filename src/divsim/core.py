@@ -3,8 +3,12 @@
 An atom (a boolean state variable, or predicate) is a plain string, and a
 state is the frozenset of the atoms true in it. Everything the planner
 derives from a trajectory (cost so far, goal flag, latched goal predicates)
-lives in an augmentation layer on traces and search nodes, never inside the
-simulator's raw state, so novelty pruning only ever sees raw predicates.
+lives beside the simulator's raw state, never inside it, so novelty pruning
+only ever sees raw predicates. At the API edge (``replay``, behaviour
+extraction, the oracle) a trace position is an ``AugmentedState`` of
+frozensets. Inside a planner run the search keeps the same facts as
+integers: the run's ``TransitionMemo`` interns each state and gives it an
+atom bitmask, and latched goals are a mask of goal bits.
 """
 
 from __future__ import annotations
@@ -108,11 +112,6 @@ class SimulatorProblem(ABC):
         except KeyError:
             raise UnknownAction(name) from None
 
-    def step(self, state: State, action: Action) -> tuple:
-        """``(successor, its goal flag, the goal predicates true in it)``."""
-        raw = self.simulate(state, action)
-        return raw, self.is_goal(raw), self.goal_set & raw
-
 
 def initial_augmented(problem: SimulatorProblem) -> AugmentedState:
     raw = problem.initial
@@ -122,33 +121,36 @@ def initial_augmented(problem: SimulatorProblem) -> AugmentedState:
 def successor_augmented(
     problem: SimulatorProblem, aug: AugmentedState, action: Action
 ) -> AugmentedState:
-    raw, goal, reached = problem.step(aug.raw, action)
+    raw = problem.simulate(aug.raw, action)
+    reached = problem.goal_set & raw
     # Reusing the parent's latch set when nothing new latched saves a copy per node.
     latched = aug.latched if reached <= aug.latched else aug.latched | reached
-    return AugmentedState(raw, aug.cost_so_far + action.cost, goal, latched)
+    return AugmentedState(raw, aug.cost_so_far + action.cost, problem.is_goal(raw), latched)
 
 
 # Most entries one TransitionMemo holds, over all its tables.
 MEMO_CAP = 200_000
 
 
-class TransitionMemo(SimulatorProblem):
-    """A problem whose transitions are memoised for one planner run.
+class TransitionMemo:
+    """One planner run's table of transitions, in the integer form the search uses.
 
-    Answers ``applicable``, ``step``, ``simulate`` and ``is_goal`` from
-    tables keyed by state and asks the wrapped problem only on a miss; the
-    contract makes those pure functions of the state, so the answers are
-    exact. Every state the problem returns is interned: the tables share one
-    copy of it, stored with its goal flag, its goal predicates and its atom
-    bitmask. Once the tables hold ``MEMO_CAP`` entries, misses are still
-    answered but no longer stored.
+    ``step`` answers ``(successor, its goal flag, its atom bitmask)`` and
+    ``applicable`` the applicable actions, from tables keyed by state; the
+    wrapped problem is asked only on a miss. The contract makes those pure
+    functions of the state, so the answers are exact. Every state the
+    problem returns is interned: the tables share one copy of it, stored
+    with its goal flag and mask. ``initial`` is the same triple for the
+    initial state. Once the tables hold ``MEMO_CAP`` entries, misses are
+    still answered but no longer stored.
 
-    The bitmask (``mask``) sets one bit per atom of the state. Bits are
-    dense ids the memo gives atoms in first-seen order, which is set order
-    and follows the string hash seed; a mask means the same thing for the
-    whole run and nothing outside it. The id table has one entry per
-    distinct atom, which the problem bounds, and is not capped: a mask must
-    not change meaning mid-run.
+    A mask sets one bit per atom of the state. Bits are dense ids the memo
+    gives atoms: the goal predicates first, in declaration order, so that
+    ``goal_bits`` is their mask, then every other atom in first-seen order,
+    which is set order and follows the string hash seed. A mask means the
+    same thing for the whole run and nothing outside it. The id table has
+    one entry per distinct atom, which the problem bounds, and is not
+    capped: a mask must not change meaning mid-run.
 
     Each real ``simulate`` call and each memo hit is counted into
     ``stats.simulate_calls`` and ``stats.memo_hits``.
@@ -158,50 +160,37 @@ class TransitionMemo(SimulatorProblem):
         self.problem = problem
         self.stats = stats
         self._applicable: dict = {}  # state -> applicable actions
-        self._steps: dict = {}  # (state, action name) -> step answer of the successor
-        # state -> ((interned state, goal flag, goal predicates), mask)
-        self._states: dict = {}
+        self._steps: dict = {}  # (state, action name) -> (successor, goal flag, mask)
+        self._states: dict = {}  # state -> (interned state, goal flag, mask)
         self._bits: dict = {}  # atom -> its bit in every mask of this run
-        self._initial = self._info(problem.initial)[0][0]
+        self.goal_bits = self._mask(problem.goal_predicates)
+        self.initial = self._info(problem.initial)
 
     def __len__(self) -> int:
         return len(self._applicable) + len(self._steps) + len(self._states)
 
-    @property
-    def initial(self) -> State:
-        return self._initial
-
-    @property
-    def actions(self) -> tuple:
-        return self.problem.actions
-
-    @property
-    def goal_predicates(self) -> tuple:
-        return self.problem.goal_predicates
-
     def _info(self, state: State) -> tuple:
         info = self._states.get(state)
         if info is None:
-            answer = (state, self.problem.is_goal(state), self.goal_set & state)
-            info = (answer, self._mask(state))
+            info = (state, self.problem.is_goal(state), self._mask(state))
             if len(self) < MEMO_CAP:
                 self._states[state] = info
         return info
 
-    def _mask(self, state: State) -> int:
+    def _mask(self, atoms) -> int:
         bits = self._bits
         mask = 0
-        for pred in state:
+        for pred in atoms:
             bit = bits.get(pred)
             if bit is None:
                 bit = bits[pred] = 1 << len(bits)
             mask |= bit
         return mask
 
-    def mask(self, state: State) -> int:
-        """The state's atom bitmask: the OR of the bits of its atoms."""
-        info = self._states.get(state)  # one lookup per generated node
-        return (info or self._info(state))[1]
+    def goals(self, mask: int) -> frozenset:
+        """The goal predicates whose bits ``mask`` sets."""
+        bits = self._bits
+        return frozenset(g for g in self.problem.goal_set if bits[g] & mask)
 
     def applicable(self, state: State) -> tuple:
         got = self._applicable.get(state)
@@ -212,22 +201,17 @@ class TransitionMemo(SimulatorProblem):
         return got
 
     def step(self, state: State, action: Action) -> tuple:
+        """``(successor, its goal flag, its mask)`` of ``action`` in ``state``."""
         key = (state, action.name)
         info = self._steps.get(key)
         if info is not None:
             self.stats.memo_hits += 1
             return info
         self.stats.simulate_calls += 1
-        info = self._info(self.problem.simulate(state, action))[0]
+        info = self._info(self.problem.simulate(state, action))
         if len(self) < MEMO_CAP:
             self._steps[key] = info
         return info
-
-    def simulate(self, state: State, action: Action) -> State:
-        return self.step(state, action)[0]
-
-    def is_goal(self, state: State) -> bool:
-        return self._info(state)[0][1]
 
 
 def replay(problem: SimulatorProblem, plan: Plan) -> Trace:

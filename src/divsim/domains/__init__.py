@@ -44,7 +44,10 @@ def load_problem(path, domain: str = None):
         build = DOMAINS[domain]
     except KeyError:
         raise ParseError(f"unknown domain {domain!r}; expected one of {sorted(DOMAINS)}") from None
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err}") from None
     try:
         return build(text)
     except json.JSONDecodeError as err:

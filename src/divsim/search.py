@@ -11,6 +11,9 @@ a successor only if
 (c) its visited key (raw truths plus latched goals) is unseen this iteration,
 (d) its cost does not exceed the cost bound.
 
+Nodes hold the run memo's integers, and both tests above read atom masks;
+``AugmentedState``s are built only where a behaviour is read (``node_states``).
+
 A kept successor that is a goal state is yielded to the caller, which may
 forbid its behaviour (or plan) before the search resumes. The top-level
 planner first forbids behaviours until the space is exhausted, then falls back
@@ -32,18 +35,12 @@ from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .behaviour import Behaviour, BehaviourSpace, behaviour_of, latch_groups
-from .core import (
-    AugmentedState,
-    Plan,
-    SimulatorProblem,
-    TransitionMemo,
-    initial_augmented,
-    successor_augmented,
-)
+from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo
 from .errors import BudgetExceeded
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
 from .behaviour import behaviour_formula, extract_behaviour  # noqa: F401
+from .core import successor_augmented  # noqa: F401
 from .ltl import evaluate, is_latch_monotone  # noqa: F401
 
 
@@ -136,10 +133,16 @@ class Budget:
 
 
 class _Node:
-    __slots__ = ("aug", "parent", "action_name", "summary")
+    """A trace position: the memo's interned ``state``, the path ``cost``, the
+    ``goal`` flag and ``latched``, the mask of the goals true here or before."""
 
-    def __init__(self, aug, parent, action_name, summary):
-        self.aug = aug
+    __slots__ = ("state", "cost", "goal", "latched", "parent", "action_name", "summary")
+
+    def __init__(self, state, cost, goal, latched, parent, action_name, summary):
+        self.state = state
+        self.cost = cost
+        self.goal = goal
+        self.latched = latched
         self.parent = parent
         self.action_name = action_name
         self.summary = summary  # the novelty summary a child is tested against
@@ -158,8 +161,11 @@ def node_plan(node: _Node) -> Plan:
     return tuple(n.action_name for n in _chain(node)[1:])
 
 
-def node_states(node: _Node) -> list:
-    return [n.aug for n in _chain(node)]
+def node_states(memo: TransitionMemo, node: _Node) -> list:
+    """The node's path as ``AugmentedState``s, initial state first."""
+    return [
+        AugmentedState(n.state, n.cost, n.goal, memo.goals(n.latched)) for n in _chain(node)
+    ]
 
 
 def state_tuples(raw: frozenset, width: int) -> frozenset:
@@ -237,18 +243,8 @@ class NoveltyTable:
         return False
 
 
-def _visited_key(aug: AugmentedState) -> frozenset:
-    # Latches distinguish same-raw states reached with different goal histories.
-    return aug.raw | aug.latched
-
-
-def _memoised(problem: SimulatorProblem, stats: SearchStats) -> TransitionMemo:
-    """``problem`` if it already is a planner run's memo, else a new memo over it."""
-    return problem if isinstance(problem, TransitionMemo) else TransitionMemo(problem, stats)
-
-
 def _iw_goal_stream(
-    problem: TransitionMemo,
+    memo: TransitionMemo,
     novelty: NoveltyConfig,
     limits: SearchLimits,
     budget: Budget,
@@ -257,7 +253,7 @@ def _iw_goal_stream(
 ) -> Iterator[_Node]:
     """Yield every kept goal node, running widths 1..max_width in turn.
 
-    ``problem`` is the run's memo, whose masks the novelty test reads.
+    ``memo`` is the run's memo, whose masks the novelty test reads.
     ``reject`` implements condition (b); rejected goal nodes are pruned
     entirely, leaving their visited keys unrecorded so that other routes to
     the same state stay open.
@@ -269,38 +265,39 @@ def _iw_goal_stream(
     prune it, and the stream goes on where a restart would arrive.
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
+    goal_bits = memo.goal_bits
     for width in range(1, novelty.max_width + 1):
         started = time.perf_counter()
         try:
-            root_aug = initial_augmented(problem)
+            state, goal, mask = memo.initial
             table = NoveltyTable(width, novelty.scope)
-            root = _Node(root_aug, None, None, table.record({}, problem.mask(root_aug.raw)))
-            visited = {_visited_key(root_aug)}
+            root = _Node(state, 0, goal, mask & goal_bits, None, None, table.record({}, mask))
+            visited = {mask | root.latched}
             queue = deque([root])
-            if root_aug.goal_flag and not reject(root, True):
+            if goal and not reject(root, True):
                 yield root
             while queue:
                 budget.check_time()
                 node = queue.popleft()
                 stats.nodes_expanded += 1
-                for action in problem.applicable(node.aug.raw):
+                for action in memo.applicable(node.state):
                     budget.spend_node()
                     stats.nodes_generated += 1
-                    child_aug = successor_augmented(problem, node.aug, action)
-                    mask = problem.mask(child_aug.raw)
+                    state, goal, mask = memo.step(node.state, action)
                     if not table.is_novel(mask, node.summary):
                         stats.pruned_by_novelty += 1
                         continue
-                    child = _Node(child_aug, node, action.name, node.summary)
-                    goal = child_aug.goal_flag
+                    latched = node.latched | (mask & goal_bits)
+                    cost = node.cost + action.cost
+                    child = _Node(state, cost, goal, latched, node, action.name, node.summary)
                     if reject(child, goal):
                         stats.pruned_by_behaviour += 1
                         continue
-                    key = _visited_key(child_aug)
+                    key = mask | latched  # latches tell same-raw states' goal histories apart
                     if key in visited:
                         stats.pruned_by_visited += 1
                         continue
-                    if child_aug.cost_so_far > limits.cost_bound:
+                    if child.cost > limits.cost_bound:
                         stats.pruned_by_cost += 1
                         continue
                     if goal:
@@ -336,17 +333,17 @@ class _BehaviourRule:
 
     def __init__(
         self,
-        problem: TransitionMemo,
+        memo: TransitionMemo,
         space: BehaviourSpace,
         limits: SearchLimits,
         interior_pruning: bool,
     ):
+        self.memo = memo
         self.space = space
         self.order_feature = space.order_feature
         self.interior = (
             interior_pruning and space.cost_feature is None and self.order_feature is not None
         )
-        self.goal_set = problem.goal_set
         self.cost_bound = limits.cost_bound
         self.forbidden: set = set()
         self.interior_orders: set = set()
@@ -354,14 +351,14 @@ class _BehaviourRule:
 
     def reject(self, node: _Node, goal: bool) -> bool:
         if goal:
-            return behaviour_of(self.space, node_states(node)) in self.forbidden
+            return behaviour_of(self.space, node_states(self.memo, node)) in self.forbidden
         if not self.interior:
             return False
-        if node.aug.cost_so_far > self.cost_bound:
+        if node.cost > self.cost_bound:
             return False  # condition (d) will drop it anyway
-        if not self.goal_set <= node.aug.latched:
+        if node.latched != self.memo.goal_bits:
             return False
-        order = latch_groups(node_states(node), self.order_feature.goals)
+        order = latch_groups(node_states(self.memo, node), self.order_feature.goals)
         if order in self.interior_orders:
             return True
         self.passed.add(order)
@@ -379,7 +376,7 @@ class _BehaviourRule:
 
 
 def _behaviour_stream(
-    problem: TransitionMemo,
+    memo: TransitionMemo,
     space: BehaviourSpace,
     forbidden,
     novelty: NoveltyConfig,
@@ -396,14 +393,14 @@ def _behaviour_stream(
     and a fresh one starts under the whole forbidden set
     (``stats.restarts``).
     """
-    rule = _BehaviourRule(problem, space, limits, interior_pruning)
+    rule = _BehaviourRule(memo, space, limits, interior_pruning)
     for behaviour in forbidden:
         rule.forbid(behaviour)
     while True:
-        stream = _iw_goal_stream(problem, novelty, limits, budget, stats, rule.reject)
+        stream = _iw_goal_stream(memo, novelty, limits, budget, stats, rule.reject)
         with closing(stream):
             for node in stream:
-                behaviour = behaviour_of(space, node_states(node))
+                behaviour = behaviour_of(space, node_states(memo, node))
                 yield node_plan(node), behaviour
                 if rule.forbid(behaviour):
                     break
@@ -414,7 +411,7 @@ def _behaviour_stream(
 
 
 def _plan_stream(
-    problem: TransitionMemo,
+    memo: TransitionMemo,
     known,
     novelty: NoveltyConfig,
     limits: SearchLimits,
@@ -432,7 +429,7 @@ def _plan_stream(
     def reject(node: _Node, goal: bool) -> bool:
         return goal and node_plan(node) in known
 
-    with closing(_iw_goal_stream(problem, novelty, limits, budget, stats, reject)) as stream:
+    with closing(_iw_goal_stream(memo, novelty, limits, budget, stats, reject)) as stream:
         for node in stream:
             yield node
             known.add(node_plan(node))
@@ -453,14 +450,13 @@ def behaviour_generator(
 
     Returns ``(plan, behaviour, stats)``. This is the first pair of the
     phase-1 stream that ``fbi`` runs; ``_BehaviourRule`` says which nodes
-    ``interior_pruning`` drops. ``problem`` may be a run's
-    ``TransitionMemo``; any other problem gets a memo of its own.
+    ``interior_pruning`` drops. The call searches over a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
-    problem = _memoised(problem, stats)
+    memo = TransitionMemo(problem, stats)
     stream = _behaviour_stream(
-        problem, space, forbidden, novelty, limits, budget, stats, interior_pruning
+        memo, space, forbidden, novelty, limits, budget, stats, interior_pruning
     )
     with closing(stream):
         for plan, behaviour in stream:
@@ -480,13 +476,12 @@ def plan_generator(
     """One goal-reaching plan differing as an action sequence from every known plan.
 
     Returns ``(plan, stats)`` or None: the first plan of the phase-2 stream
-    that ``fbi`` runs. ``problem`` may be a run's ``TransitionMemo``; any
-    other problem gets a memo of its own.
+    that ``fbi`` runs, over a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
-    problem = _memoised(problem, stats)
-    with closing(_plan_stream(problem, known, novelty, limits, budget, stats)) as stream:
+    memo = TransitionMemo(problem, stats)
+    with closing(_plan_stream(memo, known, novelty, limits, budget, stats)) as stream:
         for node in stream:
             return node_plan(node), stats
     return None
@@ -568,7 +563,7 @@ def fbi(
                 yield plan, behaviour
         with closing(_plan_stream(memo, plans, novelty, limits, budget, stats)) as phase_two:
             for node in phase_two:
-                yield node_plan(node), behaviour_of(space, node_states(node))
+                yield node_plan(node), behaviour_of(space, node_states(memo, node))
 
     return _top_k(problem, space, k, limits, pairs)
 
@@ -600,6 +595,7 @@ def fbi_naive(
                 if plan in seen:
                     continue
                 seen.add(plan)
-                yield plan, (behaviour_of(space, node_states(node)) if space is not None else None)
+                behaviour = None if space is None else behaviour_of(space, node_states(memo, node))
+                yield plan, behaviour
 
     return _top_k(problem, space, k, limits, pairs)

@@ -15,6 +15,8 @@ from divsim.cli import (
     build_parser,
     main,
 )
+from divsim.domains import load_problem
+from divsim.errors import ParseError
 from divsim.search import NoveltyConfig, NoveltyScope, SearchLimits
 
 from conftest import fixture_path
@@ -152,6 +154,28 @@ class TestSolve:
         )
         assert code == EXIT_DATA
         assert "error:" in err
+
+    def test_non_utf8_instance_exits_65(self, capsys, tmp_path):
+        path = tmp_path / "latin.grid"
+        path.write_bytes(b"\xff#####\n#S.T#\n#####\n")
+        with pytest.raises(ParseError, match="UTF-8"):
+            load_problem(path)
+        code, _, err = run_cli(capsys, "solve", "--instance", str(path))
+        assert code == EXIT_DATA
+        assert "UTF-8" in err
+
+    @pytest.mark.parametrize("section", ["subnets", "topology", "hosts", "exploits", "services"])
+    def test_scenario_section_that_is_not_a_list_exits_65(self, capsys, tmp_path, section):
+        data = json.loads(fixture_path("chain3.json").read_text())
+        if section == "services":
+            data["hosts"][0]["services"] = 5
+        else:
+            data[section] = 5
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "solve", "--instance", str(path))
+        assert code == EXIT_DATA
+        assert "must be a list" in err
 
     def test_bad_k_value_exits_64(self, capsys):
         code, _, err = run_cli(

@@ -12,6 +12,8 @@ from divsim.core import (
 from divsim.errors import CostBoundExceeded, InapplicableAction, UnknownAction
 from divsim.search import SearchStats
 
+from conftest import UndoToggleProblem
+
 
 @pytest.mark.parametrize("cost", [0, -1, 1.5, True])
 def test_action_rejects_bad_costs(cost):
@@ -90,38 +92,57 @@ def test_memo_serves_repeats_without_the_simulator(toggle_problem, monkeypatch):
     )
     stats = SearchStats()
     memo = TransitionMemo(toggle_problem, stats)
+    initial = memo.initial[0]
     set_a = toggle_problem.action_named("set-a")
-    first = memo.simulate(memo.initial, set_a)
-    assert memo.simulate(memo.initial, set_a) is first
+    first = memo.step(initial, set_a)
+    assert memo.step(initial, set_a) is first
     assert simulated == ["set-a"]
     assert (stats.simulate_calls, stats.memo_hits) == (1, 1)
-    assert memo.applicable(first) == toggle_problem.applicable(first)
+    assert memo.applicable(first[0]) == toggle_problem.applicable(first[0])
 
 
 def test_memo_interns_equal_states(toggle_problem):
     memo = TransitionMemo(toggle_problem, SearchStats())
+    initial = memo.initial[0]
     set_a, set_b = (toggle_problem.action_named(n) for n in ("set-a", "set-b"))
-    ab = memo.simulate(memo.simulate(memo.initial, set_a), set_b)
-    ba = memo.simulate(memo.simulate(memo.initial, set_b), set_a)
-    assert ab is ba
-    assert memo.is_goal(ab)
+    ab = memo.step(memo.step(initial, set_a)[0], set_b)
+    ba = memo.step(memo.step(initial, set_b)[0], set_a)
+    assert ab[0] is ba[0]
+    assert ab == ba
+    assert ab[1], "both goals hold"
 
 
-def test_memo_masks_use_dense_per_run_bits(toggle_problem):
-    memo = TransitionMemo(toggle_problem, SearchStats())
-    set_a, set_b = (toggle_problem.action_named(n) for n in ("set-a", "set-b"))
-    a = memo.simulate(memo.initial, set_a)
-    b = memo.simulate(memo.initial, set_b)
-    ab = memo.simulate(a, set_b)
-    assert memo.mask(memo.initial) == 0
-    assert (memo.mask(a), memo.mask(b), memo.mask(ab)) == (0b01, 0b10, 0b11)
-    assert memo.mask(frozenset(["gb", "ga"])) == memo.mask(ab)
-    # Another run numbers predicates in the order it meets them.
-    other = TransitionMemo(toggle_problem, SearchStats())
-    assert other.mask(b) == 0b01
+def _undo_steps(memo, problem):
+    """Masks after set-a, set-b, set-a set-b and set-a unset-a."""
+    set_a, unset_a, set_b = problem.actions
+    initial = memo.initial[0]
+    a, _, a_mask = memo.step(initial, set_a)
+    return (
+        a_mask,
+        memo.step(initial, set_b)[2],
+        memo.step(a, set_b)[2],
+        memo.step(a, unset_a)[2],
+    )
 
 
-def test_memo_replays_like_the_problem(toggle_problem):
-    plan = ("set-a", "unset-a", "set-b", "set-a")
-    memo = TransitionMemo(toggle_problem, SearchStats())
-    assert replay(memo, plan) == replay(toggle_problem, plan)
+def test_memo_masks_use_dense_per_run_bits():
+    problem = UndoToggleProblem()
+    memo = TransitionMemo(problem, SearchStats())
+    assert memo.initial[2] == 0
+    # Goals take the first bits in declaration order, other atoms follow.
+    assert _undo_steps(memo, problem) == (0b001, 0b010, 0b011, 0b100)
+    # Each run numbers atoms afresh; a new memo holds nothing of the last one.
+    other = TransitionMemo(problem, SearchStats())
+    assert len(other) == 1
+    assert _undo_steps(other, problem) == (0b001, 0b010, 0b011, 0b100)
+
+
+def test_memo_goal_bits_and_the_goals_of_a_mask():
+    problem = UndoToggleProblem()
+    memo = TransitionMemo(problem, SearchStats())
+    assert memo.goal_bits == 0b11
+    _, _, ab, undone = _undo_steps(memo, problem)
+    assert memo.goals(ab) == frozenset({"ga", "gb"})
+    assert memo.goals(undone) == frozenset()
+    assert memo.goals(undone | 0b01) == frozenset({"ga"})
+    assert memo.goals(0) == frozenset()

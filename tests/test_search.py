@@ -376,6 +376,18 @@ class TestFbi:
             counts.append(stats.pruned_by_behaviour)
         assert counts[0] == counts[1]
 
+    def test_visited_key_joins_raw_truths_and_latched_goals(self):
+        # The key is one set, raw truths plus latched goals: set-a unset-a and
+        # set-a unset-a set-a share it, since ga counts once whether it holds
+        # or has only latched. A key keeping the two apart gives 4 plans and
+        # 3 behaviours here; the oracle finds 8 behaviours up to length 8.
+        problem = UndoToggleProblem()
+        space = BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(8)))
+        res = fbi(problem, space, k=10, novelty=NoveltyConfig(2), limits=SearchLimits(8))
+        assert res.plans == (("set-a", "set-b"), ("set-b", "set-a"))
+        assert res.behaviour_count == 2
+        assert res.exhausted
+
     def test_result_pickles_round_trip(self):
         problem = load_problem(fixture_path("three_targets.grid"))
         res = fbi(problem, _go_space(problem), k=3, limits=SearchLimits(8, 30.0, 1_000_000))
@@ -627,6 +639,30 @@ class TestResumedStreams:
         partial = err.value.partial.plans
         assert len(partial) < len(full.plans)
         assert partial == full.plans[: len(partial)]
+
+
+@pytest.mark.parametrize("case", RESUME_CASES, ids=[c[0] for c in RESUME_CASES])
+def test_node_states_equal_the_replayed_trace(case, monkeypatch):
+    """The search's integer nodes convert back to exactly the replayed trace,
+    at every goal node and every interior node a behaviour is read from."""
+    _, make, make_space, k, bound = case
+    problem = make()
+    space = make_space(problem)
+    limits = SearchLimits(bound, 30.0, 1_000_000)
+    seen = []
+    real = search.node_states
+
+    def recording(memo, node):
+        states = real(memo, node)
+        seen.append((search.node_plan(node), states))
+        return states
+
+    monkeypatch.setattr(search, "node_states", recording)
+    fbi(problem, space, k, limits=limits)
+    fbi_naive(problem, k, limits=limits, space=space)
+    assert seen
+    for plan, states in seen:
+        assert states == list(replay(problem, plan).states)
 
 
 class TestSpaceCapsCost:
