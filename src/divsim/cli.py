@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .bench import (
     FEATURES,
@@ -25,7 +24,7 @@ from .bench import (
     write_rows_csv,
 )
 from .behaviour import behaviour_to_json
-from .domains import DOMAINS, load_problem
+from .domains import DOMAINS, load_problem, read_utf8
 from .domains.puzznic import render_puzznic
 from .errors import BudgetExceeded, DivsimError
 from .oracle import brute_force_behaviours
@@ -150,7 +149,7 @@ def _plan_actions(doc, index: int) -> list:
 
 def _cmd_render(args) -> int:
     problem = load_problem(args.instance, "puzznic")
-    doc = json.loads(Path(args.plan).read_text())
+    doc = json.loads(read_utf8(args.plan))
     frames = render_puzznic(problem, _plan_actions(doc, args.index))
     print("\n\n".join(frames))
     return EXIT_OK

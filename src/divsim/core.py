@@ -1,12 +1,13 @@
 """Simulator-facing planning model: atoms, states, actions, plans, traces.
 
-An atom (a boolean state variable, or predicate) is a plain string, and a
-state is the frozenset of the atoms true in it. Everything the planner
-derives from a trajectory (cost so far, goal flag, latched goal predicates)
-lives beside the simulator's raw state, never inside it, so novelty pruning
-only ever sees raw predicates. At the API edge (``replay``, behaviour
-extraction, the oracle) a trace position is an ``AugmentedState`` of
-frozensets. Inside a planner run the search keeps the same facts as
+An atom (a boolean state variable, or predicate) is a plain string. A state
+is whatever hashable value the simulator keeps, opaque to the planner, and
+``SimulatorProblem.atoms`` gives the frozenset of atoms true in it.
+Everything the planner derives from a trajectory (cost so far, goal flag,
+latched goal predicates) lives beside the simulator's raw state, never
+inside it, so novelty pruning only ever sees raw atoms. At the API edge
+(``replay``, behaviour extraction, the oracle) a trace position is an
+``AugmentedState``. Inside a planner run the search keeps the same facts as
 integers: the run's ``TransitionMemo`` interns each state and gives it an
 atom bitmask, and latched goals are a mask of goal bits.
 """
@@ -14,6 +15,7 @@ atom bitmask, and latched goals are a mask of goal bits.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from collections.abc import Hashable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -23,7 +25,7 @@ GOAL_ATOM = "goal-state"
 COST_ATOM_PREFIX = "cost-"
 LATCH_ATOM_PREFIX = "first-"
 
-State = frozenset  # frozenset[str] of true atoms; two states are equal iff their truth sets are
+State = Hashable  # a simulator's own state; SimulatorProblem.atoms gives its true atoms
 Plan = tuple  # tuple[str, ...] of action ids, applied left to right
 
 
@@ -72,9 +74,12 @@ class SimulatorProblem(ABC):
     ``is_goal`` (see ``TransitionMemo``), so all three must be pure functions
     of the state.
 
-    States are frozensets of atom strings. A domain should build each
-    distinct atom once per problem and reuse that string object in every
-    state it returns, so the states a run keeps share their atoms.
+    A state is opaque and hashable, and ``atoms`` gives the frozenset of
+    atom strings true in it. Two states are equal iff their atoms are, so a
+    state serves as a key wherever its atoms would. ``atoms`` must reuse
+    one string object per distinct atom of the problem, and is a pure
+    function of the state too; the default suits a domain whose states
+    are already those frozensets.
     """
 
     @property
@@ -93,6 +98,10 @@ class SimulatorProblem(ABC):
 
     @abstractmethod
     def is_goal(self, state: State) -> bool: ...
+
+    def atoms(self, state: State) -> frozenset:
+        """The atoms true in ``state``."""
+        return state
 
     @property
     @abstractmethod
@@ -115,14 +124,14 @@ class SimulatorProblem(ABC):
 
 def initial_augmented(problem: SimulatorProblem) -> AugmentedState:
     raw = problem.initial
-    return AugmentedState(raw, 0, problem.is_goal(raw), problem.goal_set & raw)
+    return AugmentedState(raw, 0, problem.is_goal(raw), problem.goal_set & problem.atoms(raw))
 
 
 def successor_augmented(
     problem: SimulatorProblem, aug: AugmentedState, action: Action
 ) -> AugmentedState:
     raw = problem.simulate(aug.raw, action)
-    reached = problem.goal_set & raw
+    reached = problem.goal_set & problem.atoms(raw)
     # Reusing the parent's latch set when nothing new latched saves a copy per node.
     latched = aug.latched if reached <= aug.latched else aug.latched | reached
     return AugmentedState(raw, aug.cost_so_far + action.cost, problem.is_goal(raw), latched)
@@ -140,9 +149,11 @@ class TransitionMemo:
     wrapped problem is asked only on a miss. The contract makes those pure
     functions of the state, so the answers are exact. Every state the
     problem returns is interned: the tables share one copy of it, stored
-    with its goal flag and mask. ``initial`` is the same triple for the
-    initial state. Once the tables hold ``MEMO_CAP`` entries, misses are
-    still answered but no longer stored.
+    with its goal flag and mask, so the problem is asked for a state's goal
+    flag and ``atoms`` once, when the memo first meets the state.
+    ``initial`` is the same triple for the initial state. Once the tables
+    hold ``MEMO_CAP`` entries, misses are still answered but no longer
+    stored.
 
     A mask sets one bit per atom of the state. Bits are dense ids the memo
     gives atoms: the goal predicates first, in declaration order, so that
@@ -172,7 +183,8 @@ class TransitionMemo:
     def _info(self, state: State) -> tuple:
         info = self._states.get(state)
         if info is None:
-            info = (state, self.problem.is_goal(state), self._mask(state))
+            problem = self.problem
+            info = (state, problem.is_goal(state), self._mask(problem.atoms(state)))
             if len(self) < MEMO_CAP:
                 self._states[state] = info
         return info
@@ -231,18 +243,18 @@ def plan_cost(problem: SimulatorProblem, plan: Plan) -> int:
     return sum(problem.action_named(name).cost for name in plan)
 
 
-def trace_view(trace: Trace, cost_bound: int) -> tuple:
+def trace_view(problem: SimulatorProblem, trace: Trace, cost_bound: int) -> tuple:
     """Atom sets the temporal-logic layer evaluates over.
 
-    Each position exposes the raw atoms plus exactly one ``cost-X``
-    atom, ``goal-state`` when the position is a goal, and one ``first-g`` atom
-    per latched goal predicate.
+    Each position exposes the atoms of its raw state plus exactly one
+    ``cost-X`` atom, ``goal-state`` when the position is a goal, and one
+    ``first-g`` atom per latched goal predicate.
     """
     views = []
     for aug in trace.states:
         if aug.cost_so_far > cost_bound:
             raise CostBoundExceeded(aug.cost_so_far, cost_bound)
-        atoms = set(aug.raw)
+        atoms = set(problem.atoms(aug.raw))
         atoms.add(f"{COST_ATOM_PREFIX}{aug.cost_so_far}")
         if aug.goal_flag:
             atoms.add(GOAL_ATOM)

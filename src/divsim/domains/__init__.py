@@ -36,6 +36,14 @@ def domain_for_path(path) -> str:
         ) from None
 
 
+def read_utf8(path) -> str:
+    """The text of an input file, which must be UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err}") from None
+
+
 def load_problem(path, domain: str = None):
     """Build a problem from an instance file, inferring the domain if needed."""
     if domain is None:
@@ -44,10 +52,7 @@ def load_problem(path, domain: str = None):
         build = DOMAINS[domain]
     except KeyError:
         raise ParseError(f"unknown domain {domain!r}; expected one of {sorted(DOMAINS)}") from None
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as err:
-        raise ParseError(f"{path} is not UTF-8 text: {err}") from None
+    text = read_utf8(path)
     try:
         return build(text)
     except json.JSONDecodeError as err:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
-from ..core import Action, SimulatorProblem, State
+from ..core import Action, SimulatorProblem
 from ..errors import InapplicableAction, LevelInvalid, ParseError, UnknownAction
 
 WALL = "#"
@@ -53,14 +53,6 @@ class PuzznicLevel:
     move_cost: int = 1
     push_cost: int = 1
     name: str = ""
-
-    @property
-    def height(self) -> int:
-        return len(self.grid)
-
-    @property
-    def width(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
 
     def blocks(self) -> dict:
         out = {}
@@ -230,73 +222,73 @@ def parse_puzznic(text: str) -> PuzznicLevel:
     )
 
 
-def _cursor_destination(level: PuzznicLevel, name: str):
-    for move, dr, dc in CURSOR_MOVES:
-        if move == name:
-            r, c = level.cursor
-            dest = (r + dr, c + dc)
-            if 0 <= dest[0] < level.height and 0 <= dest[1] < level.width:
-                if level.grid[dest[0]][dest[1]] != WALL:
-                    return dest
-            return None
+# action name -> (row shift, column shift, whether it pushes a block)
+_MOVES = {name: (dr, dc, False) for name, dr, dc in CURSOR_MOVES}
+_MOVES.update((name, (0, dc, True)) for name, dc in PUSHES)
+
+
+def _destination(grid: tuple, cursor: tuple, name: str):
+    """The cell action ``name`` takes the cursor to, or None where it does
+    not apply. The cursor enters any cell but a wall; a push moves the block
+    under the cursor into an empty cell, and the cursor with it."""
+    try:
+        dr, dc, push = _MOVES[name]
+    except KeyError:
+        raise UnknownAction(name) from None
+    r, c = cursor
+    if push and grid[r][c] in (WALL, EMPTY):
+        return None
+    r += dr
+    c += dc
+    if 0 <= r < len(grid) and 0 <= c < len(grid[r]):
+        cell = grid[r][c]
+        if cell == EMPTY or not (push or cell == WALL):
+            return (r, c)
     return None
 
 
-def _push_destination(level: PuzznicLevel, name: str):
-    for move, dc in PUSHES:
-        if move == name:
-            r, c = level.cursor
-            if level.grid[r][c] in (WALL, EMPTY):
-                return None
-            dest = (r, c + dc)
-            if 0 <= dest[1] < level.width and level.grid[dest[0]][dest[1]] == EMPTY:
-                return dest
-            return None
-    return None
+def _step(grid: tuple, cursor: tuple, score: int, action: str, record=None) -> tuple:
+    """``(grid, cursor, score)`` after ``action``.
+
+    A push moves the block, then settles the grid and adds the cascade's
+    score. ``record`` is as for ``settle``, with a "push" frame first.
+    """
+    dest = _destination(grid, cursor, action)
+    push = _MOVES[action][2]
+    if dest is None and push:
+        raise InapplicableAction(
+            f"cannot {action} at {cursor}: cursor must sit on a block "
+            "with an empty destination cell"
+        )
+    if dest is None:
+        raise InapplicableAction(f"cursor cannot move {action.split('-')[1]} from {cursor}")
+    if not push:
+        return grid, dest, score
+    r, c = cursor
+    row = list(grid[r])
+    row[dest[1]] = row[c]
+    row[c] = EMPTY
+    pushed = grid[:r] + ("".join(row),) + grid[r + 1:]
+    if record is not None:
+        record.append(("push", pushed, None))
+    grid, waves = settle(pushed, record)
+    return grid, dest, score + score_gain(waves)
 
 
 def applicable_moves(level: PuzznicLevel) -> tuple:
-    out = []
-    for name, _, _ in CURSOR_MOVES:
-        if _cursor_destination(level, name) is not None:
-            out.append(name)
-    for name, _ in PUSHES:
-        if _push_destination(level, name) is not None:
-            out.append(name)
-    return tuple(out)
+    return tuple(name for name in _MOVES if _destination(level.grid, level.cursor, name))
 
 
 def puzznic_step(level: PuzznicLevel, action: str, record=None) -> PuzznicLevel:
-    if action in {name for name, _, _ in CURSOR_MOVES}:
-        dest = _cursor_destination(level, action)
-        if dest is None:
-            raise InapplicableAction(
-                f"cursor cannot move {action.split('-')[1]} from {level.cursor}"
-            )
-        return replace(level, cursor=dest)
-    if action not in {name for name, _ in PUSHES}:
-        raise UnknownAction(action)
-    dest = _push_destination(level, action)
-    if dest is None:
-        raise InapplicableAction(
-            f"cannot {action} at {level.cursor}: cursor must sit on a block "
-            "with an empty destination cell"
-        )
-    r, c = level.cursor
-    rows = [list(row) for row in level.grid]
-    rows[dest[0]][dest[1]] = rows[r][c]
-    rows[r][c] = EMPTY
-    if record is not None:
-        record.append(("push", _freeze(rows), None))
-    grid, waves = settle(_freeze(rows), record)
-    return replace(level, grid=grid, cursor=dest, score=level.score + score_gain(waves))
+    grid, cursor, score = _step(level.grid, level.cursor, level.score, action, record)
+    return replace(level, grid=grid, cursor=cursor, score=score)
 
 
 def level_goal(level: PuzznicLevel) -> bool:
     return not level.blocks()
 
 
-def puzznic_predicates(level: PuzznicLevel, patterns=None) -> State:
+def puzznic_predicates(level: PuzznicLevel, patterns=None) -> frozenset:
     """Atom encoding of a level.
 
     ``patterns`` is the pattern universe for the ``cleared-*`` atoms; it
@@ -317,41 +309,39 @@ def puzznic_predicates(level: PuzznicLevel, patterns=None) -> State:
     return frozenset(names)
 
 
-def _band_score(band: int, band_width: int) -> int:
-    """The unique multiple of 100 inside score band ``band``."""
-    low = band * band_width
-    score = -(-low // 100) * 100
-    if score >= low + band_width:
-        raise ValueError(f"score band {band} (width {band_width}) holds no reachable score")
-    return score
-
-
 class PuzznicProblem(SimulatorProblem):
-    """Planner view of a level: states are predicate sets, not levels.
+    """Planner view of a level: a state is the tuple ``(grid, cursor, score)``.
 
-    The grid, cursor, and score are rebuilt from the predicates on every
-    step, so the state is self-contained; the band width being at most 100
-    is what makes the score recoverable from its band. The last decoded
-    state is kept with its level, because a search asks ``applicable`` and
-    then ``simulate`` for each action on the same state.
+    The walls, band width and costs are the level's and never change, so
+    these three fields are the whole state. ``simulate`` and ``applicable``
+    run the same move rule and physics as ``puzznic_step``. ``atoms`` gives
+    the set ``puzznic_predicates`` would, built from tables of atom strings
+    that the problem makes once: cursor and block atoms per cell, cleared
+    atoms per pattern, and band atoms as scores reach them. The band width
+    is at most 100 and scores are multiples of 100, so a band names one
+    score and two states are equal iff their atoms are.
     """
 
     def __init__(self, level: PuzznicLevel):
         self.level0 = level
         self.patterns = tuple(sorted(set(level.blocks().values())))
-        self._walls = tuple(
-            tuple(cell == WALL for cell in row) for row in level.grid
-        )
-        self._last = (None, None)  # (state, its level) of the last decode
-        self._atoms: dict = {}  # atom -> the one copy of it this problem's states hold
+        cells = [
+            (r, c) for r, row in enumerate(level.grid) for c, cell in enumerate(row) if cell != WALL
+        ]
+        self._cursor_atoms = {(r, c): f"cursor-{r}-{c}" for r, c in cells}
+        self._block_atoms = {
+            (p, r, c): f"block-{p}-{r}-{c}" for p in self.patterns for r, c in cells
+        }
+        self._cleared_atoms = tuple((p, f"cleared-{p}") for p in self.patterns)
+        self._band_atoms: dict = {}  # band -> its atom
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
         return cls(parse_puzznic(text))
 
     @cached_property
-    def initial(self) -> State:
-        return self._canonical(puzznic_predicates(self.level0, self.patterns))
+    def initial(self) -> tuple:
+        return (self.level0.grid, self.level0.cursor, self.level0.score)
 
     @cached_property
     def actions(self) -> tuple:
@@ -361,52 +351,34 @@ class PuzznicProblem(SimulatorProblem):
 
     @cached_property
     def goal_predicates(self) -> tuple:
-        return tuple(f"cleared-{p}" for p in self.patterns)
+        return tuple(atom for _, atom in self._cleared_atoms)
 
-    def _decode(self, state: State) -> PuzznicLevel:
-        last_state, last_level = self._last
-        if state == last_state:
-            return last_level
-        rows = [
-            [WALL if wall else EMPTY for wall in row] for row in self._walls
-        ]
-        cursor = None
-        band = 0
-        for pred in state:
-            parts = pred.split("-")
-            if parts[0] == "cursor":
-                cursor = (int(parts[1]), int(parts[2]))
-            elif parts[0] == "block":
-                rows[int(parts[2])][int(parts[3])] = parts[1]
-            elif parts[0] == "score":
-                band = int(parts[2])
-        level = replace(
-            self.level0,
-            grid=_freeze(rows),
-            cursor=cursor,
-            score=_band_score(band, self.level0.band_width),
-        )
-        self._last = (state, level)
-        return level
+    def applicable(self, state: tuple) -> tuple:
+        grid, cursor, _ = state
+        return tuple(a for a in self.actions if _destination(grid, cursor, a.name))
 
-    def applicable(self, state: State) -> tuple:
-        level = self._decode(state)
-        names = set(applicable_moves(level))
-        return tuple(a for a in self.actions if a.name in names)
+    def simulate(self, state: tuple, action: Action) -> tuple:
+        return _step(*state, action.name)
 
-    def simulate(self, state: State, action: Action) -> State:
-        after = puzznic_step(self._decode(state), action.name)
-        return self._canonical(puzznic_predicates(after, self.patterns))
+    def is_goal(self, state: tuple) -> bool:
+        # A row strips to nothing iff it holds no block.
+        return not any(row.strip(WALL + EMPTY) for row in state[0])
 
-    def _canonical(self, state: State) -> State:
-        atoms = self._atoms
-        return frozenset(atoms.setdefault(a, a) for a in state)
-
-    def is_goal(self, state: State) -> bool:
-        return self.goal_set <= state
-
-    def level_of(self, state: State) -> PuzznicLevel:
-        return self._decode(state)
+    def atoms(self, state: tuple) -> frozenset:
+        grid, cursor, score = state
+        band = score // self.level0.band_width
+        band_atom = self._band_atoms.get(band)
+        if band_atom is None:
+            band_atom = self._band_atoms[band] = f"score-band-{band}"
+        out = [self._cursor_atoms[cursor], band_atom]
+        remaining = set()
+        for r, row in enumerate(grid):
+            for c, cell in enumerate(row):
+                if cell != WALL and cell != EMPTY:
+                    out.append(self._block_atoms[cell, r, c])
+                    remaining.add(cell)
+        out += [atom for p, atom in self._cleared_atoms if p not in remaining]
+        return frozenset(out)
 
 
 def _compose_frame(caption: str, grid, cursor, score: int) -> str:

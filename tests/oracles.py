@@ -129,16 +129,18 @@ def plain_iw(problem, max_width=2, cost_bound=1000):
         root = initial_augmented(problem)
         if root.goal_flag:
             return ()
-        visited = {root.raw | root.latched}
-        queue = deque([(root, (), _tuples(root.raw, width))])
+        atoms = problem.atoms(root.raw)
+        visited = {atoms | root.latched}
+        queue = deque([(root, (), _tuples(atoms, width))])
         while queue:
             aug, plan, path_tuples = queue.popleft()
             for action in problem.applicable(aug.raw):
                 child = successor_augmented(problem, aug, action)
-                tuples = _tuples(child.raw, width)
+                atoms = problem.atoms(child.raw)
+                tuples = _tuples(atoms, width)
                 if tuples <= path_tuples:
                     continue
-                key = child.raw | child.latched
+                key = atoms | child.latched
                 if key in visited:
                     continue
                 if child.cost_so_far > cost_bound:

@@ -191,7 +191,7 @@ class TestFormula:
         b_other = extract_behaviour(space, problem, other)
         assert b_one != b_other
         for plan, mine, theirs in ((one, b_one, b_other), (other, b_other, b_one)):
-            view = trace_view(replay(problem, plan), 6)
+            view = trace_view(problem, replay(problem, plan), 6)
             assert evaluate(behaviour_formula(space, mine), view)
             assert not evaluate(behaviour_formula(space, theirs), view)
 

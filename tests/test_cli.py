@@ -334,6 +334,20 @@ class TestRender:
         assert code == EXIT_DATA
         assert "error:" in err
 
+    def test_non_utf8_plan_file_exits_65(self, capsys, tmp_path):
+        bad = tmp_path / "latin.json"
+        bad.write_bytes(b"\xff{}")
+        code, _, err = run_cli(
+            capsys,
+            "render",
+            "--instance",
+            str(fixture_path("single_pair.puz")),
+            "--plan",
+            str(bad),
+        )
+        assert code == EXIT_DATA
+        assert "UTF-8" in err
+
     @pytest.mark.parametrize(
         "doc",
         [

@@ -67,7 +67,7 @@ def test_plan_cost_sums_declared_costs(toggle_problem):
 
 def test_view_exposes_cost_goal_and_latch_atoms(toggle_problem):
     trace = replay(toggle_problem, ("set-a", "unset-a", "set-b", "set-a"))
-    view = trace_view(trace, cost_bound=10)
+    view = trace_view(toggle_problem, trace, cost_bound=10)
     assert view[0] == frozenset({"cost-0"})
     assert view[1] == frozenset({"ga", "cost-1", "first-ga"})
     # the raw state lost ga but the latch atom stays from here on
@@ -80,8 +80,8 @@ def test_view_exposes_cost_goal_and_latch_atoms(toggle_problem):
 def test_view_enforces_cost_bound(toggle_problem):
     trace = replay(toggle_problem, ("set-a", "set-b"))
     with pytest.raises(CostBoundExceeded):
-        trace_view(trace, cost_bound=1)
-    assert len(trace_view(trace, cost_bound=2)) == 3
+        trace_view(toggle_problem, trace, cost_bound=1)
+    assert len(trace_view(toggle_problem, trace, cost_bound=2)) == 3
 
 
 def test_memo_serves_repeats_without_the_simulator(toggle_problem, monkeypatch):

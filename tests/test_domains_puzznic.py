@@ -1,9 +1,11 @@
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from divsim.core import replay
-from divsim.domains import PuzznicProblem, load_problem, puzznic
+from divsim.behaviour import BehaviourSpace, GoalOrder
+from divsim.core import replay, trace_view
+from divsim.domains import PuzznicProblem, load_problem
 from divsim.domains.puzznic import (
     applicable_moves,
     level_goal,
@@ -20,6 +22,7 @@ from divsim.errors import (
     ParseError,
     UnknownAction,
 )
+from divsim.search import SearchLimits, fbi
 
 from conftest import assert_one_object_per_atom, fixture_path
 
@@ -209,18 +212,18 @@ class TestProblem:
             "cleared-b",
         )
 
-    def test_state_round_trips_through_predicates(self):
+    def test_state_is_grid_cursor_and_score(self):
         problem = load_problem(fixture_path("cascade.puz"))
         trace = replay(problem, ("cursor-right", "push-left"))
-        final = problem.level_of(trace.states[-1].raw)
-        assert final.score == 600
-        assert level_goal(final)
+        grid, cursor, score = trace.states[-1].raw
+        assert score == 600
+        assert level_goal(replace(problem.level0, grid=grid, cursor=cursor, score=score))
         assert trace.states[-1].goal_flag
 
     def test_score_band_predicate_tracks_band_width(self):
         problem = PuzznicProblem.from_text("; band-width: 50\n#####\n#A.a#\n#####\n")
         state = problem.simulate(problem.initial, problem.action_named("push-right"))
-        assert "score-band-4" in state
+        assert "score-band-4" in problem.atoms(state)
 
     def test_predicates_expose_blocks_cursor_and_bands(self):
         level = parse_puzznic("#####\n#A.a#\n#####\n")
@@ -230,7 +233,7 @@ class TestProblem:
     def test_cleared_pattern_atom_appears_after_match(self):
         problem = load_problem(fixture_path("single_pair.puz"))
         state = problem.simulate(problem.initial, problem.action_named("push-right"))
-        assert "cleared-a" in state
+        assert "cleared-a" in problem.atoms(state)
 
     def test_states_share_one_string_per_atom(self):
         problem = load_problem(fixture_path("pairs.puz"))
@@ -238,23 +241,76 @@ class TestProblem:
         left = problem.simulate(start, problem.action_named("cursor-left"))
         up = problem.simulate(start, problem.action_named("cursor-up"))
         back = problem.simulate(left, problem.action_named("cursor-right"))
-        assert back == start and "block-a-1-1" in left & up
-        assert_one_object_per_atom(start, left, up, back)
+        atoms = [problem.atoms(s) for s in (start, left, up, back)]
+        assert back == start and "block-a-1-1" in atoms[1] & atoms[2]
+        assert_one_object_per_atom(*atoms, problem.goal_predicates)
 
-    def test_expanding_a_state_decodes_it_once(self, monkeypatch):
+    def test_trace_view_reads_atoms_through_the_problem(self):
+        problem = load_problem(fixture_path("single_pair.puz"))
+        view = trace_view(problem, replay(problem, ("push-right",)), 5)
+        assert view[0] == problem.atoms(problem.initial) | {"cost-0"}
+        assert {"cleared-a", "first-cleared-a", "goal-state", "cost-1"} <= view[1]
+
+    def test_memo_asks_atoms_once_per_distinct_state(self, monkeypatch):
         problem = load_problem(fixture_path("pairs.puz"))
-        decodes = []
-        band_score = puzznic._band_score
+        asked = []
+        atoms = problem.atoms
+        monkeypatch.setattr(problem, "atoms", lambda state: asked.append(state) or atoms(state))
+        successors = set()
+        simulate = problem.simulate
         monkeypatch.setattr(
-            puzznic, "_band_score", lambda *args: decodes.append(args) or band_score(*args)
+            problem, "simulate", lambda s, a: successors.add(simulate(s, a)) or simulate(s, a)
         )
-        state = problem.initial
-        children = [problem.simulate(state, a) for a in problem.applicable(state)]
-        assert len(decodes) == 1
-        # The kept decode never answers for another state.
-        for child in children:
-            assert problem.level_of(child) == PuzznicProblem(problem.level0).level_of(child)
-        assert problem.level_of(state) == problem.level0
+        fbi(problem, BehaviourSpace((GoalOrder(problem.goal_predicates),)), k=6)
+        assert len(asked) == len(set(asked))
+        assert successors | {problem.initial} == set(asked)
+
+
+class TestReferenceAgreement:
+    """The problem's state against the ``PuzznicLevel`` reference functions,
+    over every (state, action) pair ``fbi`` reaches on a three-pattern level."""
+
+    TEXT = "#########\n#a..b..c#\n##.###.##\n#a.@b..c#\n#########\n"
+
+    @pytest.fixture(scope="class")
+    def reached(self):
+        """The problem and every (state, action) pair ``fbi`` simulated on it."""
+        problem = PuzznicProblem.from_text(self.TEXT)
+        pairs = []
+        simulate = problem.simulate
+        problem.simulate = lambda s, a: pairs.append((s, a)) or simulate(s, a)
+        space = BehaviourSpace((GoalOrder(problem.goal_predicates),))
+        fbi(problem, space, 7, limits=SearchLimits(cost_bound=1000))
+        del problem.simulate
+        return problem, pairs
+
+    @staticmethod
+    def _level(problem, state):
+        grid, cursor, score = state
+        return replace(problem.level0, grid=grid, cursor=cursor, score=score)
+
+    def test_simulate_applicable_and_atoms_match_the_reference(self, reached):
+        problem, pairs = reached
+        assert len(pairs) > 10_000
+        for state in {state for state, _ in pairs}:
+            level = self._level(problem, state)
+            names = tuple(a.name for a in problem.applicable(state))
+            assert names == applicable_moves(level)
+            assert problem.atoms(state) == puzznic_predicates(level, problem.patterns)
+        for state, action in pairs:
+            after = puzznic_step(self._level(problem, state), action.name)
+            successor = problem.simulate(state, action)
+            assert successor == (after.grid, after.cursor, after.score)
+            assert problem.atoms(successor) == puzznic_predicates(after, problem.patterns)
+            assert problem.is_goal(successor) == level_goal(after)
+
+    def test_atoms_tell_states_apart_and_share_strings(self, reached):
+        problem, pairs = reached
+        states = {problem.initial} | {state for state, _ in pairs}
+        states |= {problem.simulate(s, a) for s, a in pairs}
+        atoms = [problem.atoms(s) for s in states]
+        assert len(set(atoms)) == len(states)
+        assert_one_object_per_atom(*atoms, problem.goal_predicates)
 
 
 class TestRenderPuzznic:
