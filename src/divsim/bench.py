@@ -43,6 +43,7 @@ class TaskSpec:
     novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
     time_budget_s: float = SearchLimits.time_budget_s
     node_budget: int = SearchLimits.node_budget
+    limits: SearchLimits = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -54,10 +55,8 @@ class TaskSpec:
         for f in self.features:
             if f not in FEATURES:
                 raise ValueError(f"unknown feature {f!r}; expected a subset of {FEATURES}")
-
-    @property
-    def limits(self) -> SearchLimits:
-        return SearchLimits(self.cost_bound, self.time_budget_s, self.node_budget)
+        limits = SearchLimits(self.cost_bound, self.time_budget_s, self.node_budget)
+        object.__setattr__(self, "limits", limits)
 
 
 @dataclass(frozen=True)

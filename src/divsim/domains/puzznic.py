@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
+from .. import core
 from ..core import Action, SimulatorProblem
 from ..errors import InapplicableAction, LevelInvalid, ParseError, UnknownAction
 
@@ -67,12 +68,13 @@ def _freeze(rows) -> tuple:
     return tuple("".join(row) for row in rows)
 
 
-def _apply_gravity(rows) -> bool:
-    """Drop every block to the bottom of its wall-free column segment."""
+def _apply_gravity(rows, columns=None, moved=None) -> bool:
+    """Drop every block of ``columns`` (default all) to the bottom of its
+    wall-free column segment; add each cell a block lands in to ``moved``."""
     changed = False
     height = len(rows)
     width = len(rows[0]) if rows else 0
-    for c in range(width):
+    for c in range(width) if columns is None else columns:
         top = 0
         for r in range(height + 1):
             if r == height or rows[r][c] == WALL:
@@ -83,51 +85,65 @@ def _apply_gravity(rows) -> bool:
                     changed = True
                     for i, cell in enumerate(packed):
                         rows[top + i][c] = cell
+                        if moved is not None and cell != EMPTY and cell != segment[i]:
+                            moved.add((top + i, c))
                 top = r + 1
     return changed
 
 
-def _match_groups(rows) -> list:
-    """Maximal orthogonally-connected same-pattern groups of two or more blocks."""
+def _match_groups(rows, seeds=None) -> list:
+    """Maximal orthogonally-connected same-pattern groups of two or more
+    blocks: every group in the grid, or only those holding a cell of ``seeds``."""
     height = len(rows)
     width = len(rows[0]) if rows else 0
+    if seeds is None:
+        seeds = [(r, c) for r in range(height) for c in range(width)]
     seen = set()
     groups = []
-    for r in range(height):
-        for c in range(width):
-            cell = rows[r][c]
-            if cell in (WALL, EMPTY) or (r, c) in seen:
-                continue
-            group = []
-            queue = deque([(r, c)])
-            seen.add((r, c))
-            while queue:
-                gr, gc = queue.popleft()
-                group.append((gr, gc))
-                for nr, nc in ((gr - 1, gc), (gr + 1, gc), (gr, gc - 1), (gr, gc + 1)):
-                    if 0 <= nr < height and 0 <= nc < width and (nr, nc) not in seen:
-                        if rows[nr][nc] == cell:
-                            seen.add((nr, nc))
-                            queue.append((nr, nc))
-            if len(group) >= 2:
-                groups.append(frozenset(group))
+    for r, c in sorted(seeds):
+        cell = rows[r][c]
+        if cell in (WALL, EMPTY) or (r, c) in seen:
+            continue
+        group = []
+        queue = deque([(r, c)])
+        seen.add((r, c))
+        while queue:
+            gr, gc = queue.popleft()
+            group.append((gr, gc))
+            for nr, nc in ((gr - 1, gc), (gr + 1, gc), (gr, gc - 1), (gr, gc + 1)):
+                if 0 <= nr < height and 0 <= nc < width and (nr, nc) not in seen:
+                    if rows[nr][nc] == cell:
+                        seen.add((nr, nc))
+                        queue.append((nr, nc))
+        if len(group) >= 2:
+            groups.append(frozenset(group))
     return groups
 
 
-def settle(grid: tuple, record=None) -> tuple:
+def settle(grid: tuple, record=None, changed=None) -> tuple:
     """Run the gravity/match fixpoint on a grid.
 
     Returns ``(grid, waves)`` where each wave is a frozenset of cleared
     ``(row, col, pattern)`` entries, in cascade order. ``record``, when given,
     is a list that receives ``(kind, grid, info)`` frames: kind "fall" with
     info None, or kind "clear" with info ``(wave_index, cleared, gain)``.
+
+    ``changed`` names the cells a push changed in a grid that was settled
+    and free of matches before it, as every grid ``parse_puzznic`` accepts
+    or ``settle`` returns is. Gravity then drops only their columns and
+    matching starts only from them and the cells blocks land in; each later
+    wave drops the columns it cleared and matches from the cells that fell.
+    This finds every group, as a group without a changed cell would have
+    matched before. Without ``changed`` the whole grid is scanned.
     """
     rows = [list(row) for row in grid]
     waves = []
+    moved = None if changed is None else set(changed)
+    columns = None if changed is None else {c for _, c in changed}
     while True:
-        if _apply_gravity(rows) and record is not None:
+        if _apply_gravity(rows, columns, moved) and record is not None:
             record.append(("fall", _freeze(rows), None))
-        groups = _match_groups(rows)
+        groups = _match_groups(rows, moved)
         if not groups:
             break
         cleared = frozenset(
@@ -139,6 +155,8 @@ def settle(grid: tuple, record=None) -> tuple:
         waves.append(cleared)
         if record is not None:
             record.append(("clear", _freeze(rows), (wave, cleared, 100 * len(cleared) * wave)))
+        if changed is not None:
+            moved, columns = set(), {c for _, c, _ in cleared}
     return _freeze(rows), tuple(waves)
 
 
@@ -271,7 +289,7 @@ def _step(grid: tuple, cursor: tuple, score: int, action: str, record=None) -> t
     pushed = grid[:r] + ("".join(row),) + grid[r + 1:]
     if record is not None:
         record.append(("push", pushed, None))
-    grid, waves = settle(pushed, record)
+    grid, waves = settle(pushed, record, (cursor, dest))
     return grid, dest, score + score_gain(waves)
 
 
@@ -317,7 +335,10 @@ class PuzznicProblem(SimulatorProblem):
     run the same move rule and physics as ``puzznic_step``. ``atoms`` gives
     the set ``puzznic_predicates`` would, built from tables of atom strings
     that the problem makes once: cursor and block atoms per cell, cleared
-    atoms per pattern, and band atoms as scores reach them. The band width
+    atoms per pattern, and band atoms as scores reach them. Many states
+    share a grid, so the block and cleared atoms of each grid are built once
+    and kept in a table; it stops taking new grids at ``core.MEMO_CAP``, the
+    memo's own bound, and later grids are built on every call. The band width
     is at most 100 and scores are multiples of 100, so a band names one
     score and two states are equal iff their atoms are.
     """
@@ -334,6 +355,7 @@ class PuzznicProblem(SimulatorProblem):
         }
         self._cleared_atoms = tuple((p, f"cleared-{p}") for p in self.patterns)
         self._band_atoms: dict = {}  # band -> its atom
+        self._grid_atoms: dict = {}  # grid -> its block and cleared atoms
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
@@ -370,15 +392,20 @@ class PuzznicProblem(SimulatorProblem):
         band_atom = self._band_atoms.get(band)
         if band_atom is None:
             band_atom = self._band_atoms[band] = f"score-band-{band}"
-        out = [self._cursor_atoms[cursor], band_atom]
-        remaining = set()
-        for r, row in enumerate(grid):
-            for c, cell in enumerate(row):
-                if cell != WALL and cell != EMPTY:
-                    out.append(self._block_atoms[cell, r, c])
-                    remaining.add(cell)
-        out += [atom for p, atom in self._cleared_atoms if p not in remaining]
-        return frozenset(out)
+        grid_atoms = self._grid_atoms.get(grid)
+        if grid_atoms is None:
+            out = []
+            remaining = set()
+            for r, row in enumerate(grid):
+                for c, cell in enumerate(row):
+                    if cell != WALL and cell != EMPTY:
+                        out.append(self._block_atoms[cell, r, c])
+                        remaining.add(cell)
+            out += [atom for p, atom in self._cleared_atoms if p not in remaining]
+            grid_atoms = frozenset(out)
+            if len(self._grid_atoms) < core.MEMO_CAP:
+                self._grid_atoms[grid] = grid_atoms
+        return grid_atoms | {self._cursor_atoms[cursor], band_atom}
 
 
 def _compose_frame(caption: str, grid, cursor, score: int) -> str:

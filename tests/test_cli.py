@@ -252,6 +252,25 @@ class TestBench:
             main(["bench", "--suite", "x", "--k-list", "2,zero", "--out", "y.csv"])
         assert exc.value.code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--cost-bound", "0"),
+            ("--time-limit", "0"),
+            ("--time-limit", "-1"),
+            ("--node-limit", "0"),
+        ],
+    )
+    def test_invalid_limits_exit_64_before_any_task(self, capsys, tmp_path, flags):
+        out_csv = tmp_path / "rows.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--suite", str(fixture_path("suite")), "--out", str(out_csv), *flags
+        )
+        assert code == EXIT_USAGE
+        assert "search limits must be positive" in err
+        assert "warning:" not in err
+        assert not out_csv.exists()
+
 
 class TestDefaults:
     @pytest.mark.parametrize(

@@ -1,12 +1,15 @@
+import random
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from divsim import core
 from divsim.behaviour import BehaviourSpace, GoalOrder
 from divsim.core import replay, trace_view
 from divsim.domains import PuzznicProblem, load_problem
 from divsim.domains.puzznic import (
+    PuzznicLevel,
     applicable_moves,
     level_goal,
     parse_puzznic,
@@ -33,6 +36,13 @@ def _grid(*rows):
 
 def _block_counts(grid):
     return Counter(ch for row in grid for ch in row if ch not in "#.")
+
+
+def _pushed_by_hand(grid, r, c, dc):
+    """``grid`` with the block at ``(r, c)`` moved ``dc`` columns, unsettled."""
+    row = list(grid[r])
+    row[c], row[c + dc] = ".", row[c]
+    return grid[:r] + ("".join(row),) + grid[r + 1:]
 
 
 class TestParsing:
@@ -298,11 +308,27 @@ class TestReferenceAgreement:
             assert names == applicable_moves(level)
             assert problem.atoms(state) == puzznic_predicates(level, problem.patterns)
         for state, action in pairs:
-            after = puzznic_step(self._level(problem, state), action.name)
+            record = []
+            after = puzznic_step(self._level(problem, state), action.name, record)
             successor = problem.simulate(state, action)
             assert successor == (after.grid, after.cursor, after.score)
             assert problem.atoms(successor) == puzznic_predicates(after, problem.patterns)
             assert problem.is_goal(successor) == level_goal(after)
+            if action.name.startswith("push-"):
+                assert successor == self._settled_by_hand(state, action.name, record)
+
+    @staticmethod
+    def _settled_by_hand(state, name, record):
+        """The successor of a push made by hand and settled by the full scan;
+        asserts that ``record`` holds the same frames and waves."""
+        grid, (r, c), score = state
+        dc = 1 if name == "push-right" else -1
+        pushed = _pushed_by_hand(grid, r, c, dc)
+        expected = [("push", pushed, None)]
+        settled, waves = settle(pushed, expected)
+        assert record == expected
+        assert waves == tuple(info[1] for kind, _, info in record if kind == "clear")
+        return settled, (r, c + dc), score + score_gain(waves)
 
     def test_atoms_tell_states_apart_and_share_strings(self, reached):
         problem, pairs = reached
@@ -311,6 +337,60 @@ class TestReferenceAgreement:
         atoms = [problem.atoms(s) for s in states]
         assert len(set(atoms)) == len(states)
         assert_one_object_per_atom(*atoms, problem.goal_predicates)
+
+    def test_grid_atom_table_stops_at_the_memo_cap(self, reached, monkeypatch):
+        monkeypatch.setattr(core, "MEMO_CAP", 3)
+        walked, pairs = reached
+        problem = PuzznicProblem.from_text(self.TEXT)
+        states = {problem.initial: None}
+        for state, action in pairs:
+            states.update({state: None, walked.simulate(state, action): None})
+        atoms = []
+        for state in states:
+            atoms.append(problem.atoms(state))
+            assert len(problem._grid_atoms) <= 3
+            assert atoms[-1] == puzznic_predicates(self._level(problem, state), problem.patterns)
+        assert len(problem._grid_atoms) == 3
+        assert len({state[0] for state in states}) > 3
+        assert_one_object_per_atom(*atoms, problem.goal_predicates)
+
+
+class TestSettleFromChangedCells:
+    """A push settled from the cells it changed against the full scan, on
+    random settled grids."""
+
+    CASES = 400
+
+    @staticmethod
+    def _random_settled_grid(rng):
+        height, width = rng.randint(3, 6), rng.randint(3, 7)
+        rows = ["#" * (width + 2)]
+        for _ in range(height):
+            cells = rng.choices("#.abc", weights=(2, 4, 2, 2, 2), k=width)
+            rows.append("#" + "".join(cells) + "#")
+        rows.append("#" * (width + 2))
+        return settle(tuple(rows))[0]
+
+    def test_every_push_settles_as_the_full_scan_does(self):
+        rng = random.Random(12)
+        pushes = cascades = 0
+        for _ in range(self.CASES):
+            grid = self._random_settled_grid(rng)
+            for r, row in enumerate(grid):
+                for c, cell in enumerate(row):
+                    for name, dc in (("push-left", -1), ("push-right", 1)):
+                        if cell in "#." or row[c + dc] != ".":
+                            continue
+                        record = []
+                        hinted = puzznic_step(PuzznicLevel(grid, (r, c)), name, record)
+                        pushed = _pushed_by_hand(grid, r, c, dc)
+                        full = [("push", pushed, None)]
+                        settled, waves = settle(pushed, full)
+                        assert (hinted.grid, hinted.score) == (settled, score_gain(waves))
+                        assert record == full
+                        pushes += 1
+                        cascades += len(waves) > 1
+        assert pushes > 1000 and cascades > 10
 
 
 class TestRenderPuzznic:
