@@ -12,7 +12,7 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import KW_ONLY, InitVar, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -34,18 +34,21 @@ OUTCOMES = ("done", "exhausted", "timeout", "nodecap", "error")
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """One planner run. ``cost_bound`` and ``time_budget_s``, when given,
+    override those fields of ``limits`` and are not kept."""
+
     instance: str
     mode: str = "fbi"
     k: int = 1
     domain: Optional[str] = None
     features: tuple = FEATURES
-    cost_bound: int = SearchLimits.cost_bound
-    novelty: NoveltyConfig = field(default_factory=NoveltyConfig)
-    time_budget_s: float = SearchLimits.time_budget_s
-    node_budget: int = SearchLimits.node_budget
-    limits: SearchLimits = field(init=False, repr=False, compare=False)
+    novelty: NoveltyConfig = NoveltyConfig()
+    limits: SearchLimits = SearchLimits()
+    _: KW_ONLY
+    cost_bound: InitVar[Optional[int]] = None
+    time_budget_s: InitVar[Optional[float]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cost_bound, time_budget_s):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
@@ -55,8 +58,10 @@ class TaskSpec:
         for f in self.features:
             if f not in FEATURES:
                 raise ValueError(f"unknown feature {f!r}; expected a subset of {FEATURES}")
-        limits = SearchLimits(self.cost_bound, self.time_budget_s, self.node_budget)
-        object.__setattr__(self, "limits", limits)
+        given = dict(cost_bound=cost_bound, time_budget_s=time_budget_s)
+        overrides = {name: value for name, value in given.items() if value is not None}
+        if overrides:
+            object.__setattr__(self, "limits", replace(self.limits, **overrides))
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ def run_task(spec: TaskSpec, plans_path=None):
     collected before the trip.
     """
     problem = load_problem(spec.instance, spec.domain)
-    space = build_space(problem, spec.features, spec.cost_bound)
+    space = build_space(problem, spec.features, spec.limits.cost_bound)
     try:
         if spec.mode == "fbi":
             result = fbi(problem, space, spec.k, spec.novelty, spec.limits)
@@ -144,18 +149,23 @@ def run_suite(
     k_list: Sequence[int] = (2, 5, 10),
     *,
     features: tuple = FEATURES,
-    cost_bound: int = SearchLimits.cost_bound,
     novelty: NoveltyConfig = NoveltyConfig(),
-    time_budget_s: float = SearchLimits.time_budget_s,
-    node_budget: int = SearchLimits.node_budget,
+    limits: SearchLimits = SearchLimits(),
     plans_dir=None,
 ):
     """Run every instance in a directory for every mode and k.
 
-    Returns ``(rows, aggregates)``. A task that raises, whatever the
-    exception, becomes a row with outcome "error" and a warning naming the
-    exception type, instead of aborting the rest of the suite.
+    Returns ``(rows, aggregates)``. The (k, mode) tasks are built, and so
+    checked, before the directory is listed or ``plans_dir`` made. A task
+    that raises, whatever the exception, becomes a row with outcome "error"
+    and a warning naming the exception type, instead of aborting the rest
+    of the suite.
     """
+    tasks = [
+        TaskSpec("", mode, k, features=features, novelty=novelty, limits=limits)
+        for k in k_list
+        for mode in modes
+    ]
     paths = sorted(
         p
         for p in Path(suite_dir).iterdir()
@@ -165,33 +175,19 @@ def run_suite(
         Path(plans_dir).mkdir(parents=True, exist_ok=True)
     rows = []
     for path in paths:
-        for k in k_list:
-            for mode in modes:
-                spec = TaskSpec(
-                    instance=str(path),
-                    mode=mode,
-                    k=k,
-                    features=features,
-                    cost_bound=cost_bound,
-                    novelty=novelty,
-                    time_budget_s=time_budget_s,
-                    node_budget=node_budget,
+        for task in tasks:
+            mode, k = task.mode, task.k
+            name = f"{path.stem}-{mode}-k{k}.json"
+            plans_path = Path(plans_dir) / name if plans_dir is not None else None
+            try:
+                _, row, _ = run_task(replace(task, instance=str(path)), plans_path)
+            except Exception as err:
+                row = SuiteResultRow(path.name, mode, k, False, 0, 0, 0.0, "error")
+                print(
+                    f"warning: {path.name} ({mode}, k={k}): {type(err).__name__}: {err}",
+                    file=sys.stderr,
                 )
-                plans_path = (
-                    Path(plans_dir) / f"{path.stem}-{mode}-k{k}.json"
-                    if plans_dir is not None
-                    else None
-                )
-                try:
-                    _, row, _ = run_task(spec, plans_path)
-                except Exception as err:
-                    row = SuiteResultRow(path.name, mode, k, False, 0, 0, 0.0, "error")
-                    print(
-                        f"warning: {path.name} ({mode}, k={k}): "
-                        f"{type(err).__name__}: {err}",
-                        file=sys.stderr,
-                    )
-                rows.append(row)
+            rows.append(row)
     return rows, aggregate_rows(rows)
 
 

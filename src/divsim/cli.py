@@ -26,7 +26,7 @@ from .bench import (
 from .behaviour import behaviour_to_json
 from .domains import DOMAINS, load_problem, read_utf8
 from .domains.puzznic import render_puzznic
-from .errors import BudgetExceeded, DivsimError
+from .errors import BudgetExceeded, DivsimError, ParseError
 from .oracle import brute_force_behaviours
 from .search import NoveltyConfig, NoveltyScope, SearchLimits
 
@@ -88,6 +88,10 @@ def _novelty(args) -> NoveltyConfig:
     return NoveltyConfig(args.max_width, NoveltyScope(args.novelty))
 
 
+def _limits(args) -> SearchLimits:
+    return SearchLimits(args.cost_bound, args.time_limit, args.node_limit)
+
+
 def _cmd_solve(args) -> int:
     spec = TaskSpec(
         instance=args.instance,
@@ -95,10 +99,8 @@ def _cmd_solve(args) -> int:
         k=args.k,
         domain=args.domain,
         features=args.features,
-        cost_bound=args.cost_bound,
         novelty=_novelty(args),
-        time_budget_s=args.time_limit,
-        node_budget=args.node_limit,
+        limits=_limits(args),
     )
     _, row, doc = run_task(spec, plans_path=args.out)
     if args.out is None:
@@ -121,10 +123,8 @@ def _cmd_bench(args) -> int:
         modes=args.modes,
         k_list=args.k_list,
         features=args.features,
-        cost_bound=args.cost_bound,
         novelty=_novelty(args),
-        time_budget_s=args.time_limit,
-        node_budget=args.node_limit,
+        limits=_limits(args),
         plans_dir=args.plans_dir,
     )
     write_rows_csv(args.out, rows)
@@ -149,7 +149,10 @@ def _plan_actions(doc, index: int) -> list:
 
 def _cmd_render(args) -> int:
     problem = load_problem(args.instance, "puzznic")
-    doc = json.loads(read_utf8(args.plan))
+    try:
+        doc = json.loads(read_utf8(args.plan))
+    except RecursionError:
+        raise ParseError(f"{args.plan} nests JSON too deeply") from None
     frames = render_puzznic(problem, _plan_actions(doc, args.index))
     print("\n\n".join(frames))
     return EXIT_OK

@@ -55,7 +55,7 @@ def load_problem(path, domain: str = None):
     text = read_utf8(path)
     try:
         return build(text)
-    except json.JSONDecodeError as err:
+    except (json.JSONDecodeError, RecursionError) as err:
         raise ParseError(f"bad scenario JSON: {err}") from None
 
 

@@ -117,40 +117,30 @@ def _key(f: Formula):
     return (rank, tuple(_key(c) for c in f.children))
 
 
+def _flat(kind, parts: Iterable[Formula], empty: Formula) -> Formula:
+    """``kind`` (And or Or) of ``parts``, with nested ``kind`` children
+    flattened, duplicates removed and children in canonical order; ``empty``
+    when no part is left and the only part when one is."""
+    unique = sorted(
+        {c for p in parts for c in (p.children if isinstance(p, kind) else (p,))}, key=_key
+    )
+    if len(unique) == 1:
+        return unique[0]
+    return kind(tuple(unique)) if unique else empty
+
+
 def conj(parts: Iterable[Formula]) -> Formula:
     """And with flattening, duplicate removal and canonical ordering.
 
     The empty conjunction is ``true`` and a singleton collapses to its only
     conjunct.
     """
-    flat = []
-    for p in parts:
-        if isinstance(p, And):
-            flat.extend(p.children)
-        else:
-            flat.append(p)
-    unique = sorted(set(flat), key=_key)
-    if not unique:
-        return TRUE
-    if len(unique) == 1:
-        return unique[0]
-    return And(tuple(unique))
+    return _flat(And, parts, TRUE)
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Or, canonicalized the same way; the empty disjunction is ``false``."""
-    flat = []
-    for p in parts:
-        if isinstance(p, Or):
-            flat.extend(p.children)
-        else:
-            flat.append(p)
-    unique = sorted(set(flat), key=_key)
-    if not unique:
-        return FALSE
-    if len(unique) == 1:
-        return unique[0]
-    return Or(tuple(unique))
+    return _flat(Or, parts, FALSE)
 
 
 def canonical(f: Formula) -> Formula:

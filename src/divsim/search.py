@@ -30,7 +30,7 @@ import itertools
 import time
 from collections import deque
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
@@ -116,11 +116,15 @@ class PlanSetResult:
 
 
 class Budget:
-    """Shared wall-clock and generated-node budget for one planner run."""
+    """The live limits of one planner run: the wall-clock deadline, the
+    generated nodes left, and ``cost_bound``, capped at the cost bound of
+    ``space`` when it has one so that every behaviour lies in the space."""
 
-    def __init__(self, limits: SearchLimits):
+    def __init__(self, limits: SearchLimits, space: Optional[BehaviourSpace] = None):
         self.deadline = time.perf_counter() + limits.time_budget_s
         self.nodes_left = limits.node_budget
+        cf = space.cost_feature if space is not None else None
+        self.cost_bound = limits.cost_bound if cf is None else min(limits.cost_bound, cf.bound)
 
     def check_time(self):
         if time.perf_counter() > self.deadline:
@@ -246,7 +250,6 @@ class NoveltyTable:
 def _iw_goal_stream(
     memo: TransitionMemo,
     novelty: NoveltyConfig,
-    limits: SearchLimits,
     budget: Budget,
     stats: SearchStats,
     reject: Callable[[_Node, bool], bool],
@@ -297,7 +300,7 @@ def _iw_goal_stream(
                     if key in visited:
                         stats.pruned_by_visited += 1
                         continue
-                    if child.cost > limits.cost_bound:
+                    if child.cost > budget.cost_bound:
                         stats.pruned_by_cost += 1
                         continue
                     if goal:
@@ -332,11 +335,7 @@ class _BehaviourRule:
     """
 
     def __init__(
-        self,
-        memo: TransitionMemo,
-        space: BehaviourSpace,
-        limits: SearchLimits,
-        interior_pruning: bool,
+        self, memo: TransitionMemo, space: BehaviourSpace, cost_bound: int, interior_pruning: bool
     ):
         self.memo = memo
         self.space = space
@@ -344,7 +343,7 @@ class _BehaviourRule:
         self.interior = (
             interior_pruning and space.cost_feature is None and self.order_feature is not None
         )
-        self.cost_bound = limits.cost_bound
+        self.cost_bound = cost_bound
         self.forbidden: set = set()
         self.interior_orders: set = set()
         self.passed: set = set()
@@ -380,7 +379,6 @@ def _behaviour_stream(
     space: BehaviourSpace,
     forbidden,
     novelty: NoveltyConfig,
-    limits: SearchLimits,
     budget: Budget,
     stats: SearchStats,
     interior_pruning: bool,
@@ -393,11 +391,11 @@ def _behaviour_stream(
     and a fresh one starts under the whole forbidden set
     (``stats.restarts``).
     """
-    rule = _BehaviourRule(memo, space, limits, interior_pruning)
+    rule = _BehaviourRule(memo, space, budget.cost_bound, interior_pruning)
     for behaviour in forbidden:
         rule.forbid(behaviour)
     while True:
-        stream = _iw_goal_stream(memo, novelty, limits, budget, stats, rule.reject)
+        stream = _iw_goal_stream(memo, novelty, budget, stats, rule.reject)
         with closing(stream):
             for node in stream:
                 behaviour = behaviour_of(space, node_states(memo, node))
@@ -414,7 +412,6 @@ def _plan_stream(
     memo: TransitionMemo,
     known,
     novelty: NoveltyConfig,
-    limits: SearchLimits,
     budget: Budget,
     stats: SearchStats,
 ) -> Iterator[_Node]:
@@ -429,7 +426,7 @@ def _plan_stream(
     def reject(node: _Node, goal: bool) -> bool:
         return goal and node_plan(node) in known
 
-    with closing(_iw_goal_stream(memo, novelty, limits, budget, stats, reject)) as stream:
+    with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
         for node in stream:
             yield node
             known.add(node_plan(node))
@@ -450,14 +447,13 @@ def behaviour_generator(
 
     Returns ``(plan, behaviour, stats)``. This is the first pair of the
     phase-1 stream that ``fbi`` runs; ``_BehaviourRule`` says which nodes
-    ``interior_pruning`` drops. The call searches over a memo of its own.
+    ``interior_pruning`` drops. The call searches over a memo of its own,
+    within the cost bound of ``budget``, by default ``Budget(limits, space)``.
     """
-    budget = budget if budget is not None else Budget(limits)
+    budget = budget if budget is not None else Budget(limits, space)
     stats = stats if stats is not None else SearchStats()
     memo = TransitionMemo(problem, stats)
-    stream = _behaviour_stream(
-        memo, space, forbidden, novelty, limits, budget, stats, interior_pruning
-    )
+    stream = _behaviour_stream(memo, space, forbidden, novelty, budget, stats, interior_pruning)
     with closing(stream):
         for plan, behaviour in stream:
             return plan, behaviour, stats
@@ -481,7 +477,7 @@ def plan_generator(
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
     memo = TransitionMemo(problem, stats)
-    with closing(_plan_stream(memo, known, novelty, limits, budget, stats)) as stream:
+    with closing(_plan_stream(memo, known, novelty, budget, stats)) as stream:
         for node in stream:
             return node_plan(node), stats
     return None
@@ -494,19 +490,15 @@ def _top_k(
     limits: SearchLimits,
     pairs: Callable[..., Iterator[tuple]],
 ) -> PlanSetResult:
-    """The first ``k`` pairs of ``pairs(memo, limits, budget, stats)`` as a result.
+    """The first ``k`` pairs of ``pairs(memo, budget, stats)`` as a result.
 
     ``pairs`` yields ``(plan, behaviour)``, with None for no behaviour, over
-    the run's ``TransitionMemo``. The limits it gets cap the cost at the
-    space's cost bound, so that every behaviour lies in the space. On a
+    the run's ``TransitionMemo``, within ``Budget(limits, space)``. On a
     budget trip the partial result rides on the raised ``BudgetExceeded``.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    cf = space.cost_feature if space is not None else None
-    if cf is not None and cf.bound < limits.cost_bound:
-        limits = replace(limits, cost_bound=cf.bound)
-    budget = Budget(limits)
+    budget = Budget(limits, space)
     stats = SearchStats()
     started = time.perf_counter()
     memo = TransitionMemo(problem, stats)
@@ -518,7 +510,7 @@ def _top_k(
         return PlanSetResult(tuple(plans), tuple(behaviours), stats, exhausted)
 
     try:
-        with closing(pairs(memo, limits, budget, stats)) as stream:
+        with closing(pairs(memo, budget, stats)) as stream:
             for plan, behaviour in itertools.islice(stream, k):
                 plans.append(plan)
                 if behaviour is not None:
@@ -552,16 +544,14 @@ def fbi(
     ``BudgetExceeded``. Both phases share one ``TransitionMemo``.
     """
 
-    def pairs(memo, limits, budget, stats):
-        phase_one = _behaviour_stream(
-            memo, space, (), novelty, limits, budget, stats, interior_pruning
-        )
+    def pairs(memo, budget, stats):
+        phase_one = _behaviour_stream(memo, space, (), novelty, budget, stats, interior_pruning)
         plans = []
         with closing(phase_one):
             for plan, behaviour in phase_one:
                 plans.append(plan)
                 yield plan, behaviour
-        with closing(_plan_stream(memo, plans, novelty, limits, budget, stats)) as phase_two:
+        with closing(_plan_stream(memo, plans, novelty, budget, stats)) as phase_two:
             for node in phase_two:
                 yield node_plan(node), behaviour_of(space, node_states(memo, node))
 
@@ -586,9 +576,9 @@ def fbi_naive(
     the search. Without it the result holds no behaviours.
     """
 
-    def pairs(memo, limits, budget, stats):
+    def pairs(memo, budget, stats):
         seen = set()
-        stream = _iw_goal_stream(memo, novelty, limits, budget, stats, lambda node, goal: False)
+        stream = _iw_goal_stream(memo, novelty, budget, stats, lambda node, goal: False)
         with closing(stream):
             for node in stream:
                 plan = node_plan(node)

@@ -201,10 +201,11 @@ def restart_fbi(
     so far, phase 2 calls ``plan_generator`` afresh under every plan found
     so far, each a new IW sweep from width 1. ``fbi`` resumes one sweep per
     phase instead and must return the same plans and behaviours. All calls
-    share one budget; on a trip the plans so far ride on the raised
-    ``BudgetExceeded``.
+    share one ``Budget(limits, space)``, so both phases search within the
+    smaller of ``limits.cost_bound`` and the space's cost bound, as ``fbi``
+    does; on a trip the plans so far ride on the raised ``BudgetExceeded``.
     """
-    budget = Budget(limits)
+    budget = Budget(limits, space)
     stats = SearchStats()
     plans, behaviours = [], []
 

@@ -20,7 +20,7 @@ from divsim.bench import (
 from divsim.behaviour import CostBound, GoalOrder
 from divsim.domains import load_problem
 from divsim.errors import LevelInvalid
-from divsim.search import NoveltyConfig
+from divsim.search import NoveltyConfig, SearchLimits
 
 from conftest import fixture_path
 
@@ -42,13 +42,12 @@ class TestTaskSpec:
         with pytest.raises(ValueError, match="unknown feature"):
             TaskSpec(instance="x.grid", features=("go", "entropy"))
 
-    def test_limits_mirror_the_task_fields(self):
-        spec = TaskSpec(
-            instance="x.grid", cost_bound=7, time_budget_s=2.5, node_budget=99
-        )
-        assert spec.limits.cost_bound == 7
-        assert spec.limits.time_budget_s == 2.5
-        assert spec.limits.node_budget == 99
+    def test_limit_keywords_override_the_limits(self):
+        limits = SearchLimits(node_budget=99)
+        spec = TaskSpec(instance="x.grid", limits=limits, cost_bound=7, time_budget_s=2.5)
+        assert spec.limits == SearchLimits(7, 2.5, 99)
+        assert spec == TaskSpec(instance="x.grid", limits=SearchLimits(7, 2.5, 99))
+        assert TaskSpec(instance="x.grid", limits=limits).limits is limits
 
 
 class TestBuildSpace:
@@ -110,7 +109,7 @@ class TestRunTask:
 
     def test_node_budget_trip_becomes_nodecap_row(self):
         spec = TaskSpec(
-            instance=str(fixture_path("open3x3.grid")), k=10, node_budget=2
+            instance=str(fixture_path("open3x3.grid")), k=10, limits=SearchLimits(node_budget=2)
         )
         _, row, doc = run_task(spec)
         assert row.outcome == "nodecap"

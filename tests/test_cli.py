@@ -44,6 +44,14 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture()
+def deep_json(tmp_path):
+    """A JSON file nested deeper than the parser's recursion limit."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 3000)
+    return path
+
+
 class TestSolve:
     def test_done_prints_plan_set_json(self, capsys):
         code, out, _ = run_cli(
@@ -177,6 +185,13 @@ class TestSolve:
         assert code == EXIT_DATA
         assert "must be a list" in err
 
+    def test_deeply_nested_json_exits_65(self, capsys, deep_json):
+        with pytest.raises(ParseError, match="bad scenario JSON"):
+            load_problem(deep_json)
+        code, _, err = run_cli(capsys, "solve", "--instance", str(deep_json))
+        assert code == EXIT_DATA
+        assert err.startswith("error: ")
+
     def test_bad_k_value_exits_64(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -271,6 +286,32 @@ class TestBench:
         assert "warning:" not in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [("--cost-bound", "0"), ("--features", "xx"), ("--modes", "bogus")]
+    )
+    def test_bad_settings_exit_64_on_an_empty_suite(self, capsys, tmp_path, flags):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        out_csv, plans = tmp_path / "rows.csv", tmp_path / "plans"
+        code, out, _ = run_cli(
+            capsys, "bench", "--suite", str(suite), "--plans-dir", str(plans),
+            "--out", str(out_csv), *flags,
+        )
+        assert code == EXIT_USAGE
+        assert "rows" not in out
+        assert not out_csv.exists()
+        assert not plans.exists()
+
+    def test_deeply_nested_json_becomes_an_error_row(self, capsys, tmp_path, deep_json):
+        out_csv = tmp_path / "rows.csv"
+        code, _, err = run_cli(
+            capsys, "bench", "--suite", str(tmp_path), "--k-list", "1", "--modes", "fbi",
+            "--out", str(out_csv),
+        )
+        assert code == EXIT_OK
+        assert "warning: deep.json (fbi, k=1): ParseError" in err
+        assert out_csv.read_text().splitlines()[1].endswith(",error")
+
 
 class TestDefaults:
     @pytest.mark.parametrize(
@@ -291,9 +332,11 @@ class TestDefaults:
             FEATURES,
         )
         suite = {n: p.default for n, p in inspect.signature(run_suite).parameters.items()}
-        limits = SearchLimits(suite["cost_bound"], suite["time_budget_s"], suite["node_budget"])
-        assert limits == SearchLimits()
-        assert (suite["novelty"], suite["features"]) == (NoveltyConfig(), FEATURES)
+        assert (suite["limits"], suite["novelty"], suite["features"]) == (
+            SearchLimits(),
+            NoveltyConfig(),
+            FEATURES,
+        )
 
 
 class TestRender:
@@ -367,6 +410,18 @@ class TestRender:
         assert code == EXIT_DATA
         assert "UTF-8" in err
 
+    def test_deeply_nested_plan_file_exits_65(self, capsys, deep_json):
+        code, _, err = run_cli(
+            capsys,
+            "render",
+            "--instance",
+            str(fixture_path("single_pair.puz")),
+            "--plan",
+            str(deep_json),
+        )
+        assert code == EXIT_DATA
+        assert "nests JSON too deeply" in err
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -414,6 +469,13 @@ class TestOracle:
         costs = sorted(e["behaviour"]["cost"] for e in doc["behaviours"])
         assert costs == [2, 3, 4]
         assert all(isinstance(e["witness"], list) for e in doc["behaviours"])
+
+    def test_deeply_nested_json_exits_65(self, capsys, deep_json):
+        code, _, err = run_cli(
+            capsys, "oracle", "--instance", str(deep_json), "--max-len", "2"
+        )
+        assert code == EXIT_DATA
+        assert "bad scenario JSON" in err
 
     def test_requires_max_len(self):
         with pytest.raises(SystemExit) as exc:

@@ -28,7 +28,7 @@ from divsim.search import (
     state_tuples,
 )
 
-from conftest import FinishToggleProblem, UndoToggleProblem, fixture_path
+from conftest import FIXTURES, FinishToggleProblem, UndoToggleProblem, fixture_path
 from oracles import plain_iw, restart_fbi
 from test_acceptance import star_scenario
 
@@ -292,6 +292,12 @@ class TestGenerators:
         out = plan_generator(problem, frozenset(), NoveltyConfig(2), limits)
         assert out is not None
         assert plan_generator(problem, frozenset({out[0]}), NoveltyConfig(2), limits) is None
+
+    def test_behaviour_generator_stays_within_the_space_cost_bound(self):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        space = _go_cb_space(problem, 2)
+        out = behaviour_generator(problem, space, frozenset(), NoveltyConfig(), SearchLimits())
+        assert out is None
 
     def test_global_scope_finds_corridor_plan(self):
         problem = load_problem(fixture_path("corridor3.grid"))
@@ -561,6 +567,9 @@ def _go_cb_space(problem, bound=8):
     return BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(bound)))
 
 
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
+
+
 # (id, problem factory, space factory, k, cost bound). The toggles exercise
 # interior pruning, which needs a space without cost; the stars have cost so
 # that they reach phase 2 with trace-local novelty.
@@ -667,6 +676,19 @@ def test_node_states_equal_the_replayed_trace(case, monkeypatch):
 
 class TestSpaceCapsCost:
     """A space's cost bound below the search limit caps the search."""
+
+    @pytest.mark.parametrize("bound", [4, 6, 8])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_restart_reference_caps_as_fbi_does(self, name, bound):
+        problem = load_problem(fixture_path(name))
+        space = _go_cb_space(problem, bound)
+        got = fbi(problem, space, 8)
+        ref = restart_fbi(problem, space, 8)
+        assert (got.plans, got.behaviours, got.exhausted) == (
+            ref.plans,
+            ref.behaviours,
+            ref.exhausted,
+        )
 
     @pytest.mark.parametrize("k", [3, 20])
     @pytest.mark.parametrize("bound", [3, 7, 8])
