@@ -45,7 +45,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _csv_list(text: str) -> tuple:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+    values = tuple(part.strip() for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty list {text!r}")
+    return values
 
 
 def _k_list(text: str) -> tuple:
@@ -53,7 +56,7 @@ def _k_list(text: str) -> tuple:
         values = tuple(int(part) for part in _csv_list(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad k list {text!r}") from None
-    if not values or any(k < 1 for k in values):
+    if any(k < 1 for k in values):
         raise argparse.ArgumentTypeError(f"bad k list {text!r}")
     return values
 

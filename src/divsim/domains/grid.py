@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from ..core import Action, SimulatorProblem, State
+from ..core import Action, SimulatorProblem
 from ..errors import InapplicableAction, LevelInvalid
 
 _MOVES = (("up", -1, 0), ("down", 1, 0), ("left", 0, -1), ("right", 0, 1))
@@ -59,6 +59,15 @@ def parse_grid(text: str) -> GridWorld:
 
 
 class GridProblem(SimulatorProblem):
+    """Planner view of a world: a state is ``(cell, visited)``, the agent's
+    cell and the frozenset of target cells it has entered.
+
+    ``applicable`` and ``simulate`` look moves up in one table, made once,
+    of the open cell each move reaches from each open cell. ``atoms`` gives
+    ``at-*`` for the cell and ``visited-*`` per visited target, from tables
+    of atom strings the problem makes once.
+    """
+
     def __init__(self, world: GridWorld):
         self.world = world
         self._at_atom = {
@@ -67,20 +76,22 @@ class GridProblem(SimulatorProblem):
             for c in range(world.width)
             if (r, c) not in world.walls
         }
-        self._at = {atom: cell for cell, atom in self._at_atom.items()}
         self._visited = {cell: f"visited-{cell[0]}-{cell[1]}" for cell in world.targets}
+        self._moves = {  # (cell, action name) -> the open cell the move reaches
+            ((r, c), name): (r + dr, c + dc)
+            for r, c in self._at_atom
+            for name, dr, dc in _MOVES
+            if (r + dr, c + dc) in self._at_atom
+        }
 
     @classmethod
     def from_text(cls, text: str) -> "GridProblem":
         return cls(parse_grid(text))
 
     @cached_property
-    def initial(self) -> State:
+    def initial(self) -> tuple:
         start = self.world.start
-        atoms = [self._at_atom[start]]
-        if start in self._visited:
-            atoms.append(self._visited[start])
-        return frozenset(atoms)
+        return start, frozenset([start]) if start in self._visited else frozenset()
 
     @cached_property
     def actions(self) -> tuple:
@@ -90,44 +101,22 @@ class GridProblem(SimulatorProblem):
     def goal_predicates(self) -> tuple:
         return tuple(self._visited[cell] for cell in self.world.targets)
 
-    def _position(self, state: State) -> tuple:
-        for p in state:
-            cell = self._at.get(p)
-            if cell is not None:
-                return cell
-        raise InapplicableAction("no agent position in state")
+    def applicable(self, state: tuple) -> tuple:
+        cell = state[0]
+        return tuple(a for a in self.actions if (cell, a.name) in self._moves)
 
-    def _destination(self, state: State, action_name: str):
-        r, c = self._position(state)
-        for name, dr, dc in _MOVES:
-            if name == action_name:
-                dest = (r + dr, c + dc)
-                break
-        else:
-            return None
-        if not (0 <= dest[0] < self.world.height and 0 <= dest[1] < self.world.width):
-            return None
-        if dest in self.world.walls:
-            return None
-        return dest
-
-    def applicable(self, state: State) -> tuple:
-        return tuple(
-            a for a in self.actions if self._destination(state, a.name) is not None
-        )
-
-    def simulate(self, state: State, action: Action) -> State:
-        dest = self._destination(state, action.name)
+    def simulate(self, state: tuple, action: Action) -> tuple:
+        cell, visited = state
+        dest = self._moves.get((cell, action.name))
         if dest is None:
-            raise InapplicableAction(f"cannot move {action.name} from {self._position(state)}")
-        here = self._position(state)
-        out = set(state)
-        out.discard(self._at_atom[here])
-        out.add(self._at_atom[dest])
-        visited = self._visited.get(dest)
-        if visited is not None:
-            out.add(visited)
-        return frozenset(out)
+            raise InapplicableAction(f"cannot move {action.name} from {cell}")
+        if dest in self._visited and dest not in visited:
+            visited = visited | {dest}
+        return dest, visited
 
-    def is_goal(self, state: State) -> bool:
-        return self.goal_set <= state
+    def is_goal(self, state: tuple) -> bool:
+        return len(state[1]) == len(self._visited)
+
+    def atoms(self, state: tuple) -> frozenset:
+        cell, visited = state
+        return frozenset([self._at_atom[cell], *(self._visited[t] for t in visited)])

@@ -252,7 +252,7 @@ def _iw_goal_stream(
     novelty: NoveltyConfig,
     budget: Budget,
     stats: SearchStats,
-    reject: Callable[[_Node, bool], bool],
+    reject: Callable[[_Node], bool],
 ) -> Iterator[_Node]:
     """Yield every kept goal node, running widths 1..max_width in turn.
 
@@ -277,7 +277,7 @@ def _iw_goal_stream(
             root = _Node(state, 0, goal, mask & goal_bits, None, None, table.record({}, mask))
             visited = {mask | root.latched}
             queue = deque([root])
-            if goal and not reject(root, True):
+            if goal and not reject(root):
                 yield root
             while queue:
                 budget.check_time()
@@ -293,7 +293,7 @@ def _iw_goal_stream(
                     latched = node.latched | (mask & goal_bits)
                     cost = node.cost + action.cost
                     child = _Node(state, cost, goal, latched, node, action.name, node.summary)
-                    if reject(child, goal):
+                    if reject(child):
                         stats.pruned_by_behaviour += 1
                         continue
                     key = mask | latched  # latches tell same-raw states' goal histories apart
@@ -305,7 +305,7 @@ def _iw_goal_stream(
                         continue
                     if goal:
                         yield child
-                        if reject(child, True):
+                        if reject(child):
                             stats.pruned_by_behaviour += 1
                             continue
                     visited.add(key)
@@ -348,8 +348,8 @@ class _BehaviourRule:
         self.interior_orders: set = set()
         self.passed: set = set()
 
-    def reject(self, node: _Node, goal: bool) -> bool:
-        if goal:
+    def reject(self, node: _Node) -> bool:
+        if node.goal:
             return behaviour_of(self.space, node_states(self.memo, node)) in self.forbidden
         if not self.interior:
             return False
@@ -423,8 +423,8 @@ def _plan_stream(
     """
     known = {tuple(p) for p in known}
 
-    def reject(node: _Node, goal: bool) -> bool:
-        return goal and node_plan(node) in known
+    def reject(node: _Node) -> bool:
+        return node.goal and node_plan(node) in known
 
     with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
         for node in stream:
@@ -578,7 +578,7 @@ def fbi_naive(
 
     def pairs(memo, budget, stats):
         seen = set()
-        stream = _iw_goal_stream(memo, novelty, budget, stats, lambda node, goal: False)
+        stream = _iw_goal_stream(memo, novelty, budget, stats, lambda node: False)
         with closing(stream):
             for node in stream:
                 plan = node_plan(node)

@@ -19,6 +19,20 @@ def assert_one_object_per_atom(*states):
             assert first.setdefault(atom, atom) is atom, atom
 
 
+def reached_states(problem, depth):
+    """``(plan, state)`` for every plan of at most ``depth`` applicable actions."""
+    out = [((), problem.initial)]
+    frontier = out
+    for _ in range(depth):
+        frontier = [
+            (plan + (a.name,), problem.simulate(state, a))
+            for plan, state in frontier
+            for a in problem.applicable(state)
+        ]
+        out = out + frontier
+    return out
+
+
 class ToggleProblem(SimulatorProblem):
     """Two-goal toy where goal ``ga`` can be achieved and then undone.
 

@@ -3,8 +3,9 @@
 Everything here is deliberately written from the definitions rather than by
 calling into the package's own logic: the temporal evaluator expands the
 quantifiers literally and derives Release through its Until dual, the width
-search is a separate BFS, and the behaviour enumerator is a depth-first walk
-with no deduplication. The one exception is ``restart_fbi``, the
+search is a separate BFS, the behaviour enumerator is a depth-first walk
+with no deduplication, and the Grid and Pentest encoders rebuild a state's
+atoms from the plan that reached it. The one exception is ``restart_fbi``, the
 forbid-and-restart loop, which calls the package's one-shot generators
 (themselves checked against ``plain_iw``). Slow is fine; these only run on
 tiny inputs.
@@ -234,3 +235,60 @@ def restart_fbi(
         err.partial = result(False)
         raise
     return result(len(plans) < k)
+
+
+GRID_MOVES = (("up", -1, 0), ("down", 1, 0), ("left", 0, -1), ("right", 0, 1))
+
+
+def grid_reference(world, plan):
+    """``(atoms, applicable action names, goal)`` after ``plan`` in a ``GridWorld``.
+
+    The atoms are ``at-`` the agent's cell and ``visited-`` every target the
+    path entered, the start included; the goal is every target entered.
+    """
+
+    def open_cell(r, c):
+        return 0 <= r < world.height and 0 <= c < world.width and (r, c) not in world.walls
+
+    deltas = {name: (dr, dc) for name, dr, dc in GRID_MOVES}
+    path = [world.start]
+    for name in plan:
+        r, c = path[-1]
+        dr, dc = deltas[name]
+        assert open_cell(r + dr, c + dc), plan
+        path.append((r + dr, c + dc))
+    r, c = path[-1]
+    entered = set(world.targets) & set(path)
+    atoms = {f"at-{r}-{c}"} | {f"visited-{tr}-{tc}" for tr, tc in entered}
+    applicable = tuple(name for name, dr, dc in GRID_MOVES if open_cell(r + dr, c + dc))
+    return frozenset(atoms), applicable, entered == set(world.targets)
+
+
+def pentest_reference(scenario, plan):
+    """``(atoms, applicable action names, goal)`` after ``plan`` in a ``PentestScenario``.
+
+    The atoms are ``compromised-`` every exploited host and ``reachable-``
+    every host whose subnet faces the internet, or holds a compromised host,
+    or is adjacent to a subnet that does; the goal is every sensitive host
+    compromised.
+    """
+    exploits = {
+        f"exploit-{h.id}-{service}": h
+        for h in scenario.hosts
+        for service in h.services
+        if service in scenario.exploit_costs
+    }
+    compromised = {exploits[name] for name in plan}
+    assert len(compromised) == len(plan), plan
+
+    def reachable(host):
+        near = {host.subnet} | scenario.adjacency[host.subnet]
+        return host.subnet in scenario.internet or any(h.subnet in near for h in compromised)
+
+    atoms = {f"compromised-{h.id}" for h in compromised}
+    atoms |= {f"reachable-{h.id}" for h in scenario.hosts if reachable(h)}
+    applicable = tuple(
+        name for name, h in exploits.items() if h not in compromised and reachable(h)
+    )
+    goal = all(h in compromised for h in scenario.hosts if h.sensitive)
+    return frozenset(atoms), applicable, goal

@@ -286,6 +286,17 @@ class TestBench:
         assert "warning:" not in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("flag", ["--modes", "--features"])
+    def test_empty_list_exits_64_before_any_task(self, capsys, tmp_path, flag):
+        out_csv = tmp_path / "rows.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--suite", str(fixture_path("suite")), "--out", str(out_csv), flag, ","])
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "empty list" in err
+        assert "warning:" not in err
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "flags", [("--cost-bound", "0"), ("--features", "xx"), ("--modes", "bogus")]
     )

@@ -5,7 +5,8 @@ from divsim.domains import GridProblem, load_problem
 from divsim.domains.grid import parse_grid
 from divsim.errors import InapplicableAction, LevelInvalid
 
-from conftest import assert_one_object_per_atom, fixture_path
+from conftest import FIXTURES, assert_one_object_per_atom, fixture_path, reached_states
+from oracles import grid_reference
 
 
 SMALL = "#####\n#S.T#\n#####\n"
@@ -58,8 +59,9 @@ class TestProblem:
     def test_simulate_moves_the_agent(self):
         problem = GridProblem.from_text(SMALL)
         state = problem.simulate(problem.initial, problem.action_named("right"))
-        assert "at-1-2" in state
-        assert "at-1-1" not in state
+        atoms = problem.atoms(state)
+        assert "at-1-2" in atoms
+        assert "at-1-1" not in atoms
 
     def test_blocked_move_raises(self):
         problem = GridProblem.from_text(SMALL)
@@ -69,11 +71,12 @@ class TestProblem:
     def test_target_visit_is_recorded_in_state(self):
         problem = GridProblem.from_text(SMALL)
         trace = replay(problem, ("right", "right", "left"))
+        atoms = [problem.atoms(aug.raw) for aug in trace.states]
         visited = "visited-1-3"
-        assert visited not in trace.states[1].raw
-        assert visited in trace.states[2].raw
+        assert visited not in atoms[1]
+        assert visited in atoms[2]
         # the marker is part of the raw state, so it survives leaving the cell
-        assert visited in trace.states[3].raw
+        assert visited in atoms[3]
 
     def test_goal_needs_every_target(self):
         problem = load_problem(fixture_path("two_targets_line.grid"))
@@ -84,12 +87,13 @@ class TestProblem:
 
     def test_states_share_one_string_per_atom(self):
         problem = load_problem(fixture_path("three_targets.grid"))
-        left_up = replay(problem, ("left", "up")).states[-1].raw
-        up_left = replay(problem, ("up", "left")).states[-1].raw
-        back = replay(problem, ("right", "left")).states[-1].raw
+        initial = problem.atoms(problem.initial)
+        left_up = problem.atoms(replay(problem, ("left", "up")).states[-1].raw)
+        up_left = problem.atoms(replay(problem, ("up", "left")).states[-1].raw)
+        back = problem.atoms(replay(problem, ("right", "left")).states[-1].raw)
         assert left_up == up_left == {"at-1-1", "visited-1-1"}
-        assert back == problem.initial
-        assert_one_object_per_atom(problem.initial, left_up, up_left, back)
+        assert back == initial
+        assert_one_object_per_atom(initial, left_up, up_left, back)
 
     def test_goal_predicates_follow_target_order(self):
         problem = load_problem(fixture_path("two_targets_line.grid"))
@@ -97,3 +101,24 @@ class TestProblem:
             "visited-1-1",
             "visited-1-4",
         )
+
+
+class TestReferenceAgreement:
+    """The problem's states against ``grid_reference``, over every plan of up
+    to six moves on every valid ``.grid`` fixture."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [p for p in sorted(FIXTURES.rglob("*.grid")) if p.name != "broken.grid"],
+        ids=lambda p: p.name,
+    )
+    def test_atoms_applicable_and_goal_match_the_reference(self, path):
+        problem = load_problem(path)
+        reached = reached_states(problem, 6)
+        for plan, state in reached:
+            atoms, applicable, goal = grid_reference(problem.world, plan)
+            assert problem.atoms(state) == atoms, plan
+            assert tuple(a.name for a in problem.applicable(state)) == applicable, plan
+            assert problem.is_goal(state) == goal, plan
+        states = {state for _, state in reached}
+        assert len({problem.atoms(s) for s in states}) == len(states)
