@@ -84,11 +84,16 @@ class BudgetExceeded(DivsimError):
 
 
 class OracleTooLarge(DivsimError):
-    """The brute-force enumeration guard tripped."""
+    """The brute-force enumeration guard tripped.
 
-    def __init__(self, estimate, limit):
+    ``estimate`` is a lower bound on the enumeration size: the power
+    ``branching**max_len`` multiplied out only until it passed ``limit``.
+    """
+
+    def __init__(self, estimate, limit, branching, max_len):
         super().__init__(
-            f"estimated enumeration size {estimate} exceeds oracle guard {limit}"
+            f"enumerating {branching} actions to max_len {max_len} exceeds "
+            f"oracle guard {limit}"
         )
         self.estimate = estimate
         self.limit = limit

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ParseError
 
@@ -88,33 +88,67 @@ class Release(Formula):
 TRUE = TrueF()
 FALSE = FalseF()
 
-_RANK = {
-    TrueF: 0,
-    FalseF: 1,
-    Atom: 2,
-    Not: 3,
-    Next: 4,
-    Eventually: 5,
-    Always: 6,
-    And: 7,
-    Or: 8,
-    Until: 9,
-    Release: 10,
+
+class _Op(NamedTuple):
+    rank: int  # place in the canonical order of node types
+    token: Optional[str]  # concrete syntax; atoms print their own name
+    fix: str  # "leaf", "prefix" or "infix"
+
+
+# Every node type once. ``_key``, the parser and the renderer all read this.
+_OPS = {
+    TrueF: _Op(0, "true", "leaf"),
+    FalseF: _Op(1, "false", "leaf"),
+    Atom: _Op(2, None, "leaf"),
+    Not: _Op(3, "!", "prefix"),
+    Next: _Op(4, "X", "prefix"),
+    Eventually: _Op(5, "F", "prefix"),
+    Always: _Op(6, "G", "prefix"),
+    And: _Op(7, "&", "infix"),
+    Or: _Op(8, "|", "infix"),
+    Until: _Op(9, "U", "infix"),
+    Release: _Op(10, "R", "infix"),
 }
+_BY_TOKEN = {op.token: kind for kind, op in _OPS.items() if op.token}
+
+
+def _children(f: Formula) -> tuple:
+    """The direct subformulas of ``f``, in order."""
+    if isinstance(f, (And, Or)):
+        return f.children
+    if isinstance(f, (Until, Release)):
+        return (f.left, f.right)
+    if isinstance(f, (Not, Next, Eventually, Always)):
+        return (f.child,)
+    if isinstance(f, (TrueF, FalseF, Atom)):
+        return ()
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def _fold(f: Formula, combine):
+    """Value of ``combine(g, values of g's children)`` at ``f``, combined
+    children first without recursion. Values are keyed by ``id()``, so a
+    subformula object that appears twice is combined once."""
+    values = {}
+    stack = [(f, False)]
+    while stack:
+        g, children_done = stack.pop()
+        if children_done:
+            values[id(g)] = combine(g, [values[id(c)] for c in _children(g)])
+        elif id(g) not in values:
+            stack.append((g, True))
+            stack.extend((c, False) for c in _children(g))
+    return values[id(f)]
 
 
 def _key(f: Formula):
     """Deterministic total order on formulas, used to sort conjuncts/disjuncts."""
-    rank = _RANK[type(f)]
-    if isinstance(f, (TrueF, FalseF)):
-        return (rank,)
-    if isinstance(f, Atom):
-        return (rank, f.name)
-    if isinstance(f, (Not, Next, Eventually, Always)):
-        return (rank, _key(f.child))
-    if isinstance(f, (Until, Release)):
-        return (rank, _key(f.left), _key(f.right))
-    return (rank, tuple(_key(c) for c in f.children))
+
+    def combine(g, keys):
+        rank = _OPS[type(g)].rank
+        return (rank, g.name) if type(g) is Atom else (rank, *keys)
+
+    return _fold(f, combine)
 
 
 def _flat(kind, parts: Iterable[Formula], empty: Formula) -> Formula:
@@ -122,7 +156,7 @@ def _flat(kind, parts: Iterable[Formula], empty: Formula) -> Formula:
     flattened, duplicates removed and children in canonical order; ``empty``
     when no part is left and the only part when one is."""
     unique = sorted(
-        {c for p in parts for c in (p.children if isinstance(p, kind) else (p,))}, key=_key
+        {c for p in parts for c in (_children(p) if type(p) is kind else (p,))}, key=_key
     )
     if len(unique) == 1:
         return unique[0]
@@ -149,25 +183,13 @@ def canonical(f: Formula) -> Formula:
     Structural equality of canonical forms is the module's formula-equality
     relation: ``canonical(And((a, b))) == canonical(And((b, a)))``.
     """
-    if isinstance(f, (TrueF, FalseF, Atom)):
-        return f
-    if isinstance(f, Not):
-        return Not(canonical(f.child))
-    if isinstance(f, Next):
-        return Next(canonical(f.child))
-    if isinstance(f, Eventually):
-        return Eventually(canonical(f.child))
-    if isinstance(f, Always):
-        return Always(canonical(f.child))
-    if isinstance(f, Until):
-        return Until(canonical(f.left), canonical(f.right))
-    if isinstance(f, Release):
-        return Release(canonical(f.left), canonical(f.right))
-    if isinstance(f, And):
-        return conj(canonical(c) for c in f.children)
-    if isinstance(f, Or):
-        return disj(canonical(c) for c in f.children)
-    raise TypeError(f"not a formula: {f!r}")
+
+    def combine(g, children):
+        if type(g) in (And, Or):
+            return (conj if type(g) is And else disj)(children)
+        return type(g)(*children) if children else g
+
+    return _fold(f, combine)
 
 
 # --- concrete syntax ---------------------------------------------------------
@@ -176,8 +198,9 @@ def canonical(f: Formula) -> Formula:
 # unary (!, X, F, G), then atoms/parentheses. `true`/`false` are literals and
 # X U R F G true false are reserved words, not atoms.
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<word>[A-Za-z0-9_-]+)|(?P<punct>[()&|!]))")
-_KEYWORDS = {"X", "U", "R", "F", "G", "true", "false"}
+_SYMBOLS = "()" + "".join(tok for tok in _BY_TOKEN if not tok.isalnum())
+_TOKEN_RE = re.compile(rf"\s*(?P<token>[A-Za-z0-9_-]+|[{re.escape(_SYMBOLS)}])")
+_LITERALS = {_OPS[TrueF].token: TRUE, _OPS[FalseF].token: FALSE}
 
 
 def _tokenize(text: str):
@@ -193,10 +216,7 @@ def _tokenize(text: str):
             raise ParseError(
                 f"unexpected character {stripped[0]!r}", position=at, expected="token"
             )
-        if m.group("word") is not None:
-            tokens.append((m.group("word"), m.start("word")))
-        else:
-            tokens.append((m.group("punct"), m.start("punct")))
+        tokens.append((m.group("token"), m.start("token")))
         pos = m.end()
     tokens.append((None, len(text)))  # end marker
     return tokens
@@ -245,35 +265,27 @@ class _Parser:
 
     def formula(self) -> Formula:
         left = self.or_level()
-        if self.peek() in ("U", "R"):
-            op, _ = self.take()
-            right = self.nested(self.formula)  # right associative
-            return Until(left, right) if op == "U" else Release(left, right)
+        kind = _BY_TOKEN.get(self.peek())
+        if kind in (Until, Release):
+            self.take()
+            return kind(left, self.nested(self.formula))  # right associative
         return left
 
     def or_level(self) -> Formula:
-        parts = [self.and_level()]
-        while self.peek() == "|":
-            self.take()
-            parts.append(self.and_level())
+        # & binds tighter than |: collect the runs joined by &, then join those by |
+        runs = [[self.unary()]]
+        while self.peek() in (_OPS[And].token, _OPS[Or].token):
+            if self.take()[0] == _OPS[Or].token:
+                runs.append([])
+            runs[-1].append(self.unary())
+        parts = [conj(run) if len(run) > 1 else run[0] for run in runs]
         return disj(parts) if len(parts) > 1 else parts[0]
 
-    def and_level(self) -> Formula:
-        parts = [self.unary()]
-        while self.peek() == "&":
-            self.take()
-            parts.append(self.unary())
-        return conj(parts) if len(parts) > 1 else parts[0]
-
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok == "!":
+        kind = _BY_TOKEN.get(self.peek())
+        if kind is not None and _OPS[kind].fix == "prefix":
             self.take()
-            return Not(self.nested(self.unary))
-        if tok in ("X", "F", "G"):
-            self.take()
-            child = self.nested(self.unary)
-            return {"X": Next, "F": Eventually, "G": Always}[tok](child)
+            return kind(self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> Formula:
@@ -282,11 +294,9 @@ class _Parser:
             inner = self.nested(self.formula)
             self.expect(")")
             return inner
-        if tok == "true":
-            return TRUE
-        if tok == "false":
-            return FALSE
-        if tok is None or tok in _KEYWORDS or tok in "()&|!":
+        if tok in _LITERALS:
+            return _LITERALS[tok]
+        if tok is None or tok in _BY_TOKEN or tok == ")":
             raise ParseError(f"got {tok!r}", position=at, expected="atom or '('")
         return Atom(tok)
 
@@ -300,87 +310,71 @@ def parse_formula(text: str) -> Formula:
     return f
 
 
-def _operand(f: Formula) -> str:
-    # Binary and n-ary nodes bind loosest, so they need parentheses as operands.
-    text = _render(f)
-    if isinstance(f, (And, Or, Until, Release)):
-        return f"({text})"
-    return text
-
-
 def _render(f: Formula) -> str:
-    if isinstance(f, TrueF):
-        return "true"
-    if isinstance(f, FalseF):
-        return "false"
-    if isinstance(f, Atom):
-        return f.name
-    if isinstance(f, Not):
-        return "!" + _operand(f.child)
-    if isinstance(f, Next):
-        return "X " + _operand(f.child)
-    if isinstance(f, Eventually):
-        return "F " + _operand(f.child)
-    if isinstance(f, Always):
-        return "G " + _operand(f.child)
-    if isinstance(f, And):
-        return " & ".join(_operand(c) for c in f.children)
-    if isinstance(f, Or):
-        return " | ".join(_operand(c) for c in f.children)
-    if isinstance(f, Until):
-        return f"{_operand(f.left)} U {_operand(f.right)}"
-    if isinstance(f, Release):
-        return f"{_operand(f.left)} R {_operand(f.right)}"
-    raise TypeError(f"not a formula: {f!r}")
+    def combine(g, texts):
+        # Infix nodes bind loosest, so they need parentheses as operands.
+        texts = [
+            f"({text})" if _OPS[type(c)].fix == "infix" else text
+            for c, text in zip(_children(g), texts)
+        ]
+        op = _OPS[type(g)]
+        if op.fix == "prefix":
+            return op.token + (" " if op.token.isalpha() else "") + texts[0]
+        if op.fix == "infix":
+            return f" {op.token} ".join(texts)
+        return g.name if type(g) is Atom else op.token
+
+    return _fold(f, combine)
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text form; parsing it back yields ``canonical(f)``."""
+    """Canonical text form.
+
+    Parsing it back yields ``canonical(f)`` when every atom name matches
+    ``[A-Za-z0-9_-]+`` and is not a reserved word (X U R F G true false);
+    any other name is written as it is and does not parse back.
+    """
     return _render(canonical(f))
 
 
 def evaluate(f: Formula, view: Sequence, position: int = 0) -> bool:
-    """Satisfaction at ``position`` of a finite trace of atom sets."""
+    """Satisfaction at ``position`` of a finite trace of atom sets.
+
+    Each subformula gets one truth vector over all positions, so the cost is
+    O(|f|·n) for a formula of |f| nodes over a trace of n positions.
+    """
     n = len(view)
     if not 0 <= position < n:
         raise ValueError(f"position {position} outside trace of length {n}")
-    return _eval(f, view, position, n)
 
+    def combine(g, kids):
+        kind = type(g)
+        if kind is TrueF or kind is FalseF:
+            return [kind is TrueF] * n
+        if kind is Atom:
+            return [g.name in atoms for atoms in view]
+        if kind is Not:
+            return [not v for v in kids[0]]
+        if kind is And or kind is Or:
+            join = all if kind is And else any
+            return [join(k[i] for k in kids) for i in range(n)]
+        if kind is Next:
+            return kids[0][1:] + [False]
+        # F c is true U c and G c is false R c. U and R fill right to left,
+        # starting from their value past the last position: false for U,
+        # true for R.
+        left, right = kids if len(kids) == 2 else ([kind is Eventually] * n, kids[0])
+        until = kind is Until or kind is Eventually
+        out, later = [False] * n, not until
+        for i in range(n - 1, -1, -1):
+            if until:
+                later = right[i] or (left[i] and later)
+            else:
+                later = right[i] and (left[i] or later)
+            out[i] = later
+        return out
 
-def _eval(f: Formula, view, i: int, n: int) -> bool:
-    if isinstance(f, TrueF):
-        return True
-    if isinstance(f, FalseF):
-        return False
-    if isinstance(f, Atom):
-        return f.name in view[i]
-    if isinstance(f, Not):
-        return not _eval(f.child, view, i, n)
-    if isinstance(f, And):
-        return all(_eval(c, view, i, n) for c in f.children)
-    if isinstance(f, Or):
-        return any(_eval(c, view, i, n) for c in f.children)
-    if isinstance(f, Next):
-        return i + 1 < n and _eval(f.child, view, i + 1, n)
-    if isinstance(f, Eventually):
-        return any(_eval(f.child, view, j, n) for j in range(i, n))
-    if isinstance(f, Always):
-        return all(_eval(f.child, view, j, n) for j in range(i, n))
-    if isinstance(f, Until):
-        for j in range(i, n):
-            if _eval(f.right, view, j, n):
-                return True
-            if not _eval(f.left, view, j, n):
-                return False
-        return False
-    if isinstance(f, Release):
-        for j in range(i, n):
-            if not _eval(f.right, view, j, n):
-                return False
-            if _eval(f.left, view, j, n):
-                return True
-        return True
-    raise TypeError(f"not a formula: {f!r}")
+    return _fold(f, combine)[position]
 
 
 def is_latch_monotone(f: Formula, latch_atoms: Iterable[str]) -> bool:
@@ -396,18 +390,18 @@ def is_latch_monotone(f: Formula, latch_atoms: Iterable[str]) -> bool:
     """
     atoms = set(latch_atoms)
 
-    def ok(g: Formula) -> bool:
-        if isinstance(g, Atom):
-            return g.name in atoms
-        if (
-            isinstance(g, Until)
-            and isinstance(g.left, Not)
-            and isinstance(g.left.child, Atom)
-            and isinstance(g.right, Atom)
+    def shape(g, kids):
+        # "latch" for a latch atom, "unlatched" for its negation, "ok" for an
+        # accepted Until or conjunction, None for anything else
+        kind = type(g)
+        if kind is Atom and g.name in atoms:
+            return "latch"
+        if kind is Not and kids == ["latch"]:
+            return "unlatched"
+        if (kind is Until and kids == ["unlatched", "latch"]) or (
+            kind is And and all(k in ("latch", "ok") for k in kids)
         ):
-            return g.left.child.name in atoms and g.right.name in atoms
-        if isinstance(g, And):
-            return all(ok(c) for c in g.children)
-        return False
+            return "ok"
+        return None
 
-    return ok(f)
+    return _fold(f, shape) in ("latch", "ok")

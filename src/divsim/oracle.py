@@ -34,9 +34,13 @@ def brute_force_behaviours(
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
     branching = len(problem.actions)
-    estimate = branching**max_len
-    if estimate > NODE_GUARD:
-        raise OracleTooLarge(estimate, NODE_GUARD)
+    estimate = 1
+    # Multiply only until past the guard: the full power can be too large to
+    # compute or print. One or no action never grows the estimate.
+    for _ in range(max_len if branching > 1 else 0):
+        estimate *= branching
+        if estimate > NODE_GUARD:
+            raise OracleTooLarge(estimate, NODE_GUARD, branching, max_len)
     if cost_bound is None:
         cf = space.cost_feature
         if cf is not None:

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder
 from divsim.core import Action, SimulatorProblem
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -9,6 +10,40 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 def fixture_path(name: str) -> pathlib.Path:
     return FIXTURES / name
+
+
+def feature_space(problem, features, bound):
+    """Behaviour space of ``features``: "go" is the goal order, "cb" a cost bound."""
+    parts = []
+    for f in features:
+        if f == "go":
+            parts.append(GoalOrder(tuple(problem.goal_predicates)))
+        else:
+            parts.append(CostBound(bound))
+    return BehaviourSpace(tuple(parts))
+
+
+# --- criterion 1 fixture table -------------------------------------------
+#
+# Micro instances small enough for exhaustive behaviour enumeration: grids
+# up to 4x4 with 2-3 targets, Puzznic levels up to 5x5 with at most 6
+# blocks, attack scenarios with at most 4 hosts. Each row pins the feature
+# set, the cost bound, and the plan length that makes the brute-force
+# enumeration complete for that bound.
+
+MICRO = (
+    ("open3x3 go+cb", "open3x3.grid", ("go", "cb"), 6, 6),
+    ("two_targets_line go", "two_targets_line.grid", ("go",), 7, 7),
+    ("three_targets go", "three_targets.grid", ("go",), 8, 8),
+    ("single_pair go+cb", "single_pair.puz", ("go", "cb"), 1, 1),
+    ("ledge go+cb", "ledge.puz", ("go", "cb"), 2, 2),
+    ("cascade go+cb", "cascade.puz", ("go", "cb"), 2, 2),
+    ("cascade go", "cascade.puz", ("go",), 8, 8),
+    ("pairs go+cb", "pairs.puz", ("go", "cb"), 6, 6),
+    ("chain3 go+cb", "chain3.json", ("go", "cb"), 3, 3),
+    ("diamond go+cb", "diamond.json", ("go", "cb"), 5, 3),
+    ("multi_sensitive go+cb", "multi_sensitive.json", ("go", "cb"), 3, 3),
+)
 
 
 def assert_one_object_per_atom(*states):

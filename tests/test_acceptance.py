@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 import scipy.stats
 
-from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder
+from divsim.behaviour import BehaviourSpace, GoalOrder
 from divsim.core import replay
 from divsim.domains import load_problem
 from divsim.domains.grid import GridProblem
@@ -37,7 +37,7 @@ from divsim.oracle import brute_force_behaviours
 from divsim.search import NoveltyConfig, SearchLimits, behaviour_generator, fbi, fbi_naive
 from divsim.stats import paired_t_test
 
-from conftest import UndoToggleProblem, fixture_path
+from conftest import MICRO, UndoToggleProblem, feature_space, fixture_path
 from oracles import eval_reference, plain_iw, random_formula, random_view
 
 
@@ -47,45 +47,12 @@ def _verdict(criterion: int, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _space(problem, features, bound):
-    parts = []
-    for f in features:
-        if f == "go":
-            parts.append(GoalOrder(tuple(problem.goal_predicates)))
-        else:
-            parts.append(CostBound(bound))
-    return BehaviourSpace(tuple(parts))
-
-
-# --- criterion 1 fixture table -------------------------------------------
-#
-# Micro instances small enough for exhaustive behaviour enumeration: grids
-# up to 4x4 with 2-3 targets, Puzznic levels up to 5x5 with at most 6
-# blocks, attack scenarios with at most 4 hosts. Each row pins the feature
-# set, the cost bound, and the plan length that makes the brute-force
-# enumeration complete for that bound.
-
-MICRO = (
-    ("open3x3 go+cb", "open3x3.grid", ("go", "cb"), 6, 6),
-    ("two_targets_line go", "two_targets_line.grid", ("go",), 7, 7),
-    ("three_targets go", "three_targets.grid", ("go",), 8, 8),
-    ("single_pair go+cb", "single_pair.puz", ("go", "cb"), 1, 1),
-    ("ledge go+cb", "ledge.puz", ("go", "cb"), 2, 2),
-    ("cascade go+cb", "cascade.puz", ("go", "cb"), 2, 2),
-    ("cascade go", "cascade.puz", ("go",), 8, 8),
-    ("pairs go+cb", "pairs.puz", ("go", "cb"), 6, 6),
-    ("chain3 go+cb", "chain3.json", ("go", "cb"), 3, 3),
-    ("diamond go+cb", "diamond.json", ("go", "cb"), 5, 3),
-    ("multi_sensitive go+cb", "multi_sensitive.json", ("go", "cb"), 3, 3),
-)
-
-
 @pytest.fixture(scope="module")
 def micro_runs():
     runs = []
     for label, name, features, bound, max_len in MICRO:
         problem = load_problem(fixture_path(name))
-        space = _space(problem, features, bound)
+        space = feature_space(problem, features, bound)
         limits = SearchLimits(bound, 60.0, 10_000_000)
         started = time.perf_counter()
         oracle = brute_force_behaviours(problem, space, max_len)
@@ -377,7 +344,7 @@ def test_criterion_5_reduction_to_plain_iw():
     differing = []
     for name in ALL_FIXTURES:
         problem = load_problem(fixture_path(name))
-        space = _space(problem, ("go", "cb"), 1000)
+        space = feature_space(problem, ("go", "cb"), 1000)
         got = behaviour_generator(
             problem, space, frozenset(), NoveltyConfig(), SearchLimits()
         )
@@ -388,7 +355,7 @@ def test_criterion_5_reduction_to_plain_iw():
     for name in CORRIDORS:
         problem = load_problem(fixture_path(name))
         got = behaviour_generator(
-            problem, _space(problem, ("go", "cb"), 1000), frozenset(),
+            problem, feature_space(problem, ("go", "cb"), 1000), frozenset(),
             NoveltyConfig(max_width=1), SearchLimits(),
         )
         if got is None or got[0] != plain_iw(problem, max_width=1, cost_bound=1000):
@@ -417,7 +384,7 @@ def test_criterion_6_interior_pruning_soundness(micro_runs):
     # No built-in domain can undo a goal, so their runs never reach a node
     # interior pruning acts on; the undo fixture does.
     problem = UndoToggleProblem()
-    space = _space(problem, ("go",), 10)
+    space = feature_space(problem, ("go",), 10)
     limits = SearchLimits(10, 60.0, 1_000_000)
     k = len(brute_force_behaviours(problem, space, 6)) + 5
     extra = []

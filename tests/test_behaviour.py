@@ -17,8 +17,9 @@ from divsim.core import replay, trace_view
 from divsim.domains import load_problem
 from divsim.errors import CostBoundExceeded, NotAGoalPlan
 from divsim.ltl import evaluate, format_formula, is_latch_monotone
+from divsim.oracle import brute_force_behaviours
 
-from conftest import fixture_path
+from conftest import MICRO, feature_space, fixture_path
 
 
 def _space(*features):
@@ -194,6 +195,26 @@ class TestFormula:
             view = trace_view(problem, replay(problem, plan), 6)
             assert evaluate(behaviour_formula(space, mine), view)
             assert not evaluate(behaviour_formula(space, theirs), view)
+        # Every behaviour the oracle finds on criterion 1's micro fixtures: its
+        # witness satisfies its own formula, and violates another behaviour's
+        # when neither has a group of two or more goals (the formula is exact
+        # only up to simultaneity).
+        witnesses = pairs = 0
+        for _, name, features, bound, max_len in MICRO:
+            problem = load_problem(fixture_path(name))
+            space = feature_space(problem, features, bound)
+            oracle = brute_force_behaviours(problem, space, max_len)
+            formulas = {b: behaviour_formula(space, b) for b in oracle}
+            for mine, plan in oracle.items():
+                view = trace_view(problem, replay(problem, plan), bound)
+                assert evaluate(formulas[mine], view), (name, plan)
+                witnesses += 1
+                for theirs, formula in formulas.items():
+                    groups = mine.goal_order + theirs.goal_order
+                    if theirs != mine and all(len(g) == 1 for g in groups):
+                        assert not evaluate(formula, view), (name, plan, theirs)
+                        pairs += 1
+        assert (witnesses, pairs) == (23, 42)
 
 
 class TestCountAndJson:

@@ -488,6 +488,20 @@ class TestOracle:
         assert code == EXIT_DATA
         assert "bad scenario JSON" in err
 
+    def test_guard_error_is_one_short_line(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "oracle",
+            "--instance",
+            str(fixture_path("diamond.json")),
+            "--max-len",
+            "20000",
+        )
+        assert code == EXIT_DATA
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+        assert "max_len 20000" in err
+
     def test_requires_max_len(self):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--instance", "x.grid"])

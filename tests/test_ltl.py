@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -228,3 +229,45 @@ class TestAgainstReference:
             assert evaluate(Release(a, b), view) == (
                 not evaluate(Until(Not(a), Not(b)), view)
             )
+
+
+class TestWalk:
+    """Every operation walks the formula once, without recursion."""
+
+    def test_nested_always_is_linear_in_the_trace(self):
+        f = Atom("p")
+        for _ in range(8):
+            f = Always(f)
+        started = time.perf_counter()
+        assert evaluate(f, [{"p"}] * 20) is True
+        assert time.perf_counter() - started < 0.5
+
+    def test_deep_negation_chain(self):
+        f = Atom("a")
+        for _ in range(3000):
+            f = Not(f)
+        assert evaluate(f, [{"a"}]) is True
+        assert evaluate(Not(f), [{"a"}]) is False
+        assert format_formula(f) == "!" * 3000 + "a"
+
+    def test_shared_subformula_matches_its_tree_copy(self):
+        def until():
+            return Until(Or((Atom("q"), Atom("p"))), Not(Atom("q")))
+
+        u = until()
+        dag = And((u, Or((u, Atom("r"))), Always(u), Release(u, u)))
+        tree = And(
+            (until(), Or((until(), Atom("r"))), Always(until()), Release(until(), until()))
+        )
+        assert canonical(dag) == canonical(tree)
+        assert format_formula(dag) == format_formula(tree)
+        rng = random.Random(5)
+        for _ in range(200):
+            view = random_view(rng)
+            for i in range(len(view)):
+                assert evaluate(dag, view, i) == evaluate(tree, view, i)
+
+    def test_non_formula_is_a_type_error(self):
+        for op in (canonical, format_formula, lambda f: evaluate(f, [set()])):
+            with pytest.raises(TypeError):
+                op(And((Atom("p"), "p")))

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder
@@ -6,7 +8,7 @@ from divsim.domains import load_problem
 from divsim.errors import OracleTooLarge
 from divsim.oracle import brute_force_behaviours
 
-from conftest import fixture_path
+from conftest import ToggleProblem, fixture_path
 from oracles import dfs_behaviours
 
 
@@ -52,6 +54,30 @@ class TestBruteForce:
         with pytest.raises(OracleTooLarge) as err:
             brute_force_behaviours(problem, _both_features(problem, 50), max_len=50)
         assert err.value.estimate > err.value.limit
+
+    def test_guard_trips_fast_on_astronomical_lengths(self):
+        problem = load_problem(fixture_path("diamond.json"))
+        started = time.perf_counter()
+        with pytest.raises(OracleTooLarge) as err:
+            brute_force_behaviours(problem, _both_features(problem, 5), max_len=10**9)
+        assert time.perf_counter() - started < 1.0
+        assert "max_len 1000000000" in str(err.value)
+
+    def test_one_action_never_trips_the_guard(self):
+        class SetOnly(ToggleProblem):
+            """``ToggleProblem`` cut down to its one action, set-a, and goal ga."""
+
+            def __init__(self):
+                super().__init__()
+                self._actions = self._actions[:1]
+
+            @property
+            def goal_predicates(self):
+                return (self._ga,)
+
+        space = BehaviourSpace((GoalOrder(("ga",)),))
+        got = brute_force_behaviours(SetOnly(), space, max_len=10**9)
+        assert list(got.values()) == [("set-a",)]
 
     @pytest.mark.parametrize(
         "name,max_len,bound",
