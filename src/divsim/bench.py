@@ -32,6 +32,12 @@ MODES = ("fbi", "naive")
 FEATURES = ("go", "cb")
 OUTCOMES = ("done", "exhausted", "timeout", "nodecap", "error")
 
+
+def _check_distinct(name: str, values) -> None:
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} repeats a value: {', '.join(map(str, values))}")
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One planner run. ``cost_bound`` and ``time_budget_s``, when given,
@@ -55,6 +61,7 @@ class TaskSpec:
             raise ValueError("k must be at least 1")
         if not self.features:
             raise ValueError("at least one diversity feature is required")
+        _check_distinct("features", self.features)
         for f in self.features:
             if f not in FEATURES:
                 raise ValueError(f"unknown feature {f!r}; expected a subset of {FEATURES}")
@@ -156,11 +163,14 @@ def run_suite(
     """Run every instance in a directory for every mode and k.
 
     Returns ``(rows, aggregates)``. The (k, mode) tasks are built, and so
-    checked, before the directory is listed or ``plans_dir`` made. A task
+    checked, before the directory is listed or ``plans_dir`` made; a mode or
+    k given twice is a ``ValueError``, as it would run a task twice. A task
     that raises, whatever the exception, becomes a row with outcome "error"
     and a warning naming the exception type, instead of aborting the rest
     of the suite.
     """
+    _check_distinct("modes", modes)
+    _check_distinct("k values", k_list)
     tasks = [
         TaskSpec("", mode, k, features=features, novelty=novelty, limits=limits)
         for k in k_list

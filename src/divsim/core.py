@@ -174,19 +174,21 @@ class TransitionMemo:
         self._steps: dict = {}  # (state, action name) -> (successor, goal flag, mask)
         self._states: dict = {}  # state -> (interned state, goal flag, mask)
         self._bits: dict = {}  # atom -> its bit in every mask of this run
+        self._size = 0  # entries stored over the three tables
         self.goal_bits = self._mask(problem.goal_predicates)
         self.initial = self._info(problem.initial)
 
     def __len__(self) -> int:
-        return len(self._applicable) + len(self._steps) + len(self._states)
+        return self._size
 
     def _info(self, state: State) -> tuple:
         info = self._states.get(state)
         if info is None:
             problem = self.problem
             info = (state, problem.is_goal(state), self._mask(problem.atoms(state)))
-            if len(self) < MEMO_CAP:
+            if self._size < MEMO_CAP:
                 self._states[state] = info
+                self._size += 1
         return info
 
     def _mask(self, atoms) -> int:
@@ -208,8 +210,9 @@ class TransitionMemo:
         got = self._applicable.get(state)
         if got is None:
             got = self.problem.applicable(state)
-            if len(self) < MEMO_CAP:
+            if self._size < MEMO_CAP:
                 self._applicable[state] = got
+                self._size += 1
         return got
 
     def step(self, state: State, action: Action) -> tuple:
@@ -221,8 +224,9 @@ class TransitionMemo:
             return info
         self.stats.simulate_calls += 1
         info = self._info(self.problem.simulate(state, action))
-        if len(self) < MEMO_CAP:
+        if self._size < MEMO_CAP:
             self._steps[key] = info
+            self._size += 1
         return info
 
 

@@ -70,24 +70,27 @@ def _freeze(rows) -> tuple:
 
 def _apply_gravity(rows, columns=None, moved=None) -> bool:
     """Drop every block of ``columns`` (default all) to the bottom of its
-    wall-free column segment; add each cell a block lands in to ``moved``."""
+    wall-free column segment; add each cell a block lands in to ``moved``.
+
+    One bottom-up pass per column: ``floor`` is the lowest cell of the
+    current segment no block has settled in yet."""
     changed = False
     height = len(rows)
     width = len(rows[0]) if rows else 0
     for c in range(width) if columns is None else columns:
-        top = 0
-        for r in range(height + 1):
-            if r == height or rows[r][c] == WALL:
-                segment = [rows[i][c] for i in range(top, r)]
-                stack = [x for x in segment if x != EMPTY]
-                packed = [EMPTY] * (len(segment) - len(stack)) + stack
-                if packed != segment:
+        floor = height - 1
+        for r in range(height - 1, -1, -1):
+            cell = rows[r][c]
+            if cell == WALL:
+                floor = r - 1
+            elif cell != EMPTY:
+                if floor != r:
+                    rows[floor][c] = cell
+                    rows[r][c] = EMPTY
                     changed = True
-                    for i, cell in enumerate(packed):
-                        rows[top + i][c] = cell
-                        if moved is not None and cell != EMPTY and cell != segment[i]:
-                            moved.add((top + i, c))
-                top = r + 1
+                    if moved is not None:
+                        moved.add((floor, c))
+                floor -= 1
     return changed
 
 
@@ -332,8 +335,11 @@ class PuzznicProblem(SimulatorProblem):
 
     The walls, band width and costs are the level's and never change, so
     these three fields are the whole state. ``simulate`` and ``applicable``
-    run the same move rule and physics as ``puzznic_step``. ``atoms`` gives
-    the set ``puzznic_predicates`` would, built from tables of atom strings
+    run the same move rule and physics as ``puzznic_step``. As walls never
+    move, a cursor move's destination depends on the cell alone: the problem
+    asks the move rule once per cell, at construction, and answers cursor
+    moves from that table; pushes still run the rule and the physics.
+    ``atoms`` gives the set ``puzznic_predicates`` would, built from tables of atom strings
     that the problem makes once: cursor and block atoms per cell, cleared
     atoms per pattern, and band atoms as scores reach them. Many states
     share a grid, so the block and cleared atoms of each grid are built once
@@ -356,6 +362,20 @@ class PuzznicProblem(SimulatorProblem):
         self._cleared_atoms = tuple((p, f"cleared-{p}") for p in self.patterns)
         self._band_atoms: dict = {}  # band -> its atom
         self._grid_atoms: dict = {}  # grid -> its block and cleared atoms
+        self._cursor_dests: dict = {}  # (cell, cursor move name) -> the cell it reaches
+        # cell -> its applicable actions: its cursor moves, then with push-left,
+        # with push-right, with both
+        self._moves: dict = {}
+        cursor_moves, (left, right) = self.actions[:-2], self.actions[-2:]
+        for cell in cells:
+            moves = []
+            for action in cursor_moves:
+                dest = _destination(level.grid, cell, action.name)
+                if dest is not None:
+                    self._cursor_dests[cell, action.name] = dest
+                    moves.append(action)
+            moves = tuple(moves)
+            self._moves[cell] = (moves, moves + (left,), moves + (right,), moves + (left, right))
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
@@ -377,10 +397,21 @@ class PuzznicProblem(SimulatorProblem):
 
     def applicable(self, state: tuple) -> tuple:
         grid, cursor, _ = state
-        return tuple(a for a in self.actions if _destination(grid, cursor, a.name))
+        moves = self._moves[cursor]
+        r, c = cursor
+        row = grid[r]
+        if row[c] == EMPTY:
+            return moves[0]
+        left = c > 0 and row[c - 1] == EMPTY
+        right = c + 1 < len(row) and row[c + 1] == EMPTY
+        return moves[left + 2 * right]
 
     def simulate(self, state: tuple, action: Action) -> tuple:
-        return _step(*state, action.name)
+        grid, cursor, score = state
+        dest = self._cursor_dests.get((cursor, action.name))
+        if dest is None:
+            return _step(grid, cursor, score, action.name)
+        return grid, dest, score
 
     def is_goal(self, state: tuple) -> bool:
         # A row strips to nothing iff it holds no block.

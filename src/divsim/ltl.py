@@ -141,26 +141,40 @@ def _fold(f: Formula, combine):
     return values[id(f)]
 
 
+def _node_key(g: Formula, keys) -> tuple:
+    """``_key`` of ``g`` from its children's keys."""
+    rank = _OPS[type(g)].rank
+    return (rank, g.name) if type(g) is Atom else (rank, *keys)
+
+
 def _key(f: Formula):
-    """Deterministic total order on formulas, used to sort conjuncts/disjuncts."""
-
-    def combine(g, keys):
-        rank = _OPS[type(g)].rank
-        return (rank, g.name) if type(g) is Atom else (rank, *keys)
-
-    return _fold(f, combine)
+    """Deterministic total order on formulas, used to sort conjuncts/disjuncts.
+    Two formulas have equal keys iff they are equal."""
+    return _fold(f, _node_key)
 
 
-def _flat(kind, parts: Iterable[Formula], empty: Formula) -> Formula:
+def _flat(kind, parts) -> tuple:
     """``kind`` (And or Or) of ``parts``, with nested ``kind`` children
-    flattened, duplicates removed and children in canonical order; ``empty``
-    when no part is left and the only part when one is."""
-    unique = sorted(
-        {c for p in parts for c in (_children(p) if type(p) is kind else (p,))}, key=_key
-    )
+    flattened, duplicates removed and children in canonical order; ``true``
+    or ``false`` (the empty And or Or) when no part is left and the only
+    part when one is.
+
+    Parts and result are ``(formula, _key(formula))`` pairs, so a caller
+    that folds bottom-up keys each node once. Duplicates are found by
+    comparing sorted keys: hashing a deeply nested formula or key would
+    recurse once per level."""
+    flat = []
+    for p, key in parts:
+        flat.extend(zip(p.children, key[1:]) if type(p) is kind else ((p, key),))
+    flat.sort(key=lambda pair: pair[1])
+    unique = [pair for i, pair in enumerate(flat) if i == 0 or pair[1] != flat[i - 1][1]]
     if len(unique) == 1:
         return unique[0]
-    return kind(tuple(unique)) if unique else empty
+    if not unique:
+        empty = TRUE if kind is And else FALSE
+        return empty, _key(empty)
+    node = kind(tuple(c for c, _ in unique))
+    return node, _node_key(node, [key for _, key in unique])
 
 
 def conj(parts: Iterable[Formula]) -> Formula:
@@ -169,12 +183,12 @@ def conj(parts: Iterable[Formula]) -> Formula:
     The empty conjunction is ``true`` and a singleton collapses to its only
     conjunct.
     """
-    return _flat(And, parts, TRUE)
+    return _flat(And, [(p, _key(p)) for p in parts])[0]
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """Or, canonicalized the same way; the empty disjunction is ``false``."""
-    return _flat(Or, parts, FALSE)
+    return _flat(Or, [(p, _key(p)) for p in parts])[0]
 
 
 def canonical(f: Formula) -> Formula:
@@ -184,12 +198,14 @@ def canonical(f: Formula) -> Formula:
     relation: ``canonical(And((a, b))) == canonical(And((b, a)))``.
     """
 
-    def combine(g, children):
-        if type(g) in (And, Or):
-            return (conj if type(g) is And else disj)(children)
-        return type(g)(*children) if children else g
+    def combine(g, kids):
+        kind = type(g)
+        if kind is And or kind is Or:
+            return _flat(kind, kids)
+        node = kind(*(c for c, _ in kids)) if kids else g
+        return node, _node_key(node, [key for _, key in kids])
 
-    return _fold(f, combine)
+    return _fold(f, combine)[0]
 
 
 # --- concrete syntax ---------------------------------------------------------

@@ -227,9 +227,13 @@ class NoveltyTable:
             bit = rest & -rest
             bits.append(bit)
             rest ^= bit
-        got = self._keys[mask] = tuple(
-            sum(combo) for size in range(self.width) for combo in itertools.combinations(bits, size)
-        )
+        # Each size-s key is a size-(s-1) key plus one bit above its highest,
+        # which lists the keys in the order of ``itertools.combinations``.
+        keys, layer = [0], [0]
+        for _ in range(1, self.width):
+            layer = [key | bit for key in layer for bit in bits if bit > key]
+            keys += layer
+        got = self._keys[mask] = tuple(keys)
         return got
 
     def record(self, summary: dict, mask: int) -> dict:

@@ -5,7 +5,8 @@ calling into the package's own logic: the temporal evaluator expands the
 quantifiers literally and derives Release through its Until dual, the width
 search is a separate BFS, the behaviour enumerator is a depth-first walk
 with no deduplication, and the Grid and Pentest encoders rebuild a state's
-atoms from the plan that reached it. The one exception is ``restart_fbi``, the
+atoms from the plan that reached it, and Puzznic gravity repacks each column
+segment as a list. The one exception is ``restart_fbi``, the
 forbid-and-restart loop, which calls the package's one-shot generators
 (themselves checked against ``plain_iw``). Slow is fine; these only run on
 tiny inputs.
@@ -292,3 +293,29 @@ def pentest_reference(scenario, plan):
     )
     goal = all(h in compromised for h in scenario.hosts if h.sensitive)
     return frozenset(atoms), applicable, goal
+
+
+def segment_gravity(rows, columns=None, moved=None):
+    """Puzznic gravity on a list of row lists, in place, one wall-free column
+    segment at a time: each segment is rebuilt as its empty cells above its
+    blocks, in their order. Returns whether a cell changed and adds to
+    ``moved`` each cell that now holds a block of another pattern than before.
+    """
+    changed = False
+    height = len(rows)
+    width = len(rows[0]) if rows else 0
+    for c in range(width) if columns is None else columns:
+        top = 0
+        for r in range(height + 1):
+            if r == height or rows[r][c] == "#":
+                segment = [rows[i][c] for i in range(top, r)]
+                stack = [x for x in segment if x != "."]
+                packed = ["."] * (len(segment) - len(stack)) + stack
+                if packed != segment:
+                    changed = True
+                    for i, cell in enumerate(packed):
+                        rows[top + i][c] = cell
+                        if moved is not None and cell != "." and cell != segment[i]:
+                            moved.add((top + i, c))
+                top = r + 1
+    return changed

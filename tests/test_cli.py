@@ -204,6 +204,14 @@ class TestSolve:
         assert code == EXIT_USAGE
         assert "error:" in err
 
+    def test_repeated_feature_exits_64(self, capsys):
+        code, out, err = run_cli(
+            capsys, "solve", "--instance", str(fixture_path("pairs.puz")), "--features", "go,go"
+        )
+        assert code == EXIT_USAGE
+        assert "features repeats a value" in err
+        assert out == ""
+
     def test_unknown_flag_exits_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--instance", "x.grid", "--bogus"])
@@ -296,6 +304,23 @@ class TestBench:
         assert "empty list" in err
         assert "warning:" not in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--features", "go,go"), ("--modes", "fbi,fbi"), ("--k-list", "2,2"), ("--k-list", "2,02")],
+    )
+    def test_repeated_value_exits_64_before_any_task(self, capsys, tmp_path, flags):
+        out_csv, plans = tmp_path / "rows.csv", tmp_path / "plans"
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", str(fixture_path("suite")), "--plans-dir", str(plans),
+            "--out", str(out_csv), *flags,
+        )
+        assert code == EXIT_USAGE
+        assert "repeats a value" in err
+        assert "warning:" not in err
+        assert "rows" not in out
+        assert not out_csv.exists()
+        assert not plans.exists()
 
     @pytest.mark.parametrize(
         "flags", [("--cost-bound", "0"), ("--features", "xx"), ("--modes", "bogus")]

@@ -1,3 +1,4 @@
+import functools
 import random
 from collections import Counter
 from dataclasses import replace
@@ -6,10 +7,13 @@ import pytest
 
 from divsim import core
 from divsim.behaviour import BehaviourSpace, GoalOrder
-from divsim.core import replay, trace_view
+from divsim.core import Action, replay, trace_view
 from divsim.domains import PuzznicProblem, load_problem
 from divsim.domains.puzznic import (
     PuzznicLevel,
+    _apply_gravity,
+    _destination,
+    _step,
     applicable_moves,
     level_goal,
     parse_puzznic,
@@ -27,7 +31,8 @@ from divsim.errors import (
 )
 from divsim.search import SearchLimits, fbi
 
-from conftest import assert_one_object_per_atom, fixture_path
+from conftest import FIXTURES, assert_one_object_per_atom, fixture_path
+from oracles import segment_gravity
 
 
 def _grid(*rows):
@@ -276,23 +281,32 @@ class TestProblem:
         assert successors | {problem.initial} == set(asked)
 
 
+# The three-pattern level of the benchmark's ``puzznic-fbi`` workload.
+FBI_LEVEL = "#########\n#a..b..c#\n##.###.##\n#a.@b..c#\n#########\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _fbi_pairs(text):
+    """A problem on ``text`` and every (state, action) pair ``fbi`` simulated on it."""
+    problem = PuzznicProblem.from_text(text)
+    pairs = []
+    simulate = problem.simulate
+    problem.simulate = lambda s, a: pairs.append((s, a)) or simulate(s, a)
+    space = BehaviourSpace((GoalOrder(problem.goal_predicates),))
+    fbi(problem, space, 7, limits=SearchLimits(cost_bound=1000))
+    del problem.simulate
+    return problem, tuple(pairs)
+
+
 class TestReferenceAgreement:
     """The problem's state against the ``PuzznicLevel`` reference functions,
     over every (state, action) pair ``fbi`` reaches on a three-pattern level."""
 
-    TEXT = "#########\n#a..b..c#\n##.###.##\n#a.@b..c#\n#########\n"
+    TEXT = FBI_LEVEL
 
     @pytest.fixture(scope="class")
     def reached(self):
-        """The problem and every (state, action) pair ``fbi`` simulated on it."""
-        problem = PuzznicProblem.from_text(self.TEXT)
-        pairs = []
-        simulate = problem.simulate
-        problem.simulate = lambda s, a: pairs.append((s, a)) or simulate(s, a)
-        space = BehaviourSpace((GoalOrder(problem.goal_predicates),))
-        fbi(problem, space, 7, limits=SearchLimits(cost_bound=1000))
-        del problem.simulate
-        return problem, pairs
+        return _fbi_pairs(self.TEXT)
 
     @staticmethod
     def _level(problem, state):
@@ -355,6 +369,66 @@ class TestReferenceAgreement:
         assert_one_object_per_atom(*atoms, problem.goal_predicates)
 
 
+class TestMoveTables:
+    """``applicable`` and ``simulate``, which answer cursor moves from tables
+    built at load, against the move rule ``_destination`` and ``_step`` on
+    every state ``fbi`` reaches. The last level has no walls, so blocks sit
+    at the grid's edges."""
+
+    LEVELS = {
+        "puzznic-fbi": FBI_LEVEL,
+        **{path.name: path.read_text() for path in sorted(FIXTURES.rglob("*.puz"))},
+        "no-walls": "A.ba.b.\n",
+    }
+
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    def test_every_action_answers_as_the_move_rule(self, name):
+        problem, pairs = _fbi_pairs(self.LEVELS[name])
+        states = {problem.initial} | {problem.simulate(s, a) for s, a in pairs}
+        pushes = 0
+        for state in states:
+            grid, cursor, score = state
+            applicable = problem.applicable(state)
+            assert applicable == tuple(
+                a for a in problem.actions if _destination(grid, cursor, a.name)
+            )
+            pushes += sum(a.name.startswith("push-") for a in applicable)
+            for action in problem.actions:
+                if action in applicable:
+                    assert problem.simulate(state, action) == _step(*state, action.name)
+                    continue
+                with pytest.raises(InapplicableAction) as want:
+                    _step(*state, action.name)
+                with pytest.raises(InapplicableAction) as got:
+                    problem.simulate(state, action)
+                assert str(got.value) == str(want.value)
+            with pytest.raises(UnknownAction):
+                problem.simulate(state, Action("cursor-jump"))
+        assert pushes
+
+
+class TestGravity:
+    def test_one_pass_gravity_matches_the_segment_reference(self):
+        rng = random.Random(13)
+        falls = 0
+        for _ in range(2000):
+            height, width = rng.randint(1, 7), rng.randint(1, 7)
+            grid = [rng.choices("#.ab", weights=(2, 4, 2, 2), k=width) for _ in range(height)]
+            columns = None
+            if rng.random() < 0.5:
+                columns = sorted(rng.sample(range(width), rng.randint(0, width)))
+            rows, expected = [list(row) for row in grid], [list(row) for row in grid]
+            moved, expected_moved = set(), set()
+            changed = _apply_gravity(rows, columns, moved)
+            assert changed == segment_gravity(expected, columns, expected_moved)
+            assert rows == expected
+            # Every cell a block lands in, which holds the cells whose pattern changed.
+            assert expected_moved <= moved
+            assert all(rows[r][c] in "ab" and grid[r][c] != "#" for r, c in moved)
+            falls += changed
+        assert falls > 500
+
+
 class TestSettleFromChangedCells:
     """A push settled from the cells it changed against the full scan, on
     random settled grids."""
@@ -387,6 +461,8 @@ class TestSettleFromChangedCells:
                         full = [("push", pushed, None)]
                         settled, waves = settle(pushed, full)
                         assert (hinted.grid, hinted.score) == (settled, score_gain(waves))
+                        changed = ((r, c), (r, c + dc))
+                        assert settle(pushed, changed=changed) == (settled, waves)
                         assert record == full
                         pushes += 1
                         cascades += len(waves) > 1

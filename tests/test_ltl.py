@@ -250,6 +250,24 @@ class TestWalk:
         assert evaluate(Not(f), [{"a"}]) is False
         assert format_formula(f) == "!" * 3000 + "a"
 
+    def test_deep_alternating_and_or(self):
+        # Neither And nor Or flattens into the other, so each level stays.
+        depth = 2000
+        f = Atom("f")
+        for _ in range(depth):
+            f = Or((And((f, Atom("b"))), Atom("c")))
+        g = canonical(f)
+        for _ in range(depth):
+            assert type(g) is Or and g.children[0] == Atom("c")
+            inner = g.children[1]
+            assert type(inner) is And and inner.children[0] == Atom("b")
+            g = inner.children[1]
+        assert g == Atom("f")
+        text = "c | (b & f)"
+        for _ in range(depth - 1):
+            text = f"c | (b & ({text}))"
+        assert format_formula(f) == text
+
     def test_shared_subformula_matches_its_tree_copy(self):
         def until():
             return Until(Or((Atom("q"), Atom("p"))), Not(Atom("q")))

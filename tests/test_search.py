@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -194,6 +195,17 @@ class TestNovelty:
                 elif got:
                     kept.append((table.record(dict(summary), mask), seen | tuples))
         assert True in decisions and False in decisions
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_keys_follow_the_combinations_order(self, width):
+        rng = random.Random(f"subsets-{width}")
+        table = NoveltyTable(width, NoveltyScope.TRACE_LOCAL)
+        for _ in range(200):
+            mask = rng.getrandbits(rng.randint(0, 12))
+            bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+            assert table._subsets(mask) == tuple(
+                sum(combo) for size in range(width) for combo in itertools.combinations(bits, size)
+            )
 
     def test_config_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -534,9 +546,9 @@ class TestTransitionMemo:
         assert res.stats.simulate_calls == len(problem.simulated)
         assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
 
-    @pytest.mark.parametrize("run", [_fbi, _naive], ids=["fbi", "naive"])
-    def test_capped_memo_gives_the_same_plans(self, run, monkeypatch):
-        _, full = _pentest_run(run)
+    @staticmethod
+    def _recorded_memos(monkeypatch):
+        """The list every ``TransitionMemo`` the search makes from now on joins."""
         memos = []
 
         class RecordedMemo(core.TransitionMemo):
@@ -544,8 +556,14 @@ class TestTransitionMemo:
                 super().__init__(*args)
                 memos.append(self)
 
-        monkeypatch.setattr(core, "MEMO_CAP", 5)
         monkeypatch.setattr(search, "TransitionMemo", RecordedMemo)
+        return memos
+
+    @pytest.mark.parametrize("run", [_fbi, _naive], ids=["fbi", "naive"])
+    def test_capped_memo_gives_the_same_plans(self, run, monkeypatch):
+        _, full = _pentest_run(run)
+        monkeypatch.setattr(core, "MEMO_CAP", 5)
+        memos = self._recorded_memos(monkeypatch)
         problem, capped = _pentest_run(run)
         assert capped.plans == full.plans
         assert capped.behaviours == full.behaviours
@@ -553,6 +571,16 @@ class TestTransitionMemo:
         assert capped.stats.simulate_calls > full.stats.simulate_calls
         assert len(problem.simulated) > len(set(problem.simulated))
         assert len(memos) == 1 and len(memos[0]) <= 5
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_memo_length_counts_its_tables(self, cap, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(core, "MEMO_CAP", cap)
+        memos = self._recorded_memos(monkeypatch)
+        _pentest_run(_fbi)
+        (memo,) = memos
+        assert len(memo) == len(memo._applicable) + len(memo._steps) + len(memo._states)
+        assert len(memo) == 5 if cap else len(memo) > 5
 
 
 def _star(n_lans, sensitive, pads=0):
