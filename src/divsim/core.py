@@ -144,24 +144,26 @@ MEMO_CAP = 200_000
 class TransitionMemo:
     """One planner run's table of transitions, in the integer form the search uses.
 
-    ``step`` answers ``(successor, its goal flag, its atom bitmask)`` and
-    ``applicable`` the applicable actions, from tables keyed by state; the
-    wrapped problem is asked only on a miss. The contract makes those pure
-    functions of the state, so the answers are exact. Every state the
-    problem returns is interned: the tables share one copy of it, stored
-    with its goal flag and mask, so the problem is asked for a state's goal
-    flag and ``atoms`` once, when the memo first meets the state.
-    ``initial`` is the same triple for the initial state. Once the tables
-    hold ``MEMO_CAP`` entries, misses are still answered but no longer
-    stored.
+    ``step`` answers ``(successor, its goal flag, its atom bitmask, its
+    atom bits)`` and ``applicable`` the applicable actions, from tables
+    keyed by state; the wrapped problem is asked only on a miss. The
+    contract makes those pure functions of the state, so the answers are
+    exact. Every state the problem returns is interned: the tables share one
+    copy of it, stored with its goal flag, mask and bits, so the problem is
+    asked for a state's goal flag and ``atoms`` once, when the memo first
+    meets the state. ``initial`` is the same tuple for the initial state.
+    Once the tables hold ``MEMO_CAP`` entries, misses are still answered but
+    no longer stored.
 
-    A mask sets one bit per atom of the state. Bits are dense ids the memo
-    gives atoms: the goal predicates first, in declaration order, so that
-    ``goal_bits`` is their mask, then every other atom in first-seen order,
-    which is set order and follows the string hash seed. A mask means the
-    same thing for the whole run and nothing outside it. The id table has
-    one entry per distinct atom, which the problem bounds, and is not
-    capped: a mask must not change meaning mid-run.
+    A mask sets one bit per atom of the state, and the state's bits are
+    those one-bit ints, one per atom, which the novelty test builds its keys
+    from. Bits are dense ids the memo gives atoms: the goal predicates
+    first, in declaration order, so that ``goal_bits`` is their mask, then
+    every other atom in first-seen order, which is set order and follows the
+    string hash seed. A mask means the same thing for the whole run and
+    nothing outside it. The id table has one entry per distinct atom, which
+    the problem bounds, and is not capped: a mask must not change meaning
+    mid-run.
 
     Each real ``simulate`` call and each memo hit is counted into
     ``stats.simulate_calls`` and ``stats.memo_hits``.
@@ -171,11 +173,11 @@ class TransitionMemo:
         self.problem = problem
         self.stats = stats
         self._applicable: dict = {}  # state -> applicable actions
-        self._steps: dict = {}  # (state, action name) -> (successor, goal flag, mask)
-        self._states: dict = {}  # state -> (interned state, goal flag, mask)
-        self._bits: dict = {}  # atom -> its bit in every mask of this run
+        self._steps: dict = {}  # (state, action name) -> (successor, goal flag, mask, bits)
+        self._states: dict = {}  # state -> (interned state, goal flag, mask, bits)
+        self._ids: dict = {}  # atom -> its bit in every mask of this run
         self._size = 0  # entries stored over the three tables
-        self.goal_bits = self._mask(problem.goal_predicates)
+        self.goal_bits = self._mask_and_bits(problem.goal_predicates)[0]
         self.initial = self._info(problem.initial)
 
     def __len__(self) -> int:
@@ -185,26 +187,28 @@ class TransitionMemo:
         info = self._states.get(state)
         if info is None:
             problem = self.problem
-            info = (state, problem.is_goal(state), self._mask(problem.atoms(state)))
+            info = (state, problem.is_goal(state), *self._mask_and_bits(problem.atoms(state)))
             if self._size < MEMO_CAP:
                 self._states[state] = info
                 self._size += 1
         return info
 
-    def _mask(self, atoms) -> int:
-        bits = self._bits
+    def _mask_and_bits(self, atoms) -> tuple:
+        ids = self._ids
         mask = 0
+        bits = []
         for pred in atoms:
-            bit = bits.get(pred)
+            bit = ids.get(pred)
             if bit is None:
-                bit = bits[pred] = 1 << len(bits)
+                bit = ids[pred] = 1 << len(ids)
             mask |= bit
-        return mask
+            bits.append(bit)
+        return mask, tuple(bits)
 
     def goals(self, mask: int) -> frozenset:
         """The goal predicates whose bits ``mask`` sets."""
-        bits = self._bits
-        return frozenset(g for g in self.problem.goal_set if bits[g] & mask)
+        ids = self._ids
+        return frozenset(g for g in self.problem.goal_set if ids[g] & mask)
 
     def applicable(self, state: State) -> tuple:
         got = self._applicable.get(state)
@@ -216,7 +220,7 @@ class TransitionMemo:
         return got
 
     def step(self, state: State, action: Action) -> tuple:
-        """``(successor, its goal flag, its mask)`` of ``action`` in ``state``."""
+        """``(successor, its goal flag, its mask, its bits)`` of ``action`` in ``state``."""
         key = (state, action.name)
         info = self._steps.get(key)
         if info is not None:

@@ -137,13 +137,15 @@ class Budget:
 
 
 class _Node:
-    """A trace position: the memo's interned ``state``, the path ``cost``, the
-    ``goal`` flag and ``latched``, the mask of the goals true here or before."""
+    """A trace position: the memo's interned ``state`` and its atom ``mask``,
+    the path ``cost``, the ``goal`` flag and ``latched``, the mask of the
+    goals true here or before."""
 
-    __slots__ = ("state", "cost", "goal", "latched", "parent", "action_name", "summary")
+    __slots__ = ("state", "mask", "cost", "goal", "latched", "parent", "action_name", "summary")
 
-    def __init__(self, state, cost, goal, latched, parent, action_name, summary):
+    def __init__(self, state, mask, cost, goal, latched, parent, action_name, summary):
         self.state = state
+        self.mask = mask
         self.cost = cost
         self.goal = goal
         self.latched = latched
@@ -193,6 +195,22 @@ def state_tuples(raw: frozenset, width: int) -> frozenset:
     return frozenset(tuples)
 
 
+def _layers(bits, size: int):
+    """The masks of the sets of at most ``size`` of the one-bit ints
+    ``bits``, each once."""
+    if size == 0:
+        return (0,)
+    keys = [0, *bits]
+    if size > 1:
+        # A set of the next size is one of this size plus a bit above its
+        # highest; for a one-bit ``bit``, ``bit > key`` says exactly that.
+        layer = bits = sorted(bits)
+        for _ in range(1, size):
+            layer = [key | bit for key in layer for bit in bits if bit > key]
+            keys += layer
+    return keys
+
+
 class NoveltyTable:
     """Width-i novelty test on atom bitmasks.
 
@@ -208,47 +226,64 @@ class NoveltyTable:
     together with K, so the combination K + {a} is new. That is the
     ``state_tuples`` definition, decided without building any tuple.
 
+    Only keys that hold an atom the step added need a look. The parent p of
+    a candidate is already recorded in the summary the candidate meets: in
+    TRACE_LOCAL scope that summary is p's own, in GLOBAL scope p was
+    recorded when it passed the test, and the root is recorded before any
+    child is tested. So every combination within p is seen, and a new one
+    holds an added atom, one of ``m & ~p``. Take a new combination T and an
+    added atom a in it. If T has two or more atoms, K = T minus some atom
+    other than a holds a and shows T new. If T = {a}, a was never recorded:
+    K = {a} shows it from width 2 on, and K = {} at width 1. So the test
+    looks up only the keys within m of size below i that hold an added atom,
+    or {} at width 1: one lookup per added atom at width 2, and none for a
+    candidate that adds no atom, which is never novel. Keys are built on
+    each call from the bits the run's memo keeps per state, so the table
+    itself holds nothing per state.
+
     In TRACE_LOCAL scope each kept node carries its own summary, a copy of
     its parent's with the node recorded. In GLOBAL scope one summary serves
     the whole width iteration, and a true result records the candidate in
-    it as a side effect. Masks must come from one run's ``TransitionMemo``.
+    it as a side effect. Masks and bits must come from one run's
+    ``TransitionMemo``.
     """
 
     def __init__(self, width: int, scope: NoveltyScope):
         self.width = width
         self.scope = scope
-        self._keys: dict = {}  # mask -> the masks of its atom sets of size below the width
 
-    def _subsets(self, mask: int) -> tuple:
-        """The masks of the atom sets of ``mask`` of size below the width."""
-        bits = []
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            bits.append(bit)
-            rest ^= bit
-        # Each size-s key is a size-(s-1) key plus one bit above its highest,
-        # which lists the keys in the order of ``itertools.combinations``.
-        keys, layer = [0], [0]
-        for _ in range(1, self.width):
-            layer = [key | bit for key in layer for bit in bits if bit > key]
-            keys += layer
-        got = self._keys[mask] = tuple(keys)
-        return got
-
-    def record(self, summary: dict, mask: int) -> dict:
-        """Record the state ``mask`` in ``summary``, in place; return it."""
-        for key in self._keys.get(mask) or self._subsets(mask):
+    def record(self, summary: dict, mask: int, bits: tuple) -> dict:
+        """Record the state ``mask``, whose one-bit ints are ``bits``, in
+        ``summary``, in place; return it."""
+        for key in _layers(bits, self.width - 1):
             summary[key] = summary.get(key, 0) | mask
         return summary
 
-    def is_novel(self, mask: int, summary: dict) -> bool:
-        for key in self._keys.get(mask) or self._subsets(mask):
-            if summary.get(key, 0) & mask != mask:
-                if self.scope is NoveltyScope.GLOBAL:
-                    self.record(summary, mask)
-                return True
-        return False
+    def is_novel(self, mask: int, bits: tuple, parent_mask: int, summary: dict) -> bool:
+        """Whether the state ``mask``, whose one-bit ints are ``bits``, is
+        novel as a child of the state ``parent_mask``, which ``summary``
+        holds."""
+        added = mask & ~parent_mask
+        if self.width == 1:
+            novel = bool(added) and summary.get(0, 0) & mask != mask
+        else:
+            # Each key that holds an added atom, once: its lowest added atom
+            # ``low`` plus up to width - 2 other atoms of the state, none of
+            # them an added atom at or below ``low``.
+            others = _layers(bits, self.width - 2)
+            novel = False
+            done = 0
+            while added and not novel:
+                low = added & -added
+                added ^= low
+                done |= low
+                for key in others:
+                    if not key & done and summary.get(low | key, 0) & mask != mask:
+                        novel = True
+                        break
+        if novel and self.scope is NoveltyScope.GLOBAL:
+            self.record(summary, mask, bits)
+        return novel
 
 
 def _iw_goal_stream(
@@ -276,9 +311,10 @@ def _iw_goal_stream(
     for width in range(1, novelty.max_width + 1):
         started = time.perf_counter()
         try:
-            state, goal, mask = memo.initial
+            state, goal, mask, bits = memo.initial
             table = NoveltyTable(width, novelty.scope)
-            root = _Node(state, 0, goal, mask & goal_bits, None, None, table.record({}, mask))
+            summary = table.record({}, mask, bits)
+            root = _Node(state, mask, 0, goal, mask & goal_bits, None, None, summary)
             visited = {mask | root.latched}
             queue = deque([root])
             if goal and not reject(root):
@@ -290,13 +326,15 @@ def _iw_goal_stream(
                 for action in memo.applicable(node.state):
                     budget.spend_node()
                     stats.nodes_generated += 1
-                    state, goal, mask = memo.step(node.state, action)
-                    if not table.is_novel(mask, node.summary):
+                    state, goal, mask, bits = memo.step(node.state, action)
+                    if not table.is_novel(mask, bits, node.mask, node.summary):
                         stats.pruned_by_novelty += 1
                         continue
                     latched = node.latched | (mask & goal_bits)
                     cost = node.cost + action.cost
-                    child = _Node(state, cost, goal, latched, node, action.name, node.summary)
+                    child = _Node(
+                        state, mask, cost, goal, latched, node, action.name, node.summary
+                    )
                     if reject(child):
                         stats.pruned_by_behaviour += 1
                         continue
@@ -314,7 +352,7 @@ def _iw_goal_stream(
                             continue
                     visited.add(key)
                     if trace_local:
-                        child.summary = table.record(dict(node.summary), mask)
+                        child.summary = table.record(dict(node.summary), mask, bits)
                     queue.append(child)
         finally:
             elapsed = time.perf_counter() - started

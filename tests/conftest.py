@@ -6,6 +6,7 @@ from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder
 from divsim.core import Action, SimulatorProblem
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
 
 
 def fixture_path(name: str) -> pathlib.Path:

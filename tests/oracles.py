@@ -38,6 +38,7 @@ from divsim.ltl import (
 from divsim.search import (
     Budget,
     NoveltyConfig,
+    NoveltyScope,
     PlanSetResult,
     SearchLimits,
     SearchStats,
@@ -120,12 +121,15 @@ def _tuples(raw, width):
     return frozenset(out)
 
 
-def plain_iw(problem, max_width=2, cost_bound=1000):
-    """First goal plan found by width-iterated BFS with path-local novelty.
+def plain_iw(problem, max_width=2, cost_bound=1000, scope=NoveltyScope.TRACE_LOCAL):
+    """First goal plan found by width-iterated BFS.
 
     Mirrors the published pruning discipline (novelty, then visited key of
     raw plus latched truths, then cost) without any behaviour forbidding, so
     it is the baseline an unconstrained generator must reproduce exactly.
+    A state is novel iff one of its atom tuples is new: in TRACE_LOCAL scope
+    to the tuples of its path, in GLOBAL scope to those of every state that
+    passed the test this width iteration, the root included.
     """
     for width in range(1, max_width + 1):
         root = initial_augmented(problem)
@@ -133,6 +137,7 @@ def plain_iw(problem, max_width=2, cost_bound=1000):
             return ()
         atoms = problem.atoms(root.raw)
         visited = {atoms | root.latched}
+        seen = set(_tuples(atoms, width))  # GLOBAL scope's tuples
         queue = deque([(root, (), _tuples(atoms, width))])
         while queue:
             aug, plan, path_tuples = queue.popleft()
@@ -140,7 +145,11 @@ def plain_iw(problem, max_width=2, cost_bound=1000):
                 child = successor_augmented(problem, aug, action)
                 atoms = problem.atoms(child.raw)
                 tuples = _tuples(atoms, width)
-                if tuples <= path_tuples:
+                if scope is NoveltyScope.GLOBAL:
+                    if tuples <= seen:
+                        continue
+                    seen |= tuples
+                elif tuples <= path_tuples:
                     continue
                 key = atoms | child.latched
                 if key in visited:

@@ -116,7 +116,7 @@ def _undo_steps(memo, problem):
     """Masks after set-a, set-b, set-a set-b and set-a unset-a."""
     set_a, unset_a, set_b = problem.actions
     initial = memo.initial[0]
-    a, _, a_mask = memo.step(initial, set_a)
+    a, _, a_mask, _ = memo.step(initial, set_a)
     return (
         a_mask,
         memo.step(initial, set_b)[2],
@@ -128,7 +128,7 @@ def _undo_steps(memo, problem):
 def test_memo_masks_use_dense_per_run_bits():
     problem = UndoToggleProblem()
     memo = TransitionMemo(problem, SearchStats())
-    assert memo.initial[2] == 0
+    assert memo.initial[2:] == (0, ())
     # Goals take the first bits in declaration order, other atoms follow.
     assert _undo_steps(memo, problem) == (0b001, 0b010, 0b011, 0b100)
     # Each run numbers atoms afresh; a new memo holds nothing of the last one.
@@ -146,3 +146,14 @@ def test_memo_goal_bits_and_the_goals_of_a_mask():
     assert memo.goals(undone) == frozenset()
     assert memo.goals(undone | 0b01) == frozenset({"ga"})
     assert memo.goals(0) == frozenset()
+
+
+def test_memo_bits_are_the_bits_of_the_mask():
+    problem = UndoToggleProblem()
+    memo = TransitionMemo(problem, SearchStats())
+    set_a, unset_a, set_b = problem.actions
+    a = memo.step(memo.initial[0], set_a)[0]
+    for _, _, mask, bits in (memo.step(a, set_b), memo.step(a, unset_a), memo.step(a, set_a)):
+        assert len(bits) == len(set(bits)) == bin(mask).count("1")
+        assert all(bit & mask and bit & (bit - 1) == 0 for bit in bits)
+    assert sorted(memo.step(a, set_b)[3]) == [0b001, 0b010]

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pickle
 import random
@@ -29,7 +30,7 @@ from divsim.search import (
     state_tuples,
 )
 
-from conftest import FIXTURES, FinishToggleProblem, UndoToggleProblem, fixture_path
+from conftest import FIXTURE_NAMES, FinishToggleProblem, UndoToggleProblem, fixture_path
 from oracles import plain_iw, restart_fbi
 from test_acceptance import star_scenario
 
@@ -114,35 +115,55 @@ class PairsThenTriple(SimulatorProblem):
 BITS = {"p": 1, "q": 2, "r": 4}
 
 
-def _mask(*names):
-    return sum(BITS[n] for n in names)
+def _state(*names):
+    """``(mask, bits)`` of the state that holds ``names``."""
+    bits = tuple(BITS[n] for n in names)
+    return sum(bits), bits
 
 
 def _summary(table, *states):
     """``table``'s summary with each state, given as atom names, recorded."""
     summary = {}
     for names in states:
-        table.record(summary, _mask(*names))
+        table.record(summary, *_state(*names))
     return summary
+
+
+def _novel(table, names, parent, summary):
+    """Whether the state ``names``, a child of the recorded ``parent``, is novel."""
+    return table.is_novel(*_state(*names), _state(*parent)[0], summary)
+
+
+class LoggingDict(dict):
+    """A summary that logs the keys it is asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.asked = []
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
 
 
 class TestNovelty:
     def test_width_one_new_atom_is_novel(self):
         table = NoveltyTable(1, NoveltyScope.TRACE_LOCAL)
-        assert table.is_novel(_mask("p", "q"), _summary(table, ("p",)))
+        assert _novel(table, ("p", "q"), ("p",), _summary(table, ("p",)))
 
     def test_width_one_no_new_atom_is_not_novel(self):
         table = NoveltyTable(1, NoveltyScope.TRACE_LOCAL)
-        assert not table.is_novel(_mask("p"), _summary(table, ("p", "q")))
+        assert not _novel(table, ("p",), ("p", "q"), _summary(table, ("p", "q")))
+        assert not _novel(table, ("q",), ("p",), _summary(table, ("p",), ("q",)))
 
     def test_width_two_fresh_pair_is_novel(self):
         table = NoveltyTable(2, NoveltyScope.TRACE_LOCAL)
-        assert table.is_novel(_mask("p", "q"), _summary(table, ("p",), ("q",)))
+        assert _novel(table, ("p", "q"), ("q",), _summary(table, ("p",), ("q",)))
 
     def test_width_two_accepts_single_new_atom(self):
         # a state smaller than the width can still prove novelty by a singleton
         table = NoveltyTable(2, NoveltyScope.TRACE_LOCAL)
-        assert table.is_novel(_mask("q"), _summary(table, ("p",)))
+        assert _novel(table, ("q",), ("p",), _summary(table, ("p",)))
 
     def test_width_two_tuples_include_singletons_and_pairs(self):
         got = state_tuples(_atoms("p", "q", "r"), 2)
@@ -161,51 +182,125 @@ class TestNovelty:
     def test_global_scope_records_on_success(self):
         table = NoveltyTable(1, NoveltyScope.GLOBAL)
         summary = _summary(table, ("p",))
-        assert table.is_novel(_mask("q"), summary)
-        assert not table.is_novel(_mask("q"), summary)
-        assert not table.is_novel(_mask("p", "q"), summary)
+        assert _novel(table, ("q",), ("p",), summary)
+        assert not _novel(table, ("q",), ("p",), summary)
+        assert not _novel(table, ("p", "q"), ("p",), summary)
 
     @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
-    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_width_two_looks_up_one_key_per_added_atom(self, scope):
+        # Every pair below is already seen, so each test has to look at all
+        # the keys it tries before it answers.
+        table = NoveltyTable(2, scope)
+        for names, parent, lookups in (
+            (("p", "q", "r"), ("p", "q", "r"), 0),
+            (("p",), ("p", "q"), 0),
+            (("p", "q"), ("p",), 1),
+            (("q", "r"), ("p",), 2),
+        ):
+            summary = LoggingDict(_summary(table, ("p", "q", "r"), parent))
+            assert not _novel(table, names, parent, summary)
+            assert len(summary.asked) == lookups, (names, parent)
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
     def test_bitmask_decisions_match_tuple_definition(self, width, scope):
         rng = random.Random(f"novelty-{width}-{scope.value}")
-        atoms = [f"novelty-atom-{i}" for i in range(6)]
+        atoms = [f"novelty-atom-{i}" for i in range(7)]
         bit = {a: 1 << i for i, a in enumerate(atoms)}
 
-        def draw():
-            return frozenset(rng.sample(atoms, rng.randint(0, 4)))
+        def encode(state):
+            bits = tuple(bit[a] for a in state)
+            return sum(bits), bits
 
-        decisions = []
+        def near(parent):
+            """``(kind, state)``: a small change of the state ``parent``."""
+            pick = rng.randrange(4)
+            if pick == 0:
+                return "one atom flipped", parent ^ {rng.choice(atoms)}
+            if pick == 1:
+                return "within the parent", frozenset(
+                    rng.sample(sorted(parent), rng.randint(0, len(parent)))
+                )
+            rest = sorted(set(atoms) - parent)
+            added = frozenset(rng.sample(rest, rng.randint(0, min(3, len(rest)))))
+            if pick == 2:
+                return "disjoint", added
+            kept = rng.sample(sorted(parent), rng.randint(0, len(parent)))
+            return "some atoms swapped", added.union(kept)
+
+        kinds = collections.Counter()
         for _ in range(40):
             table = NoveltyTable(width, scope)
-            root = draw()
-            # (summary, tuples recorded) per kept node; GLOBAL shares one pair.
-            kept = [(table.record({}, sum(bit[a] for a in root)), set(state_tuples(root, width)))]
+            root = frozenset(rng.sample(atoms, rng.randint(0, 4)))
+            # (state, summary, tuples recorded) per kept node; GLOBAL nodes
+            # share one summary and one set.
+            kept = [(root, table.record({}, *encode(root)), set(state_tuples(root, width)))]
             for _ in range(30):
-                state = draw()
-                mask = sum(bit[a] for a in state)
+                parent, summary, seen = rng.choice(kept)
+                kind, state = near(parent)
                 tuples = state_tuples(state, width)
-                summary, seen = rng.choice(kept)
                 expected = not tuples <= seen
-                got = table.is_novel(mask, summary)
-                assert got == expected, (sorted(map(repr, state)), width, scope)
-                decisions.append(got)
+                got = table.is_novel(*encode(state), encode(parent)[0], summary)
+                assert got == expected, (sorted(state), sorted(parent), width, scope)
+                kinds[kind, got] += 1
                 if got and scope is NoveltyScope.GLOBAL:
                     seen |= tuples
+                    kept.append((state, summary, seen))
                 elif got:
-                    kept.append((table.record(dict(summary), mask), seen | tuples))
-        assert True in decisions and False in decisions
+                    record = table.record(dict(summary), *encode(state))
+                    kept.append((state, record, seen | tuples))
+        for kind in ("one atom flipped", "disjoint", "some atoms swapped"):
+            assert kinds[kind, True] and kinds[kind, False], kind
+        assert kinds["within the parent", False] and not kinds["within the parent", True]
 
-    @pytest.mark.parametrize("width", [1, 2, 3, 4])
-    def test_keys_follow_the_combinations_order(self, width):
-        rng = random.Random(f"subsets-{width}")
-        table = NoveltyTable(width, NoveltyScope.TRACE_LOCAL)
+    @pytest.mark.parametrize("size", [0, 1, 2, 3])
+    def test_layers_are_the_subsets_up_to_a_size(self, size):
+        rng = random.Random(f"subsets-{size}")
         for _ in range(200):
             mask = rng.getrandbits(rng.randint(0, 12))
             bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-            assert table._subsets(mask) == tuple(
-                sum(combo) for size in range(width) for combo in itertools.combinations(bits, size)
+            rng.shuffle(bits)
+            got = list(search._layers(tuple(bits), size))
+            assert len(got) == len(set(got))
+            assert sorted(got) == sorted(
+                sum(combo) for n in range(size + 1) for combo in itertools.combinations(bits, n)
             )
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_looks_up_each_key_that_holds_an_added_atom_once(self, width):
+        # A summary in which every key holds every atom shows nothing novel,
+        # so the test has to ask for every key it tries.
+        rng = random.Random(f"tested-{width}")
+        table = NoveltyTable(width, NoveltyScope.TRACE_LOCAL)
+        for _ in range(200):
+            mask = rng.getrandbits(rng.randint(1, 12)) | 1
+            added = mask & rng.getrandbits(12) or mask & -mask
+            bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+            rng.shuffle(bits)
+            keys = search._layers(tuple(bits), width - 1)
+            summary = LoggingDict({key: mask for key in keys})
+            assert not table.is_novel(mask, tuple(bits), mask & ~added, summary)
+            got = summary.asked
+            if width == 1:
+                assert got == [0]
+                continue
+            assert len(got) == len(set(got))
+            assert set(got) == {k for k in keys if k & added}
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_table_keeps_nothing_per_state(self, width, scope):
+        # The summaries belong to the caller; the table itself stays the same
+        # size however many states it meets.
+        table = NoveltyTable(width, scope)
+        summary = {}
+        parent = 0
+        for mask in range(1, 2000):
+            bits = tuple(1 << i for i in range(mask.bit_length()) if mask >> i & 1)
+            if table.is_novel(mask, bits, parent, summary) and scope is NoveltyScope.TRACE_LOCAL:
+                table.record(summary, mask, bits)
+            parent = mask
+        assert vars(table) == {"width": width, "scope": scope}
 
     def test_config_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -240,6 +335,20 @@ class TestGenerators:
         )
         assert out is not None
         assert out[0] == plain_iw(problem, 3, LIMITS.cost_bound)
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES + ["pairs-then-triple"])
+    def test_unforbidden_generator_equals_plain_iw_in_both_scopes(self, name, width, scope):
+        if name == "pairs-then-triple":
+            problem = PairsThenTriple()
+        else:
+            problem = load_problem(fixture_path(name))
+        out = behaviour_generator(
+            problem, _go_space(problem), frozenset(), NoveltyConfig(width, scope), LIMITS
+        )
+        expected = plain_iw(problem, width, LIMITS.cost_bound, scope)
+        assert (out and out[0]) == expected
 
     def test_width_three_is_needed_and_reached(self):
         problem = PairsThenTriple()
@@ -594,8 +703,6 @@ def _fixture(name):
 def _go_cb_space(problem, bound=8):
     return BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(bound)))
 
-
-FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
 
 
 # (id, problem factory, space factory, k, cost bound). The toggles exercise
