@@ -137,23 +137,43 @@ def successor_augmented(
     return AugmentedState(raw, aug.cost_so_far + action.cost, problem.is_goal(raw), latched)
 
 
-# Most entries one TransitionMemo holds, over all its tables.
+# Most entries one TransitionMemo holds: its records plus their stored successors.
 MEMO_CAP = 200_000
+
+
+class StateRecord:
+    """What one planner run knows of one state: the interned ``state``, its
+    ``goal`` flag, its atom ``mask`` and ``bits``, and once it is expanded,
+    its ``applicable`` actions and the ``successors`` of a prefix of them."""
+
+    __slots__ = ("state", "goal", "mask", "bits", "applicable", "successors")
+
+    def __init__(self, state: State, goal: bool, mask: int, bits: tuple):
+        self.state = state
+        self.goal = goal
+        self.mask = mask
+        self.bits = bits
+        self.applicable = None
+        self.successors = None
 
 
 class TransitionMemo:
     """One planner run's table of transitions, in the integer form the search uses.
 
-    ``step`` answers ``(successor, its goal flag, its atom bitmask, its
-    atom bits)`` and ``applicable`` the applicable actions, from tables
-    keyed by state; the wrapped problem is asked only on a miss. The
-    contract makes those pure functions of the state, so the answers are
-    exact. Every state the problem returns is interned: the tables share one
-    copy of it, stored with its goal flag, mask and bits, so the problem is
-    asked for a state's goal flag and ``atoms`` once, when the memo first
-    meets the state. ``initial`` is the same tuple for the initial state.
-    Once the tables hold ``MEMO_CAP`` entries, misses are still answered but
-    no longer stored.
+    The table holds one ``StateRecord`` per state the problem returns, so
+    every state is interned: the problem is asked for a state's goal flag
+    and ``atoms`` once, when the memo first meets the state, and for its
+    ``applicable`` actions once, when it is first expanded. ``initial`` is
+    the initial state's record. A record's ``successors`` list holds the
+    successor records of its applicable actions in action order, filled as
+    the search steps, so ``step(record, i)`` asks the problem to simulate
+    only when ``i`` is past the list's end. A search expands a state's
+    actions in order, so the list is always a prefix of them; a stream
+    closed mid-expansion leaves a shorter prefix, which the next expansion
+    extends. The contract makes these pure functions of the state, so the
+    answers are exact. ``len(memo)`` counts records plus stored successors;
+    once it reaches ``MEMO_CAP``, misses are still answered but no new
+    record or successor is stored.
 
     A mask sets one bit per atom of the state, and the state's bits are
     those one-bit ints, one per atom, which the novelty test builds its keys
@@ -172,26 +192,26 @@ class TransitionMemo:
     def __init__(self, problem: SimulatorProblem, stats):
         self.problem = problem
         self.stats = stats
-        self._applicable: dict = {}  # state -> applicable actions
-        self._steps: dict = {}  # (state, action name) -> (successor, goal flag, mask, bits)
-        self._states: dict = {}  # state -> (interned state, goal flag, mask, bits)
+        self._records: dict = {}  # state -> its StateRecord
         self._ids: dict = {}  # atom -> its bit in every mask of this run
-        self._size = 0  # entries stored over the three tables
+        self._size = 0  # records plus stored successors
         self.goal_bits = self._mask_and_bits(problem.goal_predicates)[0]
-        self.initial = self._info(problem.initial)
+        self.initial = self._record(problem.initial)
 
     def __len__(self) -> int:
         return self._size
 
-    def _info(self, state: State) -> tuple:
-        info = self._states.get(state)
-        if info is None:
+    def _record(self, state: State) -> StateRecord:
+        record = self._records.get(state)
+        if record is None:
             problem = self.problem
-            info = (state, problem.is_goal(state), *self._mask_and_bits(problem.atoms(state)))
+            record = StateRecord(
+                state, problem.is_goal(state), *self._mask_and_bits(problem.atoms(state))
+            )
             if self._size < MEMO_CAP:
-                self._states[state] = info
+                self._records[state] = record
                 self._size += 1
-        return info
+        return record
 
     def _mask_and_bits(self, atoms) -> tuple:
         ids = self._ids
@@ -210,28 +230,27 @@ class TransitionMemo:
         ids = self._ids
         return frozenset(g for g in self.problem.goal_set if ids[g] & mask)
 
-    def applicable(self, state: State) -> tuple:
-        got = self._applicable.get(state)
+    def applicable(self, record: StateRecord) -> tuple:
+        """The actions applicable in ``record``'s state, in declaration order."""
+        got = record.applicable
         if got is None:
-            got = self.problem.applicable(state)
-            if self._size < MEMO_CAP:
-                self._applicable[state] = got
-                self._size += 1
+            got = record.applicable = self.problem.applicable(record.state)
+            record.successors = []
         return got
 
-    def step(self, state: State, action: Action) -> tuple:
-        """``(successor, its goal flag, its mask, its bits)`` of ``action`` in ``state``."""
-        key = (state, action.name)
-        info = self._steps.get(key)
-        if info is not None:
+    def step(self, record: StateRecord, index: int) -> StateRecord:
+        """The record of the state that action ``index`` of
+        ``applicable(record)`` leads to from ``record``'s state."""
+        successors = record.successors
+        if index < len(successors):
             self.stats.memo_hits += 1
-            return info
+            return successors[index]
         self.stats.simulate_calls += 1
-        info = self._info(self.problem.simulate(state, action))
-        if self._size < MEMO_CAP:
-            self._steps[key] = info
+        got = self._record(self.problem.simulate(record.state, record.applicable[index]))
+        if index == len(successors) and self._size < MEMO_CAP:
+            successors.append(got)
             self._size += 1
-        return info
+        return got
 
 
 def replay(problem: SimulatorProblem, plan: Plan) -> Trace:

@@ -15,6 +15,7 @@ error.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -153,6 +154,35 @@ def _key(f: Formula):
     return _fold(f, _node_key)
 
 
+def _compare(a: tuple, b: tuple) -> int:
+    """-1, 0 or 1 as key ``a`` sorts before, with or after key ``b``.
+
+    This is Python's order on the nested key tuples, walked without
+    recursion: the built-in comparison recurses once per level on which the
+    two keys agree. Two keys with equal ranks have the same shape at every
+    index, so each pair of items compared is two ints, two strings or two
+    keys."""
+    stack = [(a, b, 0)]
+    while stack:
+        x, y, i = stack.pop()
+        if i == len(x) or i == len(y):
+            if len(x) != len(y):
+                return -1 if len(x) < len(y) else 1
+            continue
+        stack.append((x, y, i + 1))
+        u, v = x[i], y[i]
+        if u is v:
+            continue
+        if type(u) is tuple:
+            stack.append((u, v, 0))
+        elif u != v:
+            return -1 if u < v else 1
+    return 0
+
+
+_PAIR_ORDER = functools.cmp_to_key(lambda p, q: _compare(p[1], q[1]))
+
+
 def _flat(kind, parts) -> tuple:
     """``kind`` (And or Or) of ``parts``, with nested ``kind`` children
     flattened, duplicates removed and children in canonical order; ``true``
@@ -160,14 +190,16 @@ def _flat(kind, parts) -> tuple:
     part when one is.
 
     Parts and result are ``(formula, _key(formula))`` pairs, so a caller
-    that folds bottom-up keys each node once. Duplicates are found by
-    comparing sorted keys: hashing a deeply nested formula or key would
-    recurse once per level."""
+    that folds bottom-up keys each node once. Keys are sorted and duplicates
+    found with ``_compare``: hashing or comparing deeply nested formulas or
+    keys with Python's operators would recurse once per level."""
     flat = []
     for p, key in parts:
         flat.extend(zip(p.children, key[1:]) if type(p) is kind else ((p, key),))
-    flat.sort(key=lambda pair: pair[1])
-    unique = [pair for i, pair in enumerate(flat) if i == 0 or pair[1] != flat[i - 1][1]]
+    flat.sort(key=_PAIR_ORDER)
+    unique = [
+        pair for i, pair in enumerate(flat) if i == 0 or _compare(pair[1], flat[i - 1][1])
+    ]
     if len(unique) == 1:
         return unique[0]
     if not unique:

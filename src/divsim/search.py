@@ -11,8 +11,11 @@ a successor only if
 (c) its visited key (raw truths plus latched goals) is unseen this iteration,
 (d) its cost does not exceed the cost bound.
 
-Nodes hold the run memo's integers, and both tests above read atom masks;
-``AugmentedState``s are built only where a behaviour is read (``node_states``).
+Nodes hold the run memo's record of their state, and both tests above
+read its atom mask; ``AugmentedState``s are built only where a behaviour is
+read (``node_states``). In trace scope a node's novelty summary is built
+when the node is expanded and dropped when the expansion ends; its queued
+children carry it until they are expanded in turn.
 
 A kept successor that is a goal state is yielded to the caller, which may
 forbid its behaviour (or plan) before the search resumes. The top-level
@@ -137,21 +140,22 @@ class Budget:
 
 
 class _Node:
-    """A trace position: the memo's interned ``state`` and its atom ``mask``,
-    the path ``cost``, the ``goal`` flag and ``latched``, the mask of the
-    goals true here or before."""
+    """A trace position: the memo's ``record`` of its state, the path
+    ``cost`` and ``latched``, the mask of the goals true here or before.
 
-    __slots__ = ("state", "mask", "cost", "goal", "latched", "parent", "action_name", "summary")
+    ``summary`` is the novelty summary the node's children are tested
+    against while it is expanded; before that it is its parent's, and once
+    the expansion ends it is None (see ``NoveltyTable``)."""
 
-    def __init__(self, state, mask, cost, goal, latched, parent, action_name, summary):
-        self.state = state
-        self.mask = mask
+    __slots__ = ("record", "cost", "latched", "parent", "action_name", "summary")
+
+    def __init__(self, record, cost, latched, parent, action_name, summary):
+        self.record = record
         self.cost = cost
-        self.goal = goal
         self.latched = latched
         self.parent = parent
         self.action_name = action_name
-        self.summary = summary  # the novelty summary a child is tested against
+        self.summary = summary
 
 
 def _chain(node: _Node) -> list:
@@ -170,7 +174,8 @@ def node_plan(node: _Node) -> Plan:
 def node_states(memo: TransitionMemo, node: _Node) -> list:
     """The node's path as ``AugmentedState``s, initial state first."""
     return [
-        AugmentedState(n.state, n.cost, n.goal, memo.goals(n.latched)) for n in _chain(node)
+        AugmentedState(n.record.state, n.cost, n.record.goal, memo.goals(n.latched))
+        for n in _chain(node)
     ]
 
 
@@ -241,11 +246,14 @@ class NoveltyTable:
     each call from the bits the run's memo keeps per state, so the table
     itself holds nothing per state.
 
-    In TRACE_LOCAL scope each kept node carries its own summary, a copy of
-    its parent's with the node recorded. In GLOBAL scope one summary serves
-    the whole width iteration, and a true result records the candidate in
-    it as a side effect. Masks and bits must come from one run's
-    ``TransitionMemo``.
+    In TRACE_LOCAL scope a node's summary is a copy of its parent's with
+    the node recorded. Only the node's own children are tested against it,
+    so the search builds it when the node is popped for expansion and drops
+    it when the expansion ends; a queued node carries its parent's. The
+    parent is recorded before any child is tested, so the argument above
+    holds. In GLOBAL scope one summary serves the whole width iteration,
+    and a true result records the candidate in it as a side effect. Masks
+    and bits must come from one run's ``TransitionMemo``.
     """
 
     def __init__(self, width: int, scope: NoveltyScope):
@@ -300,41 +308,46 @@ def _iw_goal_stream(
     entirely, leaving their visited keys unrecorded so that other routes to
     the same state stay open.
 
-    A goal node is yielded before its visited key, novelty summary and queue
-    entry are recorded, and ``reject`` is asked again on resume. A caller
-    that has forbidden the node's behaviour (or plan) in between thus sees
-    it pruned exactly as a restart under the larger forbidden set would
-    prune it, and the stream goes on where a restart would arrive.
+    A goal node is yielded before its visited key and queue entry are
+    recorded, and ``reject`` is asked again on resume. A caller that has
+    forbidden the node's behaviour (or plan) in between thus sees it pruned
+    exactly as a restart under the larger forbidden set would prune it, and
+    the stream goes on where a restart would arrive. A node still queued
+    when the stream closes never builds its own novelty summary.
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
     goal_bits = memo.goal_bits
     for width in range(1, novelty.max_width + 1):
         started = time.perf_counter()
         try:
-            state, goal, mask, bits = memo.initial
+            record = memo.initial
             table = NoveltyTable(width, novelty.scope)
-            summary = table.record({}, mask, bits)
-            root = _Node(state, mask, 0, goal, mask & goal_bits, None, None, summary)
-            visited = {mask | root.latched}
+            summary = {} if trace_local else table.record({}, record.mask, record.bits)
+            root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
+            visited = {record.mask | root.latched}
             queue = deque([root])
-            if goal and not reject(root):
+            if record.goal and not reject(root):
                 yield root
             while queue:
                 budget.check_time()
                 node = queue.popleft()
                 stats.nodes_expanded += 1
-                for action in memo.applicable(node.state):
+                parent = node.record
+                parent_mask = parent.mask
+                if trace_local:
+                    node.summary = table.record(dict(node.summary), parent_mask, parent.bits)
+                summary = node.summary
+                for index, action in enumerate(memo.applicable(parent)):
                     budget.spend_node()
                     stats.nodes_generated += 1
-                    state, goal, mask, bits = memo.step(node.state, action)
-                    if not table.is_novel(mask, bits, node.mask, node.summary):
+                    record = memo.step(parent, index)
+                    mask = record.mask
+                    if not table.is_novel(mask, record.bits, parent_mask, summary):
                         stats.pruned_by_novelty += 1
                         continue
                     latched = node.latched | (mask & goal_bits)
                     cost = node.cost + action.cost
-                    child = _Node(
-                        state, mask, cost, goal, latched, node, action.name, node.summary
-                    )
+                    child = _Node(record, cost, latched, node, action.name, summary)
                     if reject(child):
                         stats.pruned_by_behaviour += 1
                         continue
@@ -342,18 +355,17 @@ def _iw_goal_stream(
                     if key in visited:
                         stats.pruned_by_visited += 1
                         continue
-                    if child.cost > budget.cost_bound:
+                    if cost > budget.cost_bound:
                         stats.pruned_by_cost += 1
                         continue
-                    if goal:
+                    if record.goal:
                         yield child
                         if reject(child):
                             stats.pruned_by_behaviour += 1
                             continue
                     visited.add(key)
-                    if trace_local:
-                        child.summary = table.record(dict(node.summary), mask, bits)
                     queue.append(child)
+                node.summary = None
         finally:
             elapsed = time.perf_counter() - started
             stats.wall_time_by_width[width] = stats.wall_time_by_width.get(width, 0.0) + elapsed
@@ -391,7 +403,7 @@ class _BehaviourRule:
         self.passed: set = set()
 
     def reject(self, node: _Node) -> bool:
-        if node.goal:
+        if node.record.goal:
             return behaviour_of(self.space, node_states(self.memo, node)) in self.forbidden
         if not self.interior:
             return False
@@ -466,7 +478,7 @@ def _plan_stream(
     known = {tuple(p) for p in known}
 
     def reject(node: _Node) -> bool:
-        return node.goal and node_plan(node) in known
+        return node.record.goal and node_plan(node) in known
 
     with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
         for node in stream:

@@ -84,6 +84,12 @@ def test_view_enforces_cost_bound(toggle_problem):
     assert len(trace_view(toggle_problem, trace, cost_bound=2)) == 3
 
 
+def _step(memo, record, name):
+    """The record that the action called ``name`` leads to from ``record``."""
+    names = [action.name for action in memo.applicable(record)]
+    return memo.step(record, names.index(name))
+
+
 def test_memo_serves_repeats_without_the_simulator(toggle_problem, monkeypatch):
     simulated = []
     inner = toggle_problem.simulate
@@ -92,56 +98,70 @@ def test_memo_serves_repeats_without_the_simulator(toggle_problem, monkeypatch):
     )
     stats = SearchStats()
     memo = TransitionMemo(toggle_problem, stats)
-    initial = memo.initial[0]
-    set_a = toggle_problem.action_named("set-a")
-    first = memo.step(initial, set_a)
-    assert memo.step(initial, set_a) is first
+    initial = memo.initial
+    assert memo.applicable(initial) == toggle_problem.applicable(initial.state)
+    first = _step(memo, initial, "set-a")
+    assert _step(memo, initial, "set-a") is first
     assert simulated == ["set-a"]
     assert (stats.simulate_calls, stats.memo_hits) == (1, 1)
-    assert memo.applicable(first[0]) == toggle_problem.applicable(first[0])
+    assert initial.successors == [first]
+    assert memo.applicable(first) == toggle_problem.applicable(first.state)
+
+
+def test_memo_stores_successors_in_action_order_only(toggle_problem):
+    # A step past the stored prefix is answered but not stored, so the
+    # successor list stays a prefix of the applicable actions.
+    stats = SearchStats()
+    memo = TransitionMemo(toggle_problem, stats)
+    initial = memo.initial
+    set_b = _step(memo, initial, "set-b")
+    assert initial.successors == []
+    set_a = _step(memo, initial, "set-a")
+    assert _step(memo, initial, "set-b") is set_b
+    assert initial.successors == [set_a, set_b]
+    assert (stats.simulate_calls, stats.memo_hits) == (3, 0)
+    assert len(memo) == 3 + 2  # three records, two stored successors
 
 
 def test_memo_interns_equal_states(toggle_problem):
     memo = TransitionMemo(toggle_problem, SearchStats())
-    initial = memo.initial[0]
-    set_a, set_b = (toggle_problem.action_named(n) for n in ("set-a", "set-b"))
-    ab = memo.step(memo.step(initial, set_a)[0], set_b)
-    ba = memo.step(memo.step(initial, set_b)[0], set_a)
-    assert ab[0] is ba[0]
-    assert ab == ba
-    assert ab[1], "both goals hold"
+    initial = memo.initial
+    ab = _step(memo, _step(memo, initial, "set-a"), "set-b")
+    ba = _step(memo, _step(memo, initial, "set-b"), "set-a")
+    assert ab is ba
+    assert ab.state == frozenset({"ga", "gb"})
+    assert ab.goal, "both goals hold"
 
 
-def _undo_steps(memo, problem):
+def _undo_steps(memo):
     """Masks after set-a, set-b, set-a set-b and set-a unset-a."""
-    set_a, unset_a, set_b = problem.actions
-    initial = memo.initial[0]
-    a, _, a_mask, _ = memo.step(initial, set_a)
+    initial = memo.initial
+    a = _step(memo, initial, "set-a")
     return (
-        a_mask,
-        memo.step(initial, set_b)[2],
-        memo.step(a, set_b)[2],
-        memo.step(a, unset_a)[2],
+        a.mask,
+        _step(memo, initial, "set-b").mask,
+        _step(memo, a, "set-b").mask,
+        _step(memo, a, "unset-a").mask,
     )
 
 
 def test_memo_masks_use_dense_per_run_bits():
     problem = UndoToggleProblem()
     memo = TransitionMemo(problem, SearchStats())
-    assert memo.initial[2:] == (0, ())
+    assert (memo.initial.mask, memo.initial.bits) == (0, ())
     # Goals take the first bits in declaration order, other atoms follow.
-    assert _undo_steps(memo, problem) == (0b001, 0b010, 0b011, 0b100)
+    assert _undo_steps(memo) == (0b001, 0b010, 0b011, 0b100)
     # Each run numbers atoms afresh; a new memo holds nothing of the last one.
     other = TransitionMemo(problem, SearchStats())
     assert len(other) == 1
-    assert _undo_steps(other, problem) == (0b001, 0b010, 0b011, 0b100)
+    assert _undo_steps(other) == (0b001, 0b010, 0b011, 0b100)
 
 
 def test_memo_goal_bits_and_the_goals_of_a_mask():
     problem = UndoToggleProblem()
     memo = TransitionMemo(problem, SearchStats())
     assert memo.goal_bits == 0b11
-    _, _, ab, undone = _undo_steps(memo, problem)
+    _, _, ab, undone = _undo_steps(memo)
     assert memo.goals(ab) == frozenset({"ga", "gb"})
     assert memo.goals(undone) == frozenset()
     assert memo.goals(undone | 0b01) == frozenset({"ga"})
@@ -151,9 +171,9 @@ def test_memo_goal_bits_and_the_goals_of_a_mask():
 def test_memo_bits_are_the_bits_of_the_mask():
     problem = UndoToggleProblem()
     memo = TransitionMemo(problem, SearchStats())
-    set_a, unset_a, set_b = problem.actions
-    a = memo.step(memo.initial[0], set_a)[0]
-    for _, _, mask, bits in (memo.step(a, set_b), memo.step(a, unset_a), memo.step(a, set_a)):
-        assert len(bits) == len(set(bits)) == bin(mask).count("1")
-        assert all(bit & mask and bit & (bit - 1) == 0 for bit in bits)
-    assert sorted(memo.step(a, set_b)[3]) == [0b001, 0b010]
+    a = _step(memo, memo.initial, "set-a")
+    for name in ("unset-a", "set-b"):
+        got = _step(memo, a, name)
+        assert len(got.bits) == len(set(got.bits)) == bin(got.mask).count("1")
+        assert all(bit & got.mask and bit & (bit - 1) == 0 for bit in got.bits)
+    assert sorted(_step(memo, a, "set-b").bits) == [0b001, 0b010]

@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from divsim import ltl
 from divsim.errors import ParseError
 from divsim.ltl import (
     FALSE,
@@ -267,6 +268,48 @@ class TestWalk:
         for _ in range(depth - 1):
             text = f"c | (b & ({text}))"
         assert format_formula(f) == text
+
+    def test_siblings_that_agree_deep_down(self):
+        # The two chains' keys agree for 2,000 levels, so sorting and
+        # deduplicating the siblings must compare keys without recursion.
+        def chain(depth):
+            f = Atom("f")
+            for _ in range(depth):
+                f = Or((And((f, Atom("b"))), Atom("c")))
+            return f
+
+        def levels(g):
+            """And levels below ``g`` down to the atom f, walked iteratively."""
+            count = 0
+            while type(g) is And:
+                assert g.children[0] == Atom("b")
+                count += 1
+                g = g.children[1]
+                if type(g) is Or:
+                    assert g.children[0] == Atom("c")
+                    g = g.children[1]
+            assert g == Atom("f")
+            return count
+
+        g, h = chain(20_000), chain(2_000)
+        for f in (Or((g, h)), Or((h, g))):
+            got = canonical(f)
+            assert type(got) is Or and got.children[0] == Atom("c")
+            assert [levels(c) for c in got.children[1:]] == [2_000, 20_000]
+
+    def test_key_order_is_the_tuple_order(self):
+        rng = random.Random(11)
+        formulas = []
+        for _ in range(150):
+            f = canonical(random_formula(rng, 4))
+            formulas.append(f)
+            if type(f) in (And, Or):
+                # Its children but the last: a key that the full key extends.
+                formulas.append(type(f)(f.children[:-1]))
+        keys = [ltl._key(f) for f in formulas]
+        for a in keys:
+            for b in keys:
+                assert ltl._compare(a, b) == (a > b) - (a < b)
 
     def test_shared_subformula_matches_its_tree_copy(self):
         def until():

@@ -1,4 +1,5 @@
 import collections
+import contextlib
 import itertools
 import pickle
 import random
@@ -14,7 +15,7 @@ from divsim.behaviour import (
     extract_behaviour,
 )
 from divsim.core import Action, SimulatorProblem, replay
-from divsim.domains import GridProblem, load_problem
+from divsim.domains import GridProblem, PuzznicProblem, load_problem
 from divsim.domains.pentest import PentestProblem
 from divsim.errors import BudgetExceeded
 from divsim.search import (
@@ -30,9 +31,16 @@ from divsim.search import (
     state_tuples,
 )
 
-from conftest import FIXTURE_NAMES, FinishToggleProblem, UndoToggleProblem, fixture_path
+from conftest import (
+    FIXTURE_NAMES,
+    FinishToggleProblem,
+    UndoToggleProblem,
+    feature_space,
+    fixture_path,
+)
 from oracles import plain_iw, restart_fbi
 from test_acceptance import star_scenario
+from test_golden import PUZZNIC_ROWS
 
 
 def _atoms(*names):
@@ -132,6 +140,16 @@ def _summary(table, *states):
 def _novel(table, names, parent, summary):
     """Whether the state ``names``, a child of the recorded ``parent``, is novel."""
     return table.is_novel(*_state(*names), _state(*parent)[0], summary)
+
+
+def _workload_instance(name):
+    """``(problem, space, cost bound, k)`` of one of the benchmark's two
+    single-run instances."""
+    if name == "puzznic-abc":
+        problem = PuzznicProblem.from_text("\n".join(PUZZNIC_ROWS) + "\n")
+        return problem, feature_space(problem, ("go",), None), 1000, 7
+    problem = PentestProblem.from_text(star_scenario(7, set(range(1, 8)), 2))
+    return problem, feature_space(problem, ("go", "cb"), 24), 24, 30
 
 
 class LoggingDict(dict):
@@ -301,6 +319,63 @@ class TestNovelty:
                 table.record(summary, mask, bits)
             parent = mask
         assert vars(table) == {"width": width, "scope": scope}
+
+    @staticmethod
+    def _counted_run(name, scope, monkeypatch):
+        """``fbi`` on the workload instance ``name`` with every novelty table
+        and record counted, and the ancestors of each yielded goal node
+        checked as it is yielded."""
+        counts = collections.Counter()
+
+        class CountingTable(NoveltyTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts["tables"] += 1
+
+            def record(self, *args):
+                counts["records"] += 1
+                return super().record(*args)
+
+            def is_novel(self, *args):
+                novel = super().is_novel(*args)
+                counts["novel"] += novel
+                return novel
+
+        stream = search._iw_goal_stream
+
+        def checked_stream(*args):
+            with contextlib.closing(stream(*args)) as goals:
+                for goal in goals:
+                    # The parent is mid-expansion; every earlier ancestor is done.
+                    ancestors = search._chain(goal)[:-1]
+                    if ancestors:
+                        counts["yielded"] += 1
+                        counts["parent_has_summary"] += ancestors[-1].summary is not None
+                        counts["done_with_summary"] += sum(
+                            n.summary is not None for n in ancestors[:-1]
+                        )
+                    yield goal
+
+        monkeypatch.setattr(search, "NoveltyTable", CountingTable)
+        monkeypatch.setattr(search, "_iw_goal_stream", checked_stream)
+        problem, space, bound, k = _workload_instance(name)
+        got = fbi(problem, space, k, NoveltyConfig(2, scope), SearchLimits(bound))
+        return got.stats, counts
+
+    @pytest.mark.parametrize("name", ["puzznic-abc", "pentest-star7"])
+    def test_trace_summary_lives_only_while_its_node_is_expanded(self, name, monkeypatch):
+        stats, counts = self._counted_run(name, NoveltyScope.TRACE_LOCAL, monkeypatch)
+        assert counts["records"] == stats.nodes_expanded
+        assert counts["yielded"] > 0
+        assert counts["parent_has_summary"] == counts["yielded"]
+        assert counts["done_with_summary"] == 0
+
+    @pytest.mark.parametrize("name", ["puzznic-abc", "pentest-star7"])
+    def test_global_scope_records_every_novel_candidate(self, name, monkeypatch):
+        _, counts = self._counted_run(name, NoveltyScope.GLOBAL, monkeypatch)
+        # One record per width iteration's root, and one per novel candidate.
+        assert counts["records"] == counts["tables"] + counts["novel"]
+        assert counts["novel"] > 0
 
     def test_config_rejects_zero_width(self):
         with pytest.raises(ValueError):
@@ -655,6 +730,24 @@ class TestTransitionMemo:
         assert res.stats.simulate_calls == len(problem.simulated)
         assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
 
+    def test_stream_closed_mid_expansion_leaves_a_prefix(self):
+        problem = CountingPentest.from_text(star_scenario(3, {1, 2, 3}, 1))
+        stats = search.SearchStats()
+        memo = core.TransitionMemo(problem, stats)
+        budget = search.Budget(STAR_LIMITS)
+
+        def stream():
+            return search._iw_goal_stream(memo, NoveltyConfig(), budget, stats, lambda n: False)
+
+        with contextlib.closing(stream()) as goals:
+            parent = next(goals).parent.record
+        assert 0 < len(parent.successors) < len(parent.applicable)
+        assert len(list(stream())) > 1
+        assert len(parent.successors) == len(parent.applicable)
+        assert len(problem.simulated) == len(set(problem.simulated))
+        assert stats.simulate_calls == len(problem.simulated)
+        assert stats.simulate_calls + stats.memo_hits == stats.nodes_generated
+
     @staticmethod
     def _recorded_memos(monkeypatch):
         """The list every ``TransitionMemo`` the search makes from now on joins."""
@@ -682,13 +775,14 @@ class TestTransitionMemo:
         assert len(memos) == 1 and len(memos[0]) <= 5
 
     @pytest.mark.parametrize("cap", [None, 5])
-    def test_memo_length_counts_its_tables(self, cap, monkeypatch):
+    def test_memo_length_counts_records_and_successors(self, cap, monkeypatch):
         if cap is not None:
             monkeypatch.setattr(core, "MEMO_CAP", cap)
         memos = self._recorded_memos(monkeypatch)
         _pentest_run(_fbi)
         (memo,) = memos
-        assert len(memo) == len(memo._applicable) + len(memo._steps) + len(memo._states)
+        records = memo._records.values()
+        assert len(memo) == len(records) + sum(len(r.successors or ()) for r in records)
         assert len(memo) == 5 if cap else len(memo) > 5
 
 
