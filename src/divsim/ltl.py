@@ -431,10 +431,10 @@ def is_latch_monotone(f: Formula, latch_atoms: Iterable[str]) -> bool:
     True only for atoms, ``Until(Not a, b)``, or conjunctions of those, where
     every mentioned atom is in ``latch_atoms``. For such formulas,
     satisfaction on a trace prefix is preserved by any extension in which the
-    latch atoms never turn false again. The search does not call it: its
-    interior pruning compares goal orders, and a behaviour's formula has this
-    shape exactly when its goal order has two or more groups, which is what
-    makes that comparison sound.
+    latch atoms never turn false again. A behaviour's formula has this shape
+    exactly when its goal order has two or more groups. The search does not
+    call it: its interior pruning compares goal orders, which latched goals
+    fix whatever the formula's shape.
     """
     atoms = set(latch_atoms)
 

@@ -4,10 +4,10 @@ The core loop is a breadth-first search per width i = 1..max_width that keeps
 a successor only if
 
 (a) it is novel at width i,
-(b) it does not establish a forbidden behaviour (or, in plan-forbidding mode,
-    is not itself a known plan): a goal node's behaviour is not forbidden,
-    and an interior node whose goals have all latched has not already fixed
-    a forbidden goal order of two or more groups,
+(b) its key, its behaviour (or, in plan-forbidding mode, its plan), is not
+    forbidden. Goal nodes are checked; with interior pruning on and no cost
+    feature, so are interior nodes whose goals have all latched, as every
+    goal node below one has its goal order and so its behaviour,
 (c) its visited key (raw truths plus latched goals) is unseen this iteration,
 (d) its cost does not exceed the cost bound.
 
@@ -20,11 +20,13 @@ children carry it until they are expanded in turn.
 A kept successor that is a goal state is yielded to the caller, which may
 forbid its behaviour (or plan) before the search resumes. The top-level
 planner first forbids behaviours until the space is exhausted, then falls back
-to forbidding whole plans to fill the requested count. Each phase resumes one
-search rather than restarting it for every plan, and finds the plans, in the
-same order, that a restart per plan would find. Every behaviour is read off
-the states of the goal node that ends its plan; no plan is replayed. ``fbi``
-and ``fbi_naive`` share one run driver, ``_top_k``.
+to forbidding whole plans to fill the requested count. Both phases run one
+forbid-and-resume loop, ``_forbidding_stream``, with the behaviour or the
+plan as the key. Each phase resumes one search rather than restarting it for
+every plan, and finds the plans, in the same order, that a restart per plan
+would find. Every behaviour is read off the states of the goal node that ends
+its plan; no plan is replayed. ``fbi`` and ``fbi_naive`` share one top-k
+runner, ``_top_k``.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from .behaviour import Behaviour, BehaviourSpace, behaviour_of, latch_groups
+from .behaviour import BehaviourSpace, behaviour_of
 from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo
 from .errors import BudgetExceeded
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
-from .behaviour import behaviour_formula, extract_behaviour  # noqa: F401
+from .behaviour import behaviour_formula, extract_behaviour, latch_groups  # noqa: F401
 from .core import successor_augmented  # noqa: F401
 from .ltl import evaluate, is_latch_monotone  # noqa: F401
 
@@ -76,7 +78,8 @@ class SearchLimits:
     node_budget: int = 10_000_000
 
     def __post_init__(self):
-        if self.cost_bound < 1 or self.time_budget_s <= 0 or self.node_budget < 1:
+        # ``not > 0`` also rejects a NaN budget, whose deadline would never trip.
+        if self.cost_bound < 1 or not self.time_budget_s > 0 or self.node_budget < 1:
             raise ValueError("search limits must be positive")
 
 
@@ -371,119 +374,72 @@ def _iw_goal_stream(
             stats.wall_time_by_width[width] = stats.wall_time_by_width.get(width, 0.0) + elapsed
 
 
-class _BehaviourRule:
-    """Condition (b) of phase 1, against a forbidden set that grows.
-
-    Goal nodes are checked against the forbidden set. With interior pruning
-    on and no cost dimension in the space, an interior node within the cost
-    bound whose goals have all latched is dropped when its goal order is the
-    goal order of a forbidden behaviour with at least two groups: latched
-    goals stay latched, so every goal reachable from it would repeat that
-    order. (The behaviour's formula has this latch-monotone shape exactly
-    when it has two or more groups; a one-group behaviour is never pruned
-    inside the tree.)
-
-    ``passed`` holds the goal orders of the all-latched interior nodes that
-    ``reject`` let through. Forbidding a behaviour whose order is among them
-    would have pruned such a node, so only a fresh stream matches a restart.
-    """
-
-    def __init__(
-        self, memo: TransitionMemo, space: BehaviourSpace, cost_bound: int, interior_pruning: bool
-    ):
-        self.memo = memo
-        self.space = space
-        self.order_feature = space.order_feature
-        self.interior = (
-            interior_pruning and space.cost_feature is None and self.order_feature is not None
-        )
-        self.cost_bound = cost_bound
-        self.forbidden: set = set()
-        self.interior_orders: set = set()
-        self.passed: set = set()
-
-    def reject(self, node: _Node) -> bool:
-        if node.record.goal:
-            return behaviour_of(self.space, node_states(self.memo, node)) in self.forbidden
-        if not self.interior:
-            return False
-        if node.cost > self.cost_bound:
-            return False  # condition (d) will drop it anyway
-        if node.latched != self.memo.goal_bits:
-            return False
-        order = latch_groups(node_states(self.memo, node), self.order_feature.goals)
-        if order in self.interior_orders:
-            return True
-        self.passed.add(order)
-        return False
-
-    def forbid(self, behaviour: Behaviour) -> bool:
-        """Forbid ``behaviour``; True when a stream resumed past it could
-        differ from a restart and must be replaced by a fresh one."""
-        self.forbidden.add(behaviour)
-        order = behaviour.goal_order
-        if not self.interior or len(order or ()) < 2:
-            return False
-        self.interior_orders.add(order)
-        return order in self.passed
-
-
-def _behaviour_stream(
+def _forbidding_stream(
     memo: TransitionMemo,
-    space: BehaviourSpace,
-    forbidden,
     novelty: NoveltyConfig,
     budget: Budget,
     stats: SearchStats,
-    interior_pruning: bool,
+    key_of: Callable[[_Node], object],
+    forbidden,
+    settled: Optional[int] = None,
 ) -> Iterator[tuple]:
-    """Yield ``(plan, behaviour)`` pairs with behaviours outside ``forbidden``,
-    each one forbidden as the caller resumes, until none is reachable.
+    """Yield ``(node, key_of(node))`` for each kept goal node whose key is
+    not in ``forbidden``, and forbid the key as the caller resumes.
 
-    One IW stream serves every behaviour. When a forbidden order would have
-    pruned an interior node the stream already kept, the stream is closed
-    and a fresh one starts under the whole forbidden set
+    Condition (b) drops a goal node whose key is forbidden, and an interior
+    node within the cost bound that is settled, its latched goals the mask
+    ``settled``, and whose key is forbidden. Every goal node below a
+    settled node must have its key. One IW stream serves every key. When a
+    newly forbidden key is that of a settled interior node the stream
+    already let through, a restart would have dropped that node, so the
+    stream is closed and a fresh one starts under the whole forbidden set
     (``stats.restarts``).
     """
-    rule = _BehaviourRule(memo, space, budget.cost_bound, interior_pruning)
-    for behaviour in forbidden:
-        rule.forbid(behaviour)
+    forbidden = set(forbidden)
+    passed: set = set()  # keys of the settled interior nodes let through
+    cost_bound = budget.cost_bound
+
+    def reject(node: _Node) -> bool:
+        if node.record.goal:
+            return key_of(node) in forbidden
+        # Over the bound, condition (d) drops the node, so it is not let through.
+        if settled is None or node.latched != settled or node.cost > cost_bound:
+            return False
+        key = key_of(node)
+        if key in forbidden:
+            return True
+        passed.add(key)
+        return False
+
     while True:
-        stream = _iw_goal_stream(memo, novelty, budget, stats, rule.reject)
-        with closing(stream):
+        with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
             for node in stream:
-                behaviour = behaviour_of(space, node_states(memo, node))
-                yield node_plan(node), behaviour
-                if rule.forbid(behaviour):
+                key = key_of(node)
+                yield node, key
+                forbidden.add(key)
+                if key in passed:
                     break
             else:
                 return
         stats.restarts += 1
-        rule.passed.clear()
+        passed.clear()
 
 
-def _plan_stream(
-    memo: TransitionMemo,
-    known,
-    novelty: NoveltyConfig,
-    budget: Budget,
-    stats: SearchStats,
-) -> Iterator[_Node]:
-    """Yield the goal nodes of plans outside ``known``, each plan known as
-    the caller resumes, from one IW stream.
+def _behaviour_rule(memo: TransitionMemo, space: BehaviourSpace, interior_pruning: bool) -> tuple:
+    """Phase 1's ``key_of`` and ``settled`` for ``_forbidding_stream``.
 
-    Known plans all end in goal states, so by determinism only goal nodes
-    can ever collide with one; interior nodes skip the comparison.
+    A node's key is its behaviour. With no cost feature a behaviour is its
+    goal order alone, and once every goal has latched that order is fixed:
+    latched goals stay latched, so every goal node below has it. With
+    ``interior_pruning`` on, such a node, whose latched mask is the memo's
+    ``goal_bits``, is settled.
     """
-    known = {tuple(p) for p in known}
 
-    def reject(node: _Node) -> bool:
-        return node.record.goal and node_plan(node) in known
+    def key_of(node: _Node):
+        return behaviour_of(space, node_states(memo, node))
 
-    with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
-        for node in stream:
-            yield node
-            known.add(node_plan(node))
+    settled = interior_pruning and space.cost_feature is None
+    return key_of, (memo.goal_bits if settled else None)
 
 
 def behaviour_generator(
@@ -500,17 +456,18 @@ def behaviour_generator(
     """One plan whose behaviour is not forbidden, or None when none is reachable.
 
     Returns ``(plan, behaviour, stats)``. This is the first pair of the
-    phase-1 stream that ``fbi`` runs; ``_BehaviourRule`` says which nodes
+    phase-1 stream that ``fbi`` runs; ``_behaviour_rule`` says which nodes
     ``interior_pruning`` drops. The call searches over a memo of its own,
     within the cost bound of ``budget``, by default ``Budget(limits, space)``.
     """
     budget = budget if budget is not None else Budget(limits, space)
     stats = stats if stats is not None else SearchStats()
     memo = TransitionMemo(problem, stats)
-    stream = _behaviour_stream(memo, space, forbidden, novelty, budget, stats, interior_pruning)
+    key_of, settled = _behaviour_rule(memo, space, interior_pruning)
+    stream = _forbidding_stream(memo, novelty, budget, stats, key_of, forbidden, settled)
     with closing(stream):
-        for plan, behaviour in stream:
-            return plan, behaviour, stats
+        for node, behaviour in stream:
+            return node_plan(node), behaviour, stats
     return None
 
 
@@ -531,9 +488,9 @@ def plan_generator(
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
     memo = TransitionMemo(problem, stats)
-    with closing(_plan_stream(memo, known, novelty, budget, stats)) as stream:
-        for node in stream:
-            return node_plan(node), stats
+    with closing(_forbidding_stream(memo, novelty, budget, stats, node_plan, known)) as stream:
+        for _, plan in stream:
+            return plan, stats
     return None
 
 
@@ -599,15 +556,15 @@ def fbi(
     """
 
     def pairs(memo, budget, stats):
-        phase_one = _behaviour_stream(memo, space, (), novelty, budget, stats, interior_pruning)
+        key_of, settled = _behaviour_rule(memo, space, interior_pruning)
         plans = []
-        with closing(phase_one):
-            for plan, behaviour in phase_one:
-                plans.append(plan)
-                yield plan, behaviour
-        with closing(_plan_stream(memo, plans, novelty, budget, stats)) as phase_two:
-            for node in phase_two:
-                yield node_plan(node), behaviour_of(space, node_states(memo, node))
+        with closing(_forbidding_stream(memo, novelty, budget, stats, key_of, (), settled)) as one:
+            for node, behaviour in one:
+                plans.append(node_plan(node))
+                yield plans[-1], behaviour
+        with closing(_forbidding_stream(memo, novelty, budget, stats, node_plan, plans)) as two:
+            for node, plan in two:
+                yield plan, key_of(node)
 
     return _top_k(problem, space, k, limits, pairs)
 

@@ -160,8 +160,8 @@ class TestFormula:
         assert format_formula(f) == "(!first-g3 U first-g1) & (!first-g3 U first-g2)"
 
     def test_latch_monotone_iff_two_or_more_groups(self):
-        # interior pruning compares goal orders only for behaviours with 2+
-        # groups, which is sound because exactly their formulas have this shape
+        # exactly the formulas of behaviours with 2+ groups have this shape;
+        # interior pruning compares goal orders and does not rely on it
         goals = (self.G1, self.G2, self.G3)
         latches = [f"first-{g}" for g in goals]
 

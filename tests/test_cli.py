@@ -149,6 +149,19 @@ class TestSolve:
         assert code == EXIT_BUDGET
         assert json.loads(out)["stats"]["outcome"] == "timeout"
 
+    def test_nan_time_limit_exits_64(self, capsys):
+        code, out, err = run_cli(
+            capsys,
+            "solve",
+            "--instance",
+            str(fixture_path("corridor3.grid")),
+            "--time-limit",
+            "nan",
+        )
+        assert code == EXIT_USAGE
+        assert "search limits must be positive" in err
+        assert out == ""
+
     def test_invalid_level_exits_65(self, capsys):
         code, _, err = run_cli(
             capsys, "solve", "--instance", str(fixture_path("suite/broken.grid"))
@@ -281,6 +294,7 @@ class TestBench:
             ("--cost-bound", "0"),
             ("--time-limit", "0"),
             ("--time-limit", "-1"),
+            ("--time-limit", "nan"),
             ("--node-limit", "0"),
         ],
     )

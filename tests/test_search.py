@@ -18,6 +18,7 @@ from divsim.core import Action, SimulatorProblem, replay
 from divsim.domains import GridProblem, PuzznicProblem, load_problem
 from divsim.domains.pentest import PentestProblem
 from divsim.errors import BudgetExceeded
+from divsim.oracle import brute_force_behaviours
 from divsim.search import (
     NoveltyConfig,
     NoveltyScope,
@@ -382,6 +383,18 @@ class TestNovelty:
             NoveltyConfig(max_width=0)
 
 
+class TestLimits:
+    @pytest.mark.parametrize("budget", [0.0, -1.0, float("-inf"), float("nan")])
+    def test_time_budget_that_is_not_positive_is_rejected(self, budget):
+        with pytest.raises(ValueError, match="search limits must be positive"):
+            SearchLimits(time_budget_s=budget)
+
+    def test_infinite_time_budget_never_trips(self):
+        problem = load_problem(fixture_path("corridor3.grid"))
+        limits = SearchLimits(cost_bound=8, time_budget_s=float("inf"))
+        assert fbi(problem, _go_space(problem), 2, limits=limits).plans
+
+
 class TestGenerators:
     def test_unforbidden_generator_equals_plain_iw(self):
         for name in ("corridor3.grid", "corridor_bend.grid", "two_targets_line.grid"):
@@ -559,7 +572,7 @@ class TestFbi:
         assert on.plans == off.plans
         assert on.stats.pruned_by_behaviour > off.stats.pruned_by_behaviour
 
-    def test_one_group_forbidden_behaviour_prunes_no_interior_node(self):
+    def test_one_group_forbidden_behaviour_prunes_settled_interior_nodes(self):
         problem = UndoToggleProblem()
         ga, gb = problem.goal_predicates
         # set-b, set-a, unset-a: both goals latched, not a goal state
@@ -576,7 +589,12 @@ class TestFbi:
             )
             assert got is None  # every goal node repeats the only order
             counts.append(stats.pruned_by_behaviour)
-        assert counts[0] == counts[1]
+        # Every goal below an all-latched node has its order, one group or more.
+        assert counts[0] > counts[1]
+        on = fbi(problem, space, k=3, limits=LIMITS, interior_pruning=True)
+        off = fbi(problem, space, k=3, limits=LIMITS, interior_pruning=False)
+        assert on.plans == off.plans
+        assert set(on.behaviours) <= set(brute_force_behaviours(problem, space, max_len=6))
 
     def test_visited_key_joins_raw_truths_and_latched_goals(self):
         # The key is one set, raw truths plus latched goals: set-a unset-a and
@@ -798,6 +816,10 @@ def _go_cb_space(problem, bound=8):
     return BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(bound)))
 
 
+def _first_goal_space(problem):
+    return BehaviourSpace((GoalOrder(tuple(problem.goal_predicates[:1])),))
+
+
 
 # (id, problem factory, space factory, k, cost bound). The toggles exercise
 # interior pruning, which needs a space without cost; the stars have cost so
@@ -811,6 +833,8 @@ RESUME_CASES = (
     ("star-5", _star(5, {2, 4}), _go_cb_space, 12, 8),
     ("undo-toggle", UndoToggleProblem, _go_space, 6, 10),
     ("finish-toggle", FinishToggleProblem, _go_space, 6, 10),
+    ("undo-toggle-one-group", UndoToggleProblem, _first_goal_space, 6, 10),
+    ("finish-toggle-one-group", FinishToggleProblem, _first_goal_space, 6, 10),
     ("pairs", _fixture("pairs.puz"), _go_space, 6, 6),
 )
 
@@ -860,6 +884,22 @@ class TestResumedStreams:
         assert res.stats.as_dict()["restarts"] == res.stats.restarts
         assert res.plans == restart_fbi(problem, space, 4, novelty, limits).plans
         assert res.behaviour_count == 2
+
+    @pytest.mark.parametrize(
+        "width, scope",
+        [(1, NoveltyScope.TRACE_LOCAL), (2, NoveltyScope.TRACE_LOCAL), (2, NoveltyScope.GLOBAL)],
+        ids=["1-trace", "2-trace", "2-global"],
+    )
+    def test_one_group_order_reaches_the_fallback(self, width, scope):
+        # A one-group order is fixed once every goal has latched too, so the
+        # kept set-a, set-b node must restart the stream here as well.
+        problem = FinishToggleProblem()
+        space = _first_goal_space(problem)
+        limits = SearchLimits(10, 30.0, 1_000_000)
+        novelty = NoveltyConfig(width, scope)
+        res = fbi(problem, space, 6, novelty, limits)
+        assert res.stats.restarts == 1
+        assert res.plans == restart_fbi(problem, space, 6, novelty, limits).plans
 
     def test_node_budget_reaches_more_plans_than_restarting(self):
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))

@@ -6,6 +6,7 @@ rename in ``src/`` would otherwise break only traced benchmark runs. The
 tracer rebinds attributes process-wide, so it runs in a subprocess.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -47,3 +48,30 @@ def test_tracer_installs_and_counts_fbi_and_naive():
     assert metrics["planner_calls"] == 2
     assert metrics["search.nodes_generated"] > 0
     assert metrics["domains.simulate.calls"] > 0
+
+
+def _tree(relative: str) -> ast.AST:
+    return ast.parse((ROOT / relative).read_text(encoding="utf-8"), relative)
+
+
+def test_search_imports_only_names_it_uses_or_the_tracer_rebinds():
+    """``divsim.search`` imports some names only so that the tracer can
+    rebind them as ``search.<name>``; any other unused import is dead."""
+    search = _tree("src/divsim/search.py")
+    imported = set()
+    for node in ast.walk(search):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).partition(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(search) if isinstance(node, ast.Name)}
+    rebound = {
+        node.attr
+        for node in ast.walk(_tree("perfbench/tracing.py"))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "search"
+    }
+    assert imported
+    assert imported - used <= rebound, sorted(imported - used - rebound)
