@@ -13,7 +13,6 @@ satisfy (up to simultaneity, see ``behaviour_formula``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import ltl
@@ -26,37 +25,38 @@ from .core import (
     replay,
 )
 from .errors import CostBoundExceeded, NotAGoalPlan
+from .record import Record, set_field
 
 
-@dataclass(frozen=True)
-class CostBound:
+class CostBound(Record):
     """Cost feature: the space distinguishes final plan costs up to ``bound``."""
 
     bound: int
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not isinstance(self.bound, int) or self.bound < 1:
             raise ValueError(f"cost bound must be a positive integer, got {self.bound!r}")
 
 
-@dataclass(frozen=True)
-class GoalOrder:
+class GoalOrder(Record):
     """Order feature over a non-empty, duplicate-free sequence of goal predicates."""
 
     goals: tuple
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.goals:
             raise ValueError("goal order feature needs at least one goal predicate")
         if len(set(self.goals)) != len(self.goals):
             raise ValueError("goal order feature predicates must be duplicate-free")
 
 
-@dataclass(frozen=True)
-class BehaviourSpace:
+class BehaviourSpace(Record):
     features: tuple
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not self.features:
             raise ValueError("a behaviour space needs at least one feature")
         kinds = [type(f) for f in self.features]
@@ -81,8 +81,7 @@ class BehaviourSpace:
         return None
 
 
-@dataclass(frozen=True)
-class Behaviour:
+class Behaviour(Record):
     """Canonical plan value: optional final cost, optional ordered latch groups.
 
     ``goal_order`` is a tuple of frozensets of predicates in achievement
@@ -93,6 +92,11 @@ class Behaviour:
 
     cost: Optional[int] = None
     goal_order: Optional[tuple] = None
+
+    def __init__(self, cost: Optional[int] = None, goal_order: Optional[tuple] = None):
+        # Spelled out, not left to ``Record``: the search builds one per goal node.
+        set_field(self, "cost", cost)
+        set_field(self, "goal_order", goal_order)
 
 
 def latch_groups(states: Sequence, goals: Sequence) -> tuple:

@@ -12,7 +12,6 @@ import csv
 import json
 import statistics
 import sys
-from dataclasses import KW_ONLY, InitVar, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -20,6 +19,7 @@ from .behaviour import BehaviourSpace, CostBound, GoalOrder, behaviour_to_json
 from .core import plan_cost
 from .domains import EXTENSIONS, load_problem
 from .errors import BudgetExceeded
+from .record import Record, set_field
 from .search import (
     NoveltyConfig,
     PlanSetResult,
@@ -38,10 +38,9 @@ def _check_distinct(name: str, values) -> None:
         raise ValueError(f"{name} repeats a value: {', '.join(map(str, values))}")
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """One planner run. ``cost_bound`` and ``time_budget_s``, when given,
-    override those fields of ``limits`` and are not kept."""
+class TaskSpec(Record):
+    """One planner run. The keyword-only ``cost_bound`` and ``time_budget_s``,
+    when given, override those fields of ``limits`` and are not kept."""
 
     instance: str
     mode: str = "fbi"
@@ -50,11 +49,15 @@ class TaskSpec:
     features: tuple = FEATURES
     novelty: NoveltyConfig = NoveltyConfig()
     limits: SearchLimits = SearchLimits()
-    _: KW_ONLY
-    cost_bound: InitVar[Optional[int]] = None
-    time_budget_s: InitVar[Optional[float]] = None
 
-    def __post_init__(self, cost_bound, time_budget_s):
+    def __init__(
+        self,
+        *args,
+        cost_bound: Optional[int] = None,
+        time_budget_s: Optional[float] = None,
+        **kwargs,
+    ):
+        super().__init__(*args, **kwargs)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.k < 1:
@@ -68,11 +71,10 @@ class TaskSpec:
         given = dict(cost_bound=cost_bound, time_budget_s=time_budget_s)
         overrides = {name: value for name, value in given.items() if value is not None}
         if overrides:
-            object.__setattr__(self, "limits", replace(self.limits, **overrides))
+            set_field(self, "limits", self.limits._replace(**overrides))
 
 
-@dataclass(frozen=True)
-class SuiteResultRow:
+class SuiteResultRow(Record):
     instance: str
     mode: str
     k: int
@@ -83,7 +85,7 @@ class SuiteResultRow:
     outcome: str
 
 
-CSV_COLUMNS = tuple(f.name for f in fields(SuiteResultRow))
+CSV_COLUMNS = SuiteResultRow._fields
 
 
 def build_space(problem, features: Sequence[str], cost_bound: int) -> BehaviourSpace:
@@ -164,7 +166,9 @@ def run_suite(
 
     Returns ``(rows, aggregates)``. The (k, mode) tasks are built, and so
     checked, before the directory is listed or ``plans_dir`` made; a mode or
-    k given twice is a ``ValueError``, as it would run a task twice. A task
+    k given twice is a ``ValueError``, as it would run a task twice. So is,
+    with ``plans_dir``, two instance files of one stem, whose plan files
+    would share a name; this is checked before ``plans_dir`` is made. A task
     that raises, whatever the exception, becomes a row with outcome "error"
     and a warning naming the exception type, instead of aborting the rest
     of the suite.
@@ -182,6 +186,14 @@ def run_suite(
         if p.is_file() and p.suffix.lower() in EXTENSIONS
     )
     if plans_dir is not None:
+        by_stem = {}
+        for path in paths:
+            other = by_stem.setdefault(path.stem, path)
+            if other is not path:
+                raise ValueError(
+                    f"{other.name} and {path.name} would write the same plan files "
+                    f"({path.stem}-<mode>-k<k>.json); rename one"
+                )
         Path(plans_dir).mkdir(parents=True, exist_ok=True)
     rows = []
     for path in paths:
@@ -190,7 +202,7 @@ def run_suite(
             name = f"{path.stem}-{mode}-k{k}.json"
             plans_path = Path(plans_dir) / name if plans_dir is not None else None
             try:
-                _, row, _ = run_task(replace(task, instance=str(path)), plans_path)
+                _, row, _ = run_task(task._replace(instance=str(path)), plans_path)
             except Exception as err:
                 row = SuiteResultRow(path.name, mode, k, False, 0, 0, 0.0, "error")
                 print(
@@ -262,4 +274,4 @@ def write_rows_csv(path, rows: Sequence[SuiteResultRow]):
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
         for r in rows:
-            writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in astuple(r))
+            writer.writerow(str(v).lower() if isinstance(v, bool) else v for v in r._astuple())

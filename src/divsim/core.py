@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Hashable
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CostBoundExceeded, InapplicableAction, UnknownAction
+from .record import Record, set_field
 
 GOAL_ATOM = "goal-state"
 COST_ATOM_PREFIX = "cost-"
@@ -29,20 +29,19 @@ State = Hashable  # a simulator's own state; SimulatorProblem.atoms gives its tr
 Plan = tuple  # tuple[str, ...] of action ids, applied left to right
 
 
-@dataclass(frozen=True)
-class Action:
+class Action(Record):
     """Named action with a positive integer cost."""
 
     name: str
     cost: int = 1
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not isinstance(self.cost, int) or isinstance(self.cost, bool) or self.cost < 1:
             raise ValueError(f"action cost must be a positive integer, got {self.cost!r}")
 
 
-@dataclass(frozen=True)
-class AugmentedState:
+class AugmentedState(Record):
     """One trace position: the raw state plus derived bookkeeping.
 
     ``latched`` holds every goal predicate that has been true at this position
@@ -55,9 +54,15 @@ class AugmentedState:
     goal_flag: bool
     latched: frozenset
 
+    def __init__(self, raw: State, cost_so_far: int, goal_flag: bool, latched: frozenset):
+        # Spelled out, not left to ``Record``: the search builds one per trace position.
+        set_field(self, "raw", raw)
+        set_field(self, "cost_so_far", cost_so_far)
+        set_field(self, "goal_flag", goal_flag)
+        set_field(self, "latched", latched)
 
-@dataclass(frozen=True)
-class Trace:
+
+class Trace(Record):
     """States visited by a plan; states[0] is the initial state."""
 
     states: tuple

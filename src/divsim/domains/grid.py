@@ -7,17 +7,16 @@ agent's position is the ``at-r-c`` predicate; entering a target latches a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from ..core import Action, SimulatorProblem
 from ..errors import InapplicableAction, LevelInvalid
+from ..record import Record
 
 _MOVES = (("up", -1, 0), ("down", 1, 0), ("left", 0, -1), ("right", 0, 1))
 
 
-@dataclass(frozen=True)
-class GridWorld:
+class GridWorld(Record):
     height: int
     width: int
     walls: frozenset

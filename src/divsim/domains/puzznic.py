@@ -25,13 +25,13 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, deque
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 from .. import core
 from ..core import Action, SimulatorProblem
 from ..errors import InapplicableAction, LevelInvalid, ParseError, UnknownAction
+from ..record import Record
 
 WALL = "#"
 EMPTY = "."
@@ -45,8 +45,7 @@ CURSOR_MOVES = (
 PUSHES = (("push-left", -1), ("push-right", 1))
 
 
-@dataclass(frozen=True)
-class PuzznicLevel:
+class PuzznicLevel(Record):
     grid: tuple  # tuple of row strings
     cursor: tuple
     score: int = 0
@@ -302,7 +301,7 @@ def applicable_moves(level: PuzznicLevel) -> tuple:
 
 def puzznic_step(level: PuzznicLevel, action: str, record=None) -> PuzznicLevel:
     grid, cursor, score = _step(level.grid, level.cursor, level.score, action, record)
-    return replace(level, grid=grid, cursor=cursor, score=score)
+    return level._replace(grid=grid, cursor=cursor, score=score)
 
 
 def level_goal(level: PuzznicLevel) -> bool:

@@ -17,70 +17,57 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import ParseError
+from .record import Record
 
 
-class Formula:
+class Formula(Record):
     """Base class for formula nodes. Nodes are immutable and hashable."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True)
 class TrueF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class FalseF(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
 
-@dataclass(frozen=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
 class And(Formula):
     children: tuple
 
 
-@dataclass(frozen=True)
 class Or(Formula):
     children: tuple
 
 
-@dataclass(frozen=True)
 class Next(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
 class Eventually(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
 class Always(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
 class Until(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
 class Release(Formula):
     left: Formula
     right: Formula
@@ -90,7 +77,7 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-class _Op(NamedTuple):
+class _Op(Record):
     rank: int  # place in the canonical order of node types
     token: Optional[str]  # concrete syntax; atoms print their own name
     fix: str  # "leaf", "prefix" or "infix"

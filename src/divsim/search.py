@@ -35,13 +35,13 @@ import itertools
 import time
 from collections import deque
 from contextlib import closing
-from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .behaviour import BehaviourSpace, behaviour_of
 from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo
 from .errors import BudgetExceeded
+from .record import MutableRecord, Record
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
 from .behaviour import behaviour_formula, extract_behaviour, latch_groups  # noqa: F401
@@ -61,30 +61,42 @@ class NoveltyScope(Enum):
     GLOBAL = "global"
 
 
-@dataclass(frozen=True)
-class NoveltyConfig:
+def _check_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int and not a bool, as ``Action`` asks of a cost."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class NoveltyConfig(Record):
     max_width: int = 2
     scope: NoveltyScope = NoveltyScope.TRACE_LOCAL
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _check_int("max_width", self.max_width)
         if self.max_width < 1:
             raise ValueError("max_width must be at least 1")
+        if not isinstance(self.scope, NoveltyScope):
+            raise ValueError(f"scope must be a NoveltyScope, got {self.scope!r}")
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(Record):
     cost_bound: int = 1000
     time_budget_s: float = 1800.0
     node_budget: int = 10_000_000
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _check_int("cost_bound", self.cost_bound)
+        _check_int("node_budget", self.node_budget)
         # ``not > 0`` also rejects a NaN budget, whose deadline would never trip.
         if self.cost_bound < 1 or not self.time_budget_s > 0 or self.node_budget < 1:
             raise ValueError("search limits must be positive")
 
 
-@dataclass
-class SearchStats:
+class SearchStats(MutableRecord):
+    """A run's counters, which the search updates in place."""
+
     nodes_expanded: int = 0
     nodes_generated: int = 0
     pruned_by_novelty: int = 0
@@ -94,17 +106,21 @@ class SearchStats:
     simulate_calls: int = 0
     memo_hits: int = 0
     restarts: int = 0
-    wall_time_by_width: dict = field(default_factory=dict)
+    wall_time_by_width: dict = None  # None gives each instance a dict of its own
     wall_time_s: float = 0.0
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.wall_time_by_width is None:
+            self.wall_time_by_width = {}
+
     def as_dict(self) -> dict:
-        out = asdict(self)
+        out = dict(zip(self._fields, self._astuple()))
         out["wall_time_by_width"] = {str(w): t for w, t in sorted(self.wall_time_by_width.items())}
         return out
 
 
-@dataclass(frozen=True)
-class PlanSetResult:
+class PlanSetResult(Record):
     """Outcome of a top-k run: plans with their behaviours, side by side.
 
     ``exhausted`` means the generators ran dry before reaching k; hitting a

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass
 from typing import Sequence, Tuple
+
+from .record import Record
 
 _CF_MAX_ITERATIONS = 300
 _CF_EPS = 3e-14
@@ -86,8 +87,7 @@ def t_two_tailed_p(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(Record):
     t: float
     p: float
     df: int

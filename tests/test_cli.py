@@ -336,6 +336,22 @@ class TestBench:
         assert not out_csv.exists()
         assert not plans.exists()
 
+    def test_instances_sharing_a_stem_exit_64_before_any_task(self, capsys, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "same.grid").write_text(fixture_path("corridor3.grid").read_text())
+        (suite / "same.puz").write_text(fixture_path("single_pair.puz").read_text())
+        out_csv, plans = tmp_path / "rows.csv", tmp_path / "plans"
+        code, out, err = run_cli(
+            capsys, "bench", "--suite", str(suite), "--plans-dir", str(plans),
+            "--modes", "fbi", "--k-list", "2", "--out", str(out_csv),
+        )
+        assert code == EXIT_USAGE
+        assert "same.grid" in err and "same.puz" in err
+        assert "rows" not in out
+        assert not out_csv.exists()
+        assert not plans.exists()
+
     @pytest.mark.parametrize(
         "flags", [("--cost-bound", "0"), ("--features", "xx"), ("--modes", "bogus")]
     )

@@ -1,7 +1,6 @@
 import functools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -232,7 +231,7 @@ class TestProblem:
         trace = replay(problem, ("cursor-right", "push-left"))
         grid, cursor, score = trace.states[-1].raw
         assert score == 600
-        assert level_goal(replace(problem.level0, grid=grid, cursor=cursor, score=score))
+        assert level_goal(problem.level0._replace(grid=grid, cursor=cursor, score=score))
         assert trace.states[-1].goal_flag
 
     def test_score_band_predicate_tracks_band_width(self):
@@ -311,7 +310,7 @@ class TestReferenceAgreement:
     @staticmethod
     def _level(problem, state):
         grid, cursor, score = state
-        return replace(problem.level0, grid=grid, cursor=cursor, score=score)
+        return problem.level0._replace(grid=grid, cursor=cursor, score=score)
 
     def test_simulate_applicable_and_atoms_match_the_reference(self, reached):
         problem, pairs = reached

@@ -382,8 +382,29 @@ class TestNovelty:
         with pytest.raises(ValueError):
             NoveltyConfig(max_width=0)
 
+    @pytest.mark.parametrize(
+        "args",
+        [(2, "trace"), (2, "global"), (2.5,), (2.0,), (True,), ("2",)],
+        ids=["scope-text-trace", "scope-text-global", "width-float", "width-integral-float",
+             "width-bool", "width-text"],
+    )
+    def test_config_rejects_values_of_the_wrong_type(self, args):
+        with pytest.raises(ValueError):
+            NoveltyConfig(*args)
+
 
 class TestLimits:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"cost_bound": True}, {"cost_bound": 8.0}, {"cost_bound": "8"},
+         {"node_budget": True}, {"node_budget": 1e6}],
+        ids=["cost-bound-bool", "cost-bound-float", "cost-bound-text",
+             "node-budget-bool", "node-budget-float"],
+    )
+    def test_counts_of_the_wrong_type_are_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            SearchLimits(**kwargs)
+
     @pytest.mark.parametrize("budget", [0.0, -1.0, float("-inf"), float("nan")])
     def test_time_budget_that_is_not_positive_is_rejected(self, budget):
         with pytest.raises(ValueError, match="search limits must be positive"):
