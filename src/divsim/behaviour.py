@@ -35,7 +35,7 @@ class CostBound(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if not isinstance(self.bound, int) or self.bound < 1:
+        if not isinstance(self.bound, int) or isinstance(self.bound, bool) or self.bound < 1:
             raise ValueError(f"cost bound must be a positive integer, got {self.bound!r}")
 
 

@@ -19,7 +19,7 @@ from .behaviour import BehaviourSpace, CostBound, GoalOrder, behaviour_to_json
 from .core import plan_cost
 from .domains import EXTENSIONS, load_problem
 from .errors import BudgetExceeded
-from .record import Record, set_field
+from .record import Record, check_int, set_field
 from .search import (
     NoveltyConfig,
     PlanSetResult,
@@ -60,6 +60,7 @@ class TaskSpec(Record):
         super().__init__(*args, **kwargs)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        check_int("k", self.k)
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if not self.features:
@@ -100,10 +101,12 @@ def build_space(problem, features: Sequence[str], cost_bound: int) -> BehaviourS
     return BehaviourSpace(tuple(parts))
 
 
-def plan_set_document(spec: TaskSpec, problem, result: PlanSetResult, outcome: str) -> dict:
+def plan_set_document(spec: TaskSpec, costs, result: PlanSetResult, outcome: str) -> dict:
+    """The JSON-ready plan set of a run; ``costs`` holds the cost of each
+    plan of ``result``, in order."""
     plans = []
-    for i, plan in enumerate(result.plans):
-        entry = {"actions": list(plan), "cost": plan_cost(problem, plan)}
+    for i, (plan, cost) in enumerate(zip(result.plans, costs)):
+        entry = {"actions": list(plan), "cost": cost}
         if i < len(result.behaviours):
             entry["behaviour"] = behaviour_to_json(result.behaviours[i])
         plans.append(entry)
@@ -115,6 +118,24 @@ def plan_set_document(spec: TaskSpec, problem, result: PlanSetResult, outcome: s
         "behaviour_count": result.behaviour_count,
         "stats": {**result.stats.as_dict(), "outcome": outcome},
     }
+
+
+def _report(spec: TaskSpec, costs, result: PlanSetResult, outcome: str, plans_path):
+    """``(row, document)`` of a run, the document also written to ``plans_path``."""
+    row = SuiteResultRow(
+        instance=Path(spec.instance).name,
+        mode=spec.mode,
+        k=spec.k,
+        solved=bool(result.plans) and outcome in ("done", "exhausted"),
+        plans_found=len(result.plans),
+        behaviour_count=result.behaviour_count,
+        wall_time_s=round(result.stats.wall_time_s, 6),
+        outcome=outcome,
+    )
+    doc = plan_set_document(spec, costs, result, outcome)
+    if plans_path is not None:
+        Path(plans_path).write_text(json.dumps(doc, indent=2) + "\n")
+    return row, doc
 
 
 def run_task(spec: TaskSpec, plans_path=None):
@@ -136,19 +157,8 @@ def run_task(spec: TaskSpec, plans_path=None):
     except BudgetExceeded as err:
         result = err.partial
         outcome = "timeout" if err.kind == "time" else "nodecap"
-    row = SuiteResultRow(
-        instance=Path(spec.instance).name,
-        mode=spec.mode,
-        k=spec.k,
-        solved=bool(result.plans) and outcome in ("done", "exhausted"),
-        plans_found=len(result.plans),
-        behaviour_count=result.behaviour_count,
-        wall_time_s=round(result.stats.wall_time_s, 6),
-        outcome=outcome,
-    )
-    doc = plan_set_document(spec, problem, result, outcome)
-    if plans_path is not None:
-        Path(plans_path).write_text(json.dumps(doc, indent=2) + "\n")
+    costs = [plan_cost(problem, plan) for plan in result.plans]
+    row, doc = _report(spec, costs, result, outcome, plans_path)
     return result, row, doc
 
 
@@ -164,14 +174,19 @@ def run_suite(
 ):
     """Run every instance in a directory for every mode and k.
 
-    Returns ``(rows, aggregates)``. The (k, mode) tasks are built, and so
-    checked, before the directory is listed or ``plans_dir`` made; a mode or
-    k given twice is a ``ValueError``, as it would run a task twice. So is,
-    with ``plans_dir``, two instance files of one stem, whose plan files
-    would share a name; this is checked before ``plans_dir`` is made. A task
-    that raises, whatever the exception, becomes a row with outcome "error"
-    and a warning naming the exception type, instead of aborting the rest
-    of the suite.
+    Returns ``(rows, aggregates)``, one row per (instance, k, mode). Each
+    (instance, mode) runs once, at the largest k, and the rows of the
+    smaller k are read off that run (``PlanSetResult.prefix``): the plans a
+    k-run finds, its stats, and outcome "done" once k plans were found,
+    even if a budget tripped later; their ``wall_time_s`` is the time at
+    the k-th plan. The (k, mode) tasks are built, and so checked, before
+    the directory is listed or ``plans_dir`` made; a mode or k given twice
+    is a ``ValueError``. So is, with ``plans_dir``, two instance files of
+    one stem, whose plan files would share a name; this is checked before
+    ``plans_dir`` is made. A run that raises, whatever the exception, makes
+    every k of its (instance, mode) a row with outcome "error", each with a
+    warning naming the exception type, instead of aborting the rest of the
+    suite.
     """
     _check_distinct("modes", modes)
     _check_distinct("k values", k_list)
@@ -180,6 +195,7 @@ def run_suite(
         for k in k_list
         for mode in modes
     ]
+    top = max(k_list, default=None)
     paths = sorted(
         p
         for p in Path(suite_dir).iterdir()
@@ -195,20 +211,38 @@ def run_suite(
                     f"({path.stem}-<mode>-k<k>.json); rename one"
                 )
         Path(plans_dir).mkdir(parents=True, exist_ok=True)
+
+    def plans_path(path, spec):
+        name = f"{path.stem}-{spec.mode}-k{spec.k}.json"
+        return Path(plans_dir) / name if plans_dir is not None else None
+
     rows = []
     for path in paths:
+        runs = {}  # mode -> run_task's (result, row, document) at k = top, or what it raised
+        for task in tasks:
+            if task.k == top:
+                spec = task._replace(instance=str(path))
+                try:
+                    runs[task.mode] = run_task(spec, plans_path(path, spec))
+                except Exception as err:
+                    runs[task.mode] = err
         for task in tasks:
             mode, k = task.mode, task.k
-            name = f"{path.stem}-{mode}-k{k}.json"
-            plans_path = Path(plans_dir) / name if plans_dir is not None else None
-            try:
-                _, row, _ = run_task(task._replace(instance=str(path)), plans_path)
-            except Exception as err:
+            run = runs[mode]
+            if isinstance(run, Exception):
                 row = SuiteResultRow(path.name, mode, k, False, 0, 0, 0.0, "error")
                 print(
-                    f"warning: {path.name} ({mode}, k={k}): {type(err).__name__}: {err}",
+                    f"warning: {path.name} ({mode}, k={k}): {type(run).__name__}: {run}",
                     file=sys.stderr,
                 )
+            elif k == top:
+                row = run[1]
+            else:
+                result, top_row, doc = run
+                outcome = "done" if len(result.plans) >= k else top_row.outcome
+                costs = [entry["cost"] for entry in doc["plans"]]
+                spec = task._replace(instance=str(path))
+                row, _ = _report(spec, costs, result.prefix(k), outcome, plans_path(path, spec))
             rows.append(row)
     return rows, aggregate_rows(rows)
 

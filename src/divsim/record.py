@@ -21,6 +21,13 @@ from operator import attrgetter
 set_field = object.__setattr__
 
 
+def check_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an int and not a bool, as a
+    constructor asks of a count or a bound."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, a field of a frozen record."""
 

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Optional
 from .behaviour import BehaviourSpace, behaviour_of
 from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo
 from .errors import BudgetExceeded
-from .record import MutableRecord, Record
+from .record import MutableRecord, Record, check_int, set_field
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
 from .behaviour import behaviour_formula, extract_behaviour, latch_groups  # noqa: F401
@@ -61,10 +61,10 @@ class NoveltyScope(Enum):
     GLOBAL = "global"
 
 
-def _check_int(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an int and not a bool, as ``Action`` asks of a cost."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+def _check_k(k) -> None:
+    check_int("k", k)
+    if k < 1:
+        raise ValueError("k must be at least 1")
 
 
 class NoveltyConfig(Record):
@@ -73,7 +73,7 @@ class NoveltyConfig(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        _check_int("max_width", self.max_width)
+        check_int("max_width", self.max_width)
         if self.max_width < 1:
             raise ValueError("max_width must be at least 1")
         if not isinstance(self.scope, NoveltyScope):
@@ -87,8 +87,8 @@ class SearchLimits(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        _check_int("cost_bound", self.cost_bound)
-        _check_int("node_budget", self.node_budget)
+        check_int("cost_bound", self.cost_bound)
+        check_int("node_budget", self.node_budget)
         # ``not > 0`` also rejects a NaN budget, whose deadline would never trip.
         if self.cost_bound < 1 or not self.time_budget_s > 0 or self.node_budget < 1:
             raise ValueError("search limits must be positive")
@@ -114,6 +114,19 @@ class SearchStats(MutableRecord):
         if self.wall_time_by_width is None:
             self.wall_time_by_width = {}
 
+    def at(self, wall_time_s: float) -> "SearchStats":
+        """A copy of these counts as they stand, with ``wall_time_s`` set.
+
+        The fields are copied one by one, with no constructor run. Reading
+        ``self.__dict__`` instead would give the live stats a dict object,
+        which slows every counter update the search makes after it."""
+        copy = object.__new__(SearchStats)
+        for field, value in zip(self._fields, self._values(self)):
+            set_field(copy, field, value)
+        copy.wall_time_by_width = dict(self.wall_time_by_width)
+        copy.wall_time_s = wall_time_s
+        return copy
+
     def as_dict(self) -> dict:
         out = dict(zip(self._fields, self._astuple()))
         out["wall_time_by_width"] = {str(w): t for w, t in sorted(self.wall_time_by_width.items())}
@@ -125,16 +138,35 @@ class PlanSetResult(Record):
 
     ``exhausted`` means the generators ran dry before reaching k; hitting a
     resource budget is not exhaustion and raises ``BudgetExceeded`` instead.
+    ``stats_at[i]`` is the run's stats as they stood when plan i was found,
+    its ``wall_time_s`` the time then; ``prefix`` reads smaller runs off them.
     """
 
     plans: tuple
     behaviours: tuple
     stats: SearchStats
     exhausted: bool
+    stats_at: tuple = ()
 
     @property
     def behaviour_count(self) -> int:
         return len(set(self.behaviours))
+
+    def prefix(self, k: int) -> "PlanSetResult":
+        """The result the same run asked for ``k`` plans returns.
+
+        Both planners are streams, so a k-run finds this run's first k
+        plans and stops at the k-th; with fewer than k plans found, it ends
+        as this run did. Only the time values differ: ``wall_time_s`` is
+        the time at the k-th plan, and ``wall_time_by_width`` keys every
+        width begun by then but holds the time of the widths ended by then.
+        """
+        _check_k(k)
+        if len(self.plans) < k:
+            return self
+        return PlanSetResult(
+            self.plans[:k], self.behaviours[:k], self.stats_at[k - 1], False, self.stats_at[:k]
+        )
 
 
 class Budget:
@@ -336,8 +368,11 @@ def _iw_goal_stream(
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
     goal_bits = memo.goal_bits
+    widths = stats.wall_time_by_width
     for width in range(1, novelty.max_width + 1):
         started = time.perf_counter()
+        # Keyed now, so that stats copied at a plan hold every width begun.
+        widths.setdefault(width, 0.0)
         try:
             record = memo.initial
             table = NoveltyTable(width, novelty.scope)
@@ -386,8 +421,7 @@ def _iw_goal_stream(
                     queue.append(child)
                 node.summary = None
         finally:
-            elapsed = time.perf_counter() - started
-            stats.wall_time_by_width[width] = stats.wall_time_by_width.get(width, 0.0) + elapsed
+            widths[width] += time.perf_counter() - started
 
 
 def _forbidding_stream(
@@ -520,25 +554,27 @@ def _top_k(
     """The first ``k`` pairs of ``pairs(memo, budget, stats)`` as a result.
 
     ``pairs`` yields ``(plan, behaviour)``, with None for no behaviour, over
-    the run's ``TransitionMemo``, within ``Budget(limits, space)``. On a
+    the run's ``TransitionMemo``, within ``Budget(limits, space)``. The
+    stats are copied at every plan (``PlanSetResult.stats_at``). On a
     budget trip the partial result rides on the raised ``BudgetExceeded``.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_k(k)
     budget = Budget(limits, space)
     stats = SearchStats()
     started = time.perf_counter()
     memo = TransitionMemo(problem, stats)
     plans: list = []
     behaviours: list = []
+    stats_at: list = []
 
     def result(exhausted: bool) -> PlanSetResult:
         stats.wall_time_s = time.perf_counter() - started
-        return PlanSetResult(tuple(plans), tuple(behaviours), stats, exhausted)
+        return PlanSetResult(tuple(plans), tuple(behaviours), stats, exhausted, tuple(stats_at))
 
     try:
         with closing(pairs(memo, budget, stats)) as stream:
             for plan, behaviour in itertools.islice(stream, k):
+                stats_at.append(stats.at(time.perf_counter() - started))
                 plans.append(plan)
                 if behaviour is not None:
                     behaviours.append(behaviour)

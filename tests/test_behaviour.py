@@ -33,6 +33,10 @@ class TestFeatureValidation:
         with pytest.raises(ValueError):
             CostBound(-3)
 
+    def test_cost_bound_rejects_a_bool(self):
+        with pytest.raises(ValueError, match="positive integer"):
+            CostBound(True)
+
     def test_goal_order_rejects_empty_and_duplicates(self):
         with pytest.raises(ValueError):
             GoalOrder(())

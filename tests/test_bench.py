@@ -8,6 +8,7 @@ import pytest
 from divsim import bench
 from divsim.bench import (
     CSV_COLUMNS,
+    MODES,
     SuiteResultRow,
     TaskSpec,
     aggregate_rows,
@@ -20,9 +21,16 @@ from divsim.bench import (
 from divsim.behaviour import CostBound, GoalOrder
 from divsim.domains import load_problem
 from divsim.errors import LevelInvalid
-from divsim.search import NoveltyConfig, SearchLimits
+from divsim.search import NoveltyConfig, NoveltyScope, SearchLimits
 
 from conftest import fixture_path
+from test_acceptance import (
+    GENERATED_GRIDS,
+    GENERATED_PUZZLES,
+    GENERATED_STARS,
+    grid_text,
+    star_scenario,
+)
 
 
 class TestTaskSpec:
@@ -33,6 +41,11 @@ class TestTaskSpec:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError, match="k"):
             TaskSpec(instance="x.grid", k=0)
+
+    @pytest.mark.parametrize("k", [2.5, True], ids=["float", "bool"])
+    def test_rejects_k_of_the_wrong_type(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            TaskSpec(instance="x.grid", k=k)
 
     def test_rejects_empty_features(self):
         with pytest.raises(ValueError, match="feature"):
@@ -175,6 +188,107 @@ class TestRunSuite:
                 assert row.solved
             if row.outcome == "error":
                 assert row.plans_found == 0
+
+
+def _generated_suite(root):
+    """A few of the acceptance suite's grids, stars and puzzles, as files in ``root``."""
+    root.mkdir()
+    for name, rows, cols, start, targets in GENERATED_GRIDS[::4]:
+        (root / f"{name}.grid").write_text(grid_text(rows, cols, start, targets))
+    for name, n_lans, sensitive, pads in GENERATED_STARS[::2]:
+        (root / f"{name}.json").write_text(star_scenario(n_lans, sensitive, pads))
+    for name, text in GENERATED_PUZZLES[:2]:
+        (root / f"{name}.puz").write_text(text)
+    return root
+
+
+def _timeless(doc):
+    """A plan document without its time values, but with the widths begun."""
+    stats = dict(doc["stats"])
+    del stats["wall_time_s"]
+    stats["wall_time_by_width"] = list(stats["wall_time_by_width"])
+    return {**doc, "stats": stats}
+
+
+def _per_k_reference(suite, modes, k_list, **options):
+    """``run_suite``'s rows and plan documents, from one ``run_task`` per
+    (instance, mode, k)."""
+    rows, docs = [], {}
+    for path in sorted(p for p in suite.iterdir() if p.is_file()):
+        for k in k_list:
+            for mode in modes:
+                try:
+                    _, row, doc = run_task(TaskSpec(str(path), mode, k, **options))
+                except Exception:
+                    row = SuiteResultRow(path.name, mode, k, False, 0, 0, 0.0, "error")
+                else:
+                    docs[f"{path.stem}-{mode}-k{k}.json"] = _timeless(doc)
+                rows.append(row._replace(wall_time_s=0.0))
+    return rows, docs
+
+
+class TestSuiteRunsEachModeOnce:
+    """Each (instance, mode) runs once, at the largest k; the smaller k's rows
+    and documents are those of separate k-runs, time values apart."""
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("suite", ["fixtures", "generated"])
+    def test_rows_and_documents_equal_per_k_runs(self, suite, scope, tmp_path):
+        root = fixture_path("suite") if suite == "fixtures" else _generated_suite(tmp_path / "in")
+        options = dict(
+            features=("go", "cb"), novelty=NoveltyConfig(2, scope), limits=SearchLimits(24, 60.0)
+        )
+        k_list = (2, 5, 10)
+        rows, _ = run_suite(root, MODES, k_list, plans_dir=tmp_path / "out", **options)
+        got_docs = {
+            p.name: _timeless(json.loads(p.read_text())) for p in (tmp_path / "out").iterdir()
+        }
+        want_rows, want_docs = _per_k_reference(root, MODES, k_list, **options)
+        assert [r._replace(wall_time_s=0.0) for r in rows] == want_rows
+        assert got_docs == want_docs
+        assert {r.outcome for r in rows} >= {"done", "exhausted"}
+        assert ("error" in {r.outcome for r in rows}) == (suite == "fixtures")
+
+    def test_budget_trip_after_k_plans_leaves_row_k_done(self, tmp_path):
+        # 200 nodes: fbi on open3x3 finds its second plan, then trips.
+        options = dict(features=("go",), limits=SearchLimits(6, 60.0, 200))
+        root = tmp_path / "in"
+        root.mkdir()
+        (root / "open3x3.grid").write_text(fixture_path("open3x3.grid").read_text())
+        rows, _ = run_suite(root, ("fbi",), (2, 10), plans_dir=tmp_path / "out", **options)
+        assert [(r.k, r.outcome) for r in rows] == [(2, "done"), (10, "nodecap")]
+        want_rows, want_docs = _per_k_reference(root, ("fbi",), (2, 10), **options)
+        assert [r._replace(wall_time_s=0.0) for r in rows] == want_rows
+        got = json.loads((tmp_path / "out" / "open3x3-fbi-k2.json").read_text())
+        assert _timeless(got) == want_docs["open3x3-fbi-k2.json"]
+
+    def test_a_run_that_raises_makes_every_k_an_error_row(self, monkeypatch, capsys):
+        calls = []
+
+        def crashing_run_task(spec, plans_path=None):
+            calls.append((spec.mode, spec.k))
+            if spec.instance.endswith("alley.grid") and spec.mode == "naive":
+                raise RuntimeError("simulator crashed")
+            return run_task(spec, plans_path)
+
+        monkeypatch.setattr(bench, "run_task", crashing_run_task)
+        rows, _ = run_suite(fixture_path("suite"), k_list=(2, 5))
+        assert calls == [("fbi", 5), ("naive", 5)] * 3
+        errors = [(r.instance, r.k, r.mode, r.outcome == "error") for r in rows[:4]]
+        assert errors == [
+            ("alley.grid", 2, "fbi", False),
+            ("alley.grid", 2, "naive", True),
+            ("alley.grid", 5, "fbi", False),
+            ("alley.grid", 5, "naive", True),
+        ]
+        err = capsys.readouterr().err.splitlines()
+        assert err[:2] == [
+            "warning: alley.grid (naive, k=2): RuntimeError: simulator crashed",
+            "warning: alley.grid (naive, k=5): RuntimeError: simulator crashed",
+        ]
+
+    def test_empty_k_list_gives_no_rows(self):
+        assert run_suite(fixture_path("suite"), k_list=()) == ([], [])
 
 
 class TestAggregates:

@@ -96,7 +96,7 @@ CASES = [
         PlanSetResult((("go",),), (Behaviour(1),), SearchStats(), False),
         "PlanSetResult(plans=(('go',),), behaviours=(Behaviour(cost=1, goal_order=None),), "
         f"stats=SearchStats({_SEARCH_STATS}wall_time_by_width={{}}, wall_time_s=0.0), "
-        "exhausted=False)",
+        "exhausted=False, stats_at=())",
         ("exhausted", True),
     ),
     (

@@ -991,3 +991,86 @@ class TestSpaceCapsCost:
         assert loose.plans == tight.plans
         assert loose.behaviours == tight.behaviours
         assert all(b.cost <= bound for b in loose.behaviours)
+
+
+def _counts(stats):
+    """A run's stats without their time values, but with the widths begun."""
+    out = stats.as_dict()
+    del out["wall_time_s"]
+    out["wall_time_by_width"] = list(out["wall_time_by_width"])
+    return out
+
+
+def _same_run(got, ref):
+    assert got.plans == ref.plans
+    assert got.behaviours == ref.behaviours
+    assert got.exhausted == ref.exhausted
+    assert _counts(got.stats) == _counts(ref.stats)
+    assert [_counts(s) for s in got.stats_at] == [_counts(s) for s in ref.stats_at]
+
+
+PREFIX_LIMITS = SearchLimits(12, 30.0, 1_000_000)
+PREFIX_K = 30  # above the plans any fixture has within the bound, so every run exhausts
+
+
+class TestPrefix:
+    """A run's ``prefix(k)`` is what a run asked for k plans returns."""
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("features", [("go",), ("go", "cb")], ids=["go", "go,cb"])
+    @pytest.mark.parametrize("mode", ["fbi", "naive"])
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_prefix_equals_a_separate_k_run(self, name, mode, features, scope):
+        problem = load_problem(fixture_path(name))
+        space = feature_space(problem, features, PREFIX_LIMITS.cost_bound)
+        novelty = NoveltyConfig(2, scope)
+
+        def solve(k):
+            if mode == "fbi":
+                return fbi(problem, space, k, novelty, PREFIX_LIMITS)
+            return fbi_naive(problem, k, novelty, PREFIX_LIMITS, space=space)
+
+        full = solve(PREFIX_K)
+        assert full.exhausted and len(full.stats_at) == len(full.plans)
+        for k in range(1, len(full.plans) + 2):
+            _same_run(full.prefix(k), solve(k))
+
+    def test_prefix_through_a_restart(self):
+        problem = FinishToggleProblem()
+        space = _first_goal_space(problem)
+        limits = SearchLimits(10, 30.0, 1_000_000)
+        full = fbi(problem, space, 6, limits=limits)
+        assert full.stats.restarts == 1
+        for k in range(1, len(full.plans) + 2):
+            _same_run(full.prefix(k), fbi(problem, space, k, limits=limits))
+
+    @pytest.mark.parametrize("run", [_fbi_k, _naive_k], ids=["fbi", "naive"])
+    def test_budget_trip_after_the_kth_plan(self, run):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        space = _go_space(problem)
+        full = run(problem, space, PREFIX_K, PREFIX_LIMITS)
+        k = 3
+        # A budget of exactly the nodes generated by the k-th plan.
+        limits = PREFIX_LIMITS._replace(node_budget=full.stats_at[k - 1].nodes_generated)
+        with pytest.raises(BudgetExceeded) as err:
+            run(problem, space, PREFIX_K, limits)
+        partial = err.value.partial
+        assert err.value.kind == "nodes" and len(partial.plans) >= k
+        _same_run(partial.prefix(k), run(problem, space, k, limits))
+        _same_run(partial.prefix(k), full.prefix(k))
+        assert partial.prefix(len(partial.plans) + 1) is partial
+
+    @pytest.mark.parametrize("k", [0, 2.5, True])
+    def test_prefix_rejects_a_k_that_is_not_a_positive_integer(self, k):
+        problem = load_problem(fixture_path("corridor3.grid"))
+        res = fbi(problem, _go_space(problem), 2, limits=LIMITS)
+        with pytest.raises(ValueError):
+            res.prefix(k)
+
+    def test_stats_at_times_rise_to_the_run_time(self):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        res = fbi(problem, _go_space(problem), 6, limits=PREFIX_LIMITS)
+        times = [s.wall_time_s for s in res.stats_at]
+        assert len(times) == 6 and times == sorted(times)
+        assert 0 < times[-1] <= res.stats.wall_time_s
+        assert all(s is not res.stats for s in res.stats_at)
