@@ -13,7 +13,6 @@ from .behaviour import (
     BehaviourSpace,
     CostBound,
     GoalOrder,
-    behaviour_count,
     behaviour_formula,
     behaviour_to_json,
     extract_behaviour,
@@ -81,7 +80,6 @@ __all__ = [
     "TTestResult",
     "Trace",
     "UnknownAction",
-    "behaviour_count",
     "behaviour_formula",
     "behaviour_generator",
     "behaviour_to_json",

@@ -102,22 +102,21 @@ class Behaviour(Record):
 def latch_groups(states: Sequence, goals: Sequence) -> tuple:
     """Group goal predicates by the trace position where each first latched.
 
-    Goals that never latch are left out. Groups come back in achievement
-    order; within a group the set is unordered.
+    Latched sets must only grow along the trace, as ``replay``, the search's
+    ``node_states`` and the oracle build them. So each position's group is
+    the goals its latched set adds to the one before it. Goals that never
+    latch are left out, and positions that add none give no group. Groups
+    come back in achievement order; within a group the set is unordered.
     """
-    first = {}
-    remaining = set(goals)
-    for i, aug in enumerate(states):
-        if not remaining:
-            break
-        hit = remaining & aug.latched
-        for g in hit:
-            first[g] = i
-        remaining -= hit
-    by_position: dict = {}
-    for g, i in first.items():
-        by_position.setdefault(i, set()).add(g)
-    return tuple(frozenset(by_position[i]) for i in sorted(by_position))
+    goals = frozenset(goals)
+    groups = []
+    before = frozenset()
+    for aug in states:
+        now = aug.latched & goals
+        if now != before:
+            groups.append(now - before)
+            before = now
+    return tuple(groups)
 
 
 def behaviour_of(space: BehaviourSpace, states: Sequence) -> Behaviour:
@@ -179,11 +178,6 @@ def behaviour_formula(space: BehaviourSpace, behaviour: Behaviour) -> ltl.Formul
                             )
                         )
     return ltl.conj(parts)
-
-
-def behaviour_count(space: BehaviourSpace, problem: SimulatorProblem, plans: Sequence) -> int:
-    """Number of distinct behaviours among the given goal-reaching plans."""
-    return len({extract_behaviour(space, problem, plan) for plan in plans})
 
 
 def behaviour_to_json(behaviour: Behaviour) -> dict:

@@ -19,11 +19,12 @@ from .behaviour import BehaviourSpace, CostBound, GoalOrder, behaviour_to_json
 from .core import plan_cost
 from .domains import EXTENSIONS, load_problem
 from .errors import BudgetExceeded
-from .record import Record, check_int, set_field
+from .record import Record, set_field
 from .search import (
     NoveltyConfig,
     PlanSetResult,
     SearchLimits,
+    _check_k,
     fbi,
     fbi_naive,
 )
@@ -60,9 +61,7 @@ class TaskSpec(Record):
         super().__init__(*args, **kwargs)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_int("k", self.k)
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
+        _check_k(self.k)
         if not self.features:
             raise ValueError("at least one diversity feature is required")
         _check_distinct("features", self.features)

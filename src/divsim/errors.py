@@ -1,8 +1,16 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class DivsimError(Exception):
     """Base class for every error raised by this package."""
+
+    def __reduce__(self):
+        # Exception's own reduce calls the class on ``args``, the message,
+        # which is not what a subclass's __init__ takes. Rebuild the message
+        # and attributes as they are, without calling __init__.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class UnknownAction(DivsimError):

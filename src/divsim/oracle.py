@@ -2,12 +2,16 @@
 
 The oracle walks every action sequence up to a length and cost cap, with no
 novelty pruning, and collects the behaviour of every goal-reaching plan. Its
-only shortcut is dropping a candidate whose whole (state, cost) trajectory
-was already enumerated: a duplicate trajectory cannot carry a new behaviour.
+only shortcut is skipping a child whose (state, cost) a sibling in the same
+expansion already reached: the two trajectories are equal, so the second
+cannot carry a new behaviour. That skips exactly the trajectories already
+enumerated, since queued trajectories are distinct and so only a sibling
+can repeat one.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Optional
 
@@ -28,7 +32,7 @@ def brute_force_behaviours(
 
     Returns ``{behaviour: witness_plan}`` with the breadth-first-shortest
     witness per behaviour. The default cost bound is the space's cost
-    feature's bound, or no effective bound without one. Estimated work above
+    feature's bound, or none without one. Estimated work above
     ``NODE_GUARD`` nodes raises OracleTooLarge before searching.
     """
     if max_len < 0:
@@ -43,19 +47,12 @@ def brute_force_behaviours(
             raise OracleTooLarge(estimate, NODE_GUARD, branching, max_len)
     if cost_bound is None:
         cf = space.cost_feature
-        if cf is not None:
-            cost_bound = cf.bound
-        else:
-            top = max((a.cost for a in problem.actions), default=1)
-            cost_bound = max_len * top
+        cost_bound = math.inf if cf is None else cf.bound
 
     found: dict = {}
-    root = initial_augmented(problem)
-    root_key = ((root.raw, root.cost_so_far),)
-    seen = {root_key}
-    queue = deque([((root,), (), root_key)])
+    queue = deque([((initial_augmented(problem),), ())])
     while queue:
-        states, plan, key = queue.popleft()
+        states, plan = queue.popleft()
         tip = states[-1]
         if tip.goal_flag:
             behaviour = behaviour_of(space, states)
@@ -63,13 +60,12 @@ def brute_force_behaviours(
                 found[behaviour] = plan
         if len(plan) == max_len:
             continue
+        reached = set()
         for action in problem.applicable(tip.raw):
             child = successor_augmented(problem, tip, action)
-            if child.cost_so_far > cost_bound:
+            key = (child.raw, child.cost_so_far)
+            if child.cost_so_far > cost_bound or key in reached:
                 continue
-            child_key = key + ((child.raw, child.cost_so_far),)
-            if child_key in seen:
-                continue
-            seen.add(child_key)
-            queue.append((states + (child,), plan + (action.name,), child_key))
+            reached.add(key)
+            queue.append((states + (child,), plan + (action.name,)))
     return found

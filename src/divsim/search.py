@@ -44,8 +44,7 @@ from .errors import BudgetExceeded
 from .record import MutableRecord, Record, check_int, set_field
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
-from .behaviour import behaviour_formula, extract_behaviour, latch_groups  # noqa: F401
-from .core import successor_augmented  # noqa: F401
+from .behaviour import behaviour_formula, latch_groups  # noqa: F401
 from .ltl import evaluate, is_latch_monotone  # noqa: F401
 
 

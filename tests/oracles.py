@@ -169,6 +169,7 @@ def dfs_behaviours(problem, space, max_len, cost_bound):
 
     No visited set, no pruning beyond the cost bound: each action sequence is
     walked in full, so this cross-checks enumerators that do deduplicate.
+    Returns ``{behaviour: plan}`` with a shortest plan per behaviour.
     """
     goals = space.order_feature.goals if space.order_feature else ()
 
@@ -190,7 +191,9 @@ def dfs_behaviours(problem, space, max_len, cost_bound):
     def walk(states, plan):
         tip = states[-1]
         if tip.goal_flag:
-            found.setdefault(behaviour_of(states), plan)
+            behaviour = behaviour_of(states)
+            if behaviour not in found or len(plan) < len(found[behaviour]):
+                found[behaviour] = plan
         if len(plan) == max_len:
             return
         for action in problem.applicable(tip.raw):

@@ -7,7 +7,6 @@ from divsim.behaviour import (
     BehaviourSpace,
     CostBound,
     GoalOrder,
-    behaviour_count,
     behaviour_formula,
     behaviour_to_json,
     extract_behaviour,
@@ -221,16 +220,7 @@ class TestFormula:
         assert (witnesses, pairs) == (23, 42)
 
 
-class TestCountAndJson:
-    def test_count_collapses_equal_behaviours(self, toggle_problem):
-        space = _space(GoalOrder(toggle_problem.goal_predicates))
-        plans = [
-            ("set-a", "set-b"),
-            ("set-a", "unset-a", "set-a", "set-b"),
-            ("set-b", "set-a"),
-        ]
-        assert behaviour_count(space, toggle_problem, plans) == 2
-
+class TestJson:
     def test_json_form(self):
         g1, g2, g3 = "g1", "g2", "g3"
         b = Behaviour(cost=5, goal_order=(frozenset({g1}), frozenset({g3, g2})))
