@@ -8,9 +8,8 @@ and aggregate behaviour counts over the instances all modes solved.
 
 from __future__ import annotations
 
-import csv
 import json
-import statistics
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -137,15 +136,17 @@ def _report(spec: TaskSpec, costs, result: PlanSetResult, outcome: str, plans_pa
     return row, doc
 
 
-def run_task(spec: TaskSpec, plans_path=None):
+def run_task(spec: TaskSpec, plans_path=None, *, problem=None):
     """Run one planning task; returns ``(PlanSetResult, SuiteResultRow, document)``.
 
     The document is the JSON-ready plan set; it is also written to
-    ``plans_path`` when one is given. A tripped resource budget is folded
-    into the row (outcome timeout or nodecap) with whatever plans were
-    collected before the trip.
+    ``plans_path`` when one is given. ``problem``, when given, is the
+    instance already loaded from ``spec.instance``. A tripped resource
+    budget is folded into the row (outcome timeout or nodecap) with
+    whatever plans were collected before the trip.
     """
-    problem = load_problem(spec.instance, spec.domain)
+    if problem is None:
+        problem = load_problem(spec.instance, spec.domain)
     space = build_space(problem, spec.features, spec.limits.cost_bound)
     try:
         if spec.mode == "fbi":
@@ -174,18 +175,19 @@ def run_suite(
     """Run every instance in a directory for every mode and k.
 
     Returns ``(rows, aggregates)``, one row per (instance, k, mode). Each
-    (instance, mode) runs once, at the largest k, and the rows of the
-    smaller k are read off that run (``PlanSetResult.prefix``): the plans a
-    k-run finds, its stats, and outcome "done" once k plans were found,
-    even if a budget tripped later; their ``wall_time_s`` is the time at
-    the k-th plan. The (k, mode) tasks are built, and so checked, before
-    the directory is listed or ``plans_dir`` made; a mode or k given twice
-    is a ``ValueError``. So is, with ``plans_dir``, two instance files of
-    one stem, whose plan files would share a name; this is checked before
-    ``plans_dir`` is made. A run that raises, whatever the exception, makes
-    every k of its (instance, mode) a row with outcome "error", each with a
-    warning naming the exception type, instead of aborting the rest of the
-    suite.
+    instance is loaded once, for all modes. Each (instance, mode) runs
+    once, at the largest k, and the rows of the smaller k are read off that
+    run (``PlanSetResult.prefix``): the plans a k-run finds, its stats, and
+    outcome "done" once k plans were found, even if a budget tripped later;
+    their ``wall_time_s`` is the time at the k-th plan. The (k, mode) tasks
+    are built, and so checked, before the directory is listed or
+    ``plans_dir`` made; a mode or k given twice is a ``ValueError``. So is,
+    with ``plans_dir``, two instance files of one stem, whose plan files
+    would share a name; this is checked before ``plans_dir`` is made. A run
+    that raises, whatever the exception (a file that does not load
+    included), makes every k of its (instance, mode) a row with outcome
+    "error", each with a warning naming the exception type, instead of
+    aborting the rest of the suite.
     """
     _check_distinct("modes", modes)
     _check_distinct("k values", k_list)
@@ -217,12 +219,16 @@ def run_suite(
 
     rows = []
     for path in paths:
+        try:
+            problem = load_problem(str(path))
+        except Exception:
+            problem = None  # so each mode's run_task loads it and raises the error itself
         runs = {}  # mode -> run_task's (result, row, document) at k = top, or what it raised
         for task in tasks:
             if task.k == top:
                 spec = task._replace(instance=str(path))
                 try:
-                    runs[task.mode] = run_task(spec, plans_path(path, spec))
+                    runs[task.mode] = run_task(spec, plans_path(path, spec), problem=problem)
                 except Exception as err:
                     runs[task.mode] = err
         for task in tasks:
@@ -263,7 +269,7 @@ def aggregate_rows(rows: Sequence[SuiteResultRow]) -> list:
 
         def _avg(values):
             values = list(values)
-            return round(statistics.fmean(values), 6) if values else None
+            return round(math.fsum(values) / len(values), 6) if values else None
 
         out.append(
             {
@@ -303,6 +309,8 @@ def format_aggregates(aggregates: Sequence[dict]) -> str:
 
 
 def write_rows_csv(path, rows: Sequence[SuiteResultRow]):
+    import csv
+
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)

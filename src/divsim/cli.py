@@ -25,7 +25,6 @@ from .bench import (
 )
 from .behaviour import behaviour_to_json
 from .domains import DOMAINS, load_problem, read_utf8
-from .domains.puzznic import render_puzznic
 from .errors import BudgetExceeded, DivsimError, ParseError
 from .oracle import brute_force_behaviours
 from .search import NoveltyConfig, NoveltyScope, SearchLimits
@@ -151,6 +150,8 @@ def _plan_actions(doc, index: int) -> list:
 
 
 def _cmd_render(args) -> int:
+    from .domains.puzznic import render_puzznic
+
     problem = load_problem(args.instance, "puzznic")
     try:
         doc = json.loads(read_utf8(args.plan))
@@ -164,7 +165,7 @@ def _cmd_render(args) -> int:
 def _cmd_oracle(args) -> int:
     problem = load_problem(args.instance, args.domain)
     space = build_space(problem, args.features, args.cost_bound)
-    found = brute_force_behaviours(problem, space, args.max_len)
+    found = brute_force_behaviours(problem, space, args.max_len, cost_bound=args.cost_bound)
     doc = {
         "instance": args.instance,
         "max_len": args.max_len,

@@ -1,26 +1,57 @@
-"""Built-in simulator domains and instance-file loading."""
+"""Built-in simulator domains and instance-file loading.
+
+A domain's module is imported the first time one of its problems is built
+or one of its names is read from this package, so a run compiles only the
+domain it uses.
+"""
 
 from __future__ import annotations
 
 import json
+from importlib import import_module
 from pathlib import Path
 
 from ..errors import ParseError
-from .grid import GridProblem, GridWorld, parse_grid
-from .pentest import Host, PentestProblem, PentestScenario, parse_scenario
-from .puzznic import (
-    PuzznicLevel,
-    PuzznicProblem,
-    parse_puzznic,
-    puzznic_predicates,
-    puzznic_step,
-    settle,
-)
+
+# Each re-exported name -> the module under this package that defines it.
+_SOURCES = {
+    "GridProblem": "grid",
+    "GridWorld": "grid",
+    "parse_grid": "grid",
+    "Host": "pentest",
+    "PentestProblem": "pentest",
+    "PentestScenario": "pentest",
+    "parse_scenario": "pentest",
+    "PuzznicLevel": "puzznic",
+    "PuzznicProblem": "puzznic",
+    "parse_puzznic": "puzznic",
+    "puzznic_predicates": "puzznic",
+    "puzznic_step": "puzznic",
+    "settle": "puzznic",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def _from_text(problem_class: str):
+    """``problem_class.from_text``, its module imported on first call."""
+
+    def build(text):
+        return __getattr__(problem_class).from_text(text)
+
+    return build
+
 
 DOMAINS = {
-    "grid": GridProblem.from_text,
-    "puzznic": PuzznicProblem.from_text,
-    "pentest": PentestProblem.from_text,
+    "grid": _from_text("GridProblem"),
+    "puzznic": _from_text("PuzznicProblem"),
+    "pentest": _from_text("PentestProblem"),
 }
 
 EXTENSIONS = {".grid": "grid", ".puz": "puzznic", ".json": "pentest"}

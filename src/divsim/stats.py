@@ -9,7 +9,6 @@ accurate to well below the 1e-6 the results table needs.
 from __future__ import annotations
 
 import math
-import statistics
 from typing import Sequence, Tuple
 
 from .record import Record
@@ -102,6 +101,8 @@ def paired_t_test(pairs: Sequence[Tuple[float, float]]) -> TTestResult:
     difference is 0 (the samples are literally identical) and p = 0.0
     otherwise (a perfectly consistent shift).
     """
+    import statistics
+
     if len(pairs) < 2:
         raise ValueError("paired t-test needs at least two pairs")
     diffs = [float(a) - float(b) for a, b in pairs]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import statistics
 
 import pytest
 
@@ -168,10 +169,10 @@ class TestRunSuite:
         assert aggregates == aggregate_rows(rows)
 
     def test_unexpected_exception_becomes_an_error_row(self, monkeypatch, capsys):
-        def crashing_run_task(spec, plans_path=None):
+        def crashing_run_task(spec, plans_path=None, *, problem=None):
             if spec.instance.endswith("alley.grid"):
                 raise RuntimeError("simulator crashed")
-            return run_task(spec, plans_path)
+            return run_task(spec, plans_path, problem=problem)
 
         monkeypatch.setattr(bench, "run_task", crashing_run_task)
         rows, _ = run_suite(fixture_path("suite"), modes=("fbi",), k_list=(2,))
@@ -265,11 +266,11 @@ class TestSuiteRunsEachModeOnce:
     def test_a_run_that_raises_makes_every_k_an_error_row(self, monkeypatch, capsys):
         calls = []
 
-        def crashing_run_task(spec, plans_path=None):
+        def crashing_run_task(spec, plans_path=None, *, problem=None):
             calls.append((spec.mode, spec.k))
             if spec.instance.endswith("alley.grid") and spec.mode == "naive":
                 raise RuntimeError("simulator crashed")
-            return run_task(spec, plans_path)
+            return run_task(spec, plans_path, problem=problem)
 
         monkeypatch.setattr(bench, "run_task", crashing_run_task)
         rows, _ = run_suite(fixture_path("suite"), k_list=(2, 5))
@@ -316,6 +317,39 @@ class TestAggregates:
         entries = aggregate_rows(rows)
         assert [e["k"] for e in entries] == [2, 5]
         assert entries[1]["behaviour_count"] == {"fbi": 3, "naive": 2}
+
+    @staticmethod
+    def _fmean_averages(rows):
+        """``avg_time_*`` of each k, as ``statistics.fmean`` computes them."""
+
+        def avg(values):
+            values = list(values)
+            return round(statistics.fmean(values), 6) if values else None
+
+        modes = sorted({r.mode for r in rows})
+        return [
+            (
+                {m: avg(r.wall_time_s for r in rows if (r.k, r.mode, r.solved) == (k, m, True))
+                 for m in modes},
+                {m: avg(r.wall_time_s for r in rows if (r.k, r.mode) == (k, m)) for m in modes},
+            )
+            for k in sorted({r.k for r in rows})
+        ]
+
+    @pytest.mark.parametrize("source", ["suite", "rounding"])
+    def test_averages_equal_statistics_fmean(self, source):
+        if source == "suite":
+            rows, _ = run_suite(fixture_path("suite"), k_list=(2, 5))
+        else:
+            # Summed left to right, the tenths vanish into 1e16; fsum keeps them.
+            times = [0.1] * 10 + [1e16]
+            assert sum(times) / len(times) != statistics.fmean(times)
+            rows = [
+                SuiteResultRow(f"{i}.grid", "fbi", 2, True, 1, 1, t, "done")
+                for i, t in enumerate(times)
+            ]
+        got = [(e["avg_time_solved_s"], e["avg_time_all_s"]) for e in aggregate_rows(rows)]
+        assert got == self._fmean_averages(rows)
 
     def test_formatting_mentions_each_mode(self):
         text = format_aggregates(aggregate_rows(self.ROWS))

@@ -557,6 +557,21 @@ class TestOracle:
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
         assert "max_len 20000" in err
 
+    @pytest.mark.parametrize("bound", [2, 6])
+    def test_cost_bound_applies_without_a_cost_feature(self, capsys, bound):
+        # open3x3's shortest plans cost 6: under bound 2 solve finds none.
+        flags = ["--instance", str(fixture_path("open3x3.grid")), "--features", "go",
+                 "--cost-bound", str(bound)]
+        code, out, _ = run_cli(capsys, "oracle", *flags, "--max-len", "6")
+        assert code == EXIT_OK
+        found = json.loads(out)["behaviours"]
+        code, out, _ = run_cli(capsys, "solve", *flags, "--k", "10")
+        assert code == EXIT_UNSOLVED  # every behaviour found below k
+        planned = [p["behaviour"] for p in json.loads(out)["plans"]]
+        key = lambda b: json.dumps(b, sort_keys=True)
+        assert {key(e["behaviour"]) for e in found} == set(map(key, planned))
+        assert len(found) == (0 if bound == 2 else 2)
+
     def test_requires_max_len(self):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--instance", "x.grid"])
