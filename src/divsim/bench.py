@@ -30,7 +30,6 @@ from .search import (
 
 MODES = ("fbi", "naive")
 FEATURES = ("go", "cb")
-OUTCOMES = ("done", "exhausted", "timeout", "nodecap", "error")
 
 
 def _check_distinct(name: str, values) -> None:
@@ -175,11 +174,13 @@ def run_suite(
     """Run every instance in a directory for every mode and k.
 
     Returns ``(rows, aggregates)``, one row per (instance, k, mode). Each
-    instance is loaded once, for all modes. Each (instance, mode) runs
-    once, at the largest k, and the rows of the smaller k are read off that
-    run (``PlanSetResult.prefix``): the plans a k-run finds, its stats, and
-    outcome "done" once k plans were found, even if a budget tripped later;
-    their ``wall_time_s`` is the time at the k-th plan. The (k, mode) tasks
+    instance is loaded once, for all modes; a file that fails to load gives
+    each (mode, k) its error row from that one failure. Each (instance,
+    mode) runs once, at the largest k, and the rows of the smaller k are
+    read off that run (``PlanSetResult.prefix``): the plans a k-run finds,
+    its stats, and outcome "done" once k plans were found, even if a budget
+    tripped later; their ``wall_time_s`` is the time at the k-th plan. The
+    (k, mode) tasks
     are built, and so checked, before the directory is listed or
     ``plans_dir`` made; a mode or k given twice is a ``ValueError``. So is,
     with ``plans_dir``, two instance files of one stem, whose plan files
@@ -221,16 +222,17 @@ def run_suite(
     for path in paths:
         try:
             problem = load_problem(str(path))
-        except Exception:
-            problem = None  # so each mode's run_task loads it and raises the error itself
-        runs = {}  # mode -> run_task's (result, row, document) at k = top, or what it raised
-        for task in tasks:
-            if task.k == top:
-                spec = task._replace(instance=str(path))
-                try:
-                    runs[task.mode] = run_task(spec, plans_path(path, spec), problem=problem)
-                except Exception as err:
-                    runs[task.mode] = err
+        except Exception as err:
+            runs = dict.fromkeys(modes, err)
+        else:
+            runs = {}  # mode -> run_task's (result, row, document) at k = top, or what it raised
+            for task in tasks:
+                if task.k == top:
+                    spec = task._replace(instance=str(path))
+                    try:
+                        runs[task.mode] = run_task(spec, plans_path(path, spec), problem=problem)
+                    except Exception as err:
+                        runs[task.mode] = err
         for task in tasks:
             mode, k = task.mode, task.k
             run = runs[mode]

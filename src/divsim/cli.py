@@ -25,7 +25,7 @@ from .bench import (
 )
 from .behaviour import behaviour_to_json
 from .domains import DOMAINS, load_problem, read_utf8
-from .errors import BudgetExceeded, DivsimError, ParseError
+from .errors import DivsimError, ParseError
 from .oracle import brute_force_behaviours
 from .search import NoveltyConfig, NoveltyScope, SearchLimits
 
@@ -220,9 +220,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except BudgetExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET
     except (DivsimError, json.JSONDecodeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

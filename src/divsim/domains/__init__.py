@@ -90,22 +90,4 @@ def load_problem(path, domain: str = None):
         raise ParseError(f"bad scenario JSON: {err}") from None
 
 
-__all__ = [
-    "DOMAINS",
-    "EXTENSIONS",
-    "GridProblem",
-    "GridWorld",
-    "Host",
-    "PentestProblem",
-    "PentestScenario",
-    "PuzznicLevel",
-    "PuzznicProblem",
-    "domain_for_path",
-    "load_problem",
-    "parse_grid",
-    "parse_puzznic",
-    "parse_scenario",
-    "puzznic_predicates",
-    "puzznic_step",
-    "settle",
-]
+__all__ = sorted([*_SOURCES, "DOMAINS", "EXTENSIONS", "domain_for_path", "load_problem"])

@@ -159,10 +159,13 @@ class PlanSetResult(Record):
         as this run did. Only the time values differ: ``wall_time_s`` is
         the time at the k-th plan, and ``wall_time_by_width`` keys every
         width begun by then but holds the time of the widths ended by then.
+        A result whose ``stats_at`` lacks the k-th plan raises ValueError.
         """
         _check_k(k)
         if len(self.plans) < k:
             return self
+        if len(self.stats_at) < k:
+            raise ValueError(f"prefix({k}): this result holds no per-plan stats")
         return PlanSetResult(
             self.plans[:k], self.behaviours[:k], self.stats_at[k - 1], False, self.stats_at[:k]
         )
@@ -639,6 +642,7 @@ def fbi_naive(
     """
 
     def pairs(memo, budget, stats):
+        key_of = None if space is None else _behaviour_rule(memo, space, False)[0]
         seen = set()
         stream = _iw_goal_stream(memo, novelty, budget, stats, lambda node: False)
         with closing(stream):
@@ -647,7 +651,6 @@ def fbi_naive(
                 if plan in seen:
                     continue
                 seen.add(plan)
-                behaviour = None if space is None else behaviour_of(space, node_states(memo, node))
-                yield plan, behaviour
+                yield plan, None if key_of is None else key_of(node)
 
     return _top_k(problem, space, k, limits, pairs)

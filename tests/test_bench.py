@@ -3,6 +3,7 @@
 import csv
 import json
 import statistics
+from pathlib import Path
 
 import pytest
 
@@ -274,7 +275,7 @@ class TestSuiteRunsEachModeOnce:
 
         monkeypatch.setattr(bench, "run_task", crashing_run_task)
         rows, _ = run_suite(fixture_path("suite"), k_list=(2, 5))
-        assert calls == [("fbi", 5), ("naive", 5)] * 3
+        assert calls == [("fbi", 5), ("naive", 5)] * 2  # broken.grid does not load
         errors = [(r.instance, r.k, r.mode, r.outcome == "error") for r in rows[:4]]
         assert errors == [
             ("alley.grid", 2, "fbi", False),
@@ -286,6 +287,23 @@ class TestSuiteRunsEachModeOnce:
         assert err[:2] == [
             "warning: alley.grid (naive, k=2): RuntimeError: simulator crashed",
             "warning: alley.grid (naive, k=5): RuntimeError: simulator crashed",
+        ]
+
+    def test_each_file_is_loaded_once_even_when_it_fails(self, monkeypatch, capsys):
+        loaded = []
+
+        def counting_load_problem(path, domain=None):
+            loaded.append(Path(path).name)
+            return load_problem(path, domain)
+
+        monkeypatch.setattr(bench, "load_problem", counting_load_problem)
+        rows, _ = run_suite(fixture_path("suite"), ("fbi", "naive"), (2, 5))
+        assert loaded == ["alley.grid", "broken.grid", "fork.json"]
+        broken = [(r.k, r.mode, r.outcome) for r in rows if r.instance == "broken.grid"]
+        assert broken == [(k, mode, "error") for k in (2, 5) for mode in ("fbi", "naive")]
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: broken.grid ({mode}, k={k}): LevelInvalid: no start cell"
+            for k, mode, _ in broken
         ]
 
     def test_empty_k_list_gives_no_rows(self):

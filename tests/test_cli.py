@@ -176,6 +176,15 @@ class TestSolve:
         assert code == EXIT_DATA
         assert "error:" in err
 
+    def test_unknown_extension_exits_65(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "solve", "--instance", str(tmp_path / "x.txt"))
+        assert code == EXIT_DATA
+        assert out == "" and "cannot infer domain" in err
+
+    def test_unknown_domain_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="unknown domain 'nope'"):
+            load_problem(fixture_path("corridor3.grid"), "nope")
+
     def test_non_utf8_instance_exits_65(self, capsys, tmp_path):
         path = tmp_path / "latin.grid"
         path.write_bytes(b"\xff#####\n#S.T#\n#####\n")
@@ -283,10 +292,12 @@ class TestBench:
         assert doc["k"] == 2
         assert list(doc["stats"]) == STATS_KEYS
 
-    def test_bad_k_list_exits_64(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--suite", "x", "--k-list", "2,zero", "--out", "y.csv"])
-        assert exc.value.code == EXIT_USAGE
+    def test_bad_k_list_exits_64(self, capsys):
+        for k_list in ("2,zero", "0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["bench", "--suite", "x", "--k-list", k_list, "--out", "y.csv"])
+            assert exc.value.code == EXIT_USAGE
+            assert f"bad k list {k_list!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -434,6 +445,17 @@ class TestRender:
         assert "score 200" in out
         assert "cleared order: a" in out
 
+    def test_playback_shows_a_block_falling(self, capsys, tmp_path):
+        # ledge.puz's plan pushes a block off a ledge onto its partner below.
+        instance = str(fixture_path("ledge.puz"))
+        plan = tmp_path / "ledge.json"
+        assert run_cli(capsys, "solve", "--instance", instance, "--out", str(plan))[0] == EXIT_OK
+        code, out, _ = run_cli(capsys, "render", "--instance", instance, "--plan", str(plan))
+        assert code == EXIT_OK
+        captions = [frame.splitlines()[0] for frame in out.split("\n\n")]
+        assert captions == ["initial", "cursor-right", "push-right", "fall",
+                            "clear wave 1: 2 block(s) +200"]
+
     def test_index_out_of_range_exits_65(self, capsys, plan_file):
         code, _, err = run_cli(
             capsys,
@@ -571,6 +593,13 @@ class TestOracle:
         key = lambda b: json.dumps(b, sort_keys=True)
         assert {key(e["behaviour"]) for e in found} == set(map(key, planned))
         assert len(found) == (0 if bound == 2 else 2)
+
+    def test_negative_max_len_exits_64(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--instance", str(fixture_path("corridor3.grid")), "--max-len", "-1"
+        )
+        assert code == EXIT_USAGE
+        assert out == "" and "max_len must be non-negative" in err
 
     def test_requires_max_len(self):
         with pytest.raises(SystemExit) as exc:

@@ -1067,6 +1067,14 @@ class TestPrefix:
         with pytest.raises(ValueError):
             res.prefix(k)
 
+    def test_prefix_of_a_result_without_per_plan_stats_is_a_value_error(self):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        res = restart_fbi(problem, _go_space(problem), 3, limits=PREFIX_LIMITS)
+        assert len(res.plans) == 3 and res.stats_at == ()
+        with pytest.raises(ValueError, match="no per-plan stats"):
+            res.prefix(2)
+        assert res.prefix(4) is res
+
     def test_stats_at_times_rise_to_the_run_time(self):
         problem = load_problem(fixture_path("three_targets.grid"))
         res = fbi(problem, _go_space(problem), 6, limits=PREFIX_LIMITS)
