@@ -235,6 +235,11 @@ class TransitionMemo:
         ids = self._ids
         return frozenset(g for g in self.problem.goal_set if ids[g] & mask)
 
+    def goal_mask(self, goals) -> int:
+        """The mask of those of ``goals`` that are goal predicates."""
+        ids = self._ids
+        return sum(ids[g] for g in self.problem.goal_set.intersection(goals))
+
     def applicable(self, record: StateRecord) -> tuple:
         """The actions applicable in ``record``'s state, in declaration order."""
         got = record.applicable

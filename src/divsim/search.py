@@ -12,10 +12,12 @@ a successor only if
 (d) its cost does not exceed the cost bound.
 
 Nodes hold the run memo's record of their state, and both tests above
-read its atom mask; ``AugmentedState``s are built only where a behaviour is
-read (``node_states``). In trace scope a node's novelty summary is built
-when the node is expanded and dropped when the expansion ends; its queued
-children carry it until they are expanded in turn.
+read its atom mask. A behaviour is read off the latched goal masks along
+its node's path; no ``AugmentedState`` is built (``node_states``, which
+the benchmark's tracer rebinds by name, converts a path back). In trace
+scope a node's novelty summary is built when the node is expanded and
+dropped when the expansion ends; its queued children carry it until they
+are expanded in turn.
 
 A kept successor that is a goal state is yielded to the caller, which may
 forbid its behaviour (or plan) before the search resumes. The top-level
@@ -24,9 +26,14 @@ to forbidding whole plans to fill the requested count. Both phases run one
 forbid-and-resume loop, ``_forbidding_stream``, with the behaviour or the
 plan as the key. Each phase resumes one search rather than restarting it for
 every plan, and finds the plans, in the same order, that a restart per plan
-would find. Every behaviour is read off the states of the goal node that ends
-its plan; no plan is replayed. ``fbi`` and ``fbi_naive`` share one top-k
-runner, ``_top_k``.
+would find. Every behaviour is read off the goal node that ends its plan;
+no plan is replayed. Until a width meets its first keyed child, one that
+is novel and is a goal or has every goal latched, no forbidden key can
+act, so every stream of an ``fbi`` run searches that stretch alike. The
+first stream keeps it as the width's ``_Prefix``, and every later one,
+restarts and phase 2 included, starts the width there or skips a width
+that met no keyed child. ``fbi`` and ``fbi_naive`` share one top-k runner,
+``_top_k``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from contextlib import closing
 from enum import Enum
 from typing import Callable, Iterator, Optional
 
-from .behaviour import BehaviourSpace, behaviour_of
+from .behaviour import Behaviour, BehaviourSpace
 from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo
 from .errors import BudgetExceeded
 from .record import MutableRecord, Record, check_int, set_field
@@ -347,12 +354,62 @@ class NoveltyTable:
         return novel
 
 
+class _Prefix:
+    """A width's goal-free prefix: its IW iteration as it stands when the
+    iteration first meets a keyed child.
+
+    A child is keyed when it passes the novelty test and is a goal state or
+    has every goal latched. Before the first keyed child no ``reject`` of
+    ``_forbidding_stream`` can return True or record anything, and the
+    visited, novelty and cost tests depend only on the run, so every stream
+    of a run reaches this point with the same queue, visited keys and
+    summaries. The prefix keeps them, with the node being expanded, the
+    index of the action that made the keyed child, and the child itself, so
+    that a later stream starts there instead of generating it all again.
+
+    In trace scope a built summary never changes, so the queued nodes'
+    summary references and the expansion's own summary are kept as they
+    are; the ``summary`` fields that point at them are reassigned and
+    cleared as the search goes on, and ``resume`` sets them back. In global
+    scope the one summary of the iteration, which then holds the keyed
+    child, is copied, and ``resume`` shares one fresh copy of it among every
+    restored node. The nodes themselves are reused, so the streams that
+    share a prefix must not be alive at once.
+    """
+
+    __slots__ = ("queue", "summaries", "visited", "summary", "node", "index", "child")
+
+    def __init__(self, queue, visited, node: _Node, index: int, child: _Node, trace_local: bool):
+        self.queue = tuple(queue)
+        self.summaries = tuple(n.summary for n in queue) if trace_local else None
+        self.visited = set(visited)
+        self.summary = node.summary if trace_local else dict(node.summary)
+        self.node = node
+        self.index = index
+        self.child = child
+
+    def resume(self) -> tuple:
+        """``(queue, visited, node, index, child)`` for a stream that starts
+        here, with every restored node's summary set back."""
+        if self.summaries is None:
+            summary = dict(self.summary)
+            summaries = itertools.repeat(summary)
+        else:
+            summary = self.summary
+            summaries = self.summaries
+        for node, own in zip(self.queue, summaries):
+            node.summary = own
+        self.node.summary = self.child.summary = summary
+        return deque(self.queue), set(self.visited), self.node, self.index, self.child
+
+
 def _iw_goal_stream(
     memo: TransitionMemo,
     novelty: NoveltyConfig,
     budget: Budget,
     stats: SearchStats,
     reject: Callable[[_Node], bool],
+    prefixes: Optional[dict] = None,
 ) -> Iterator[_Node]:
     """Yield every kept goal node, running widths 1..max_width in turn.
 
@@ -367,43 +424,76 @@ def _iw_goal_stream(
     exactly as a restart under the larger forbidden set would prune it, and
     the stream goes on where a restart would arrive. A node still queued
     when the stream closes never builds its own novelty summary.
+
+    ``prefixes``, when given, holds the ``_Prefix`` of each width that a
+    stream of the same run has already searched, or None for a width whose
+    whole iteration met no keyed child and so yields nothing to any stream.
+    A width starts from its prefix when there is one, is skipped when it is
+    None, and otherwise starts from the root and records what it meets. A
+    width whose root is a goal state is keyed at once and keeps no prefix.
+    Only the nodes a stream generates itself are counted and charged to the
+    budget.
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
     goal_bits = memo.goal_bits
     widths = stats.wall_time_by_width
     for width in range(1, novelty.max_width + 1):
+        prefix = () if prefixes is None else prefixes.get(width, ())  # () starts at the root
+        if prefix is None:
+            continue
         started = time.perf_counter()
         # Keyed now, so that stats copied at a plan hold every width begun.
         widths.setdefault(width, 0.0)
         try:
-            record = memo.initial
             table = NoveltyTable(width, novelty.scope)
-            summary = {} if trace_local else table.record({}, record.mask, record.bits)
-            root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
-            visited = {record.mask | root.latched}
-            queue = deque([root])
-            if record.goal and not reject(root):
-                yield root
-            while queue:
-                budget.check_time()
-                node = queue.popleft()
-                stats.nodes_expanded += 1
+            if prefix:
+                queue, visited, node, start, pending = prefix.resume()
+                keep = False
+            else:
+                record = memo.initial
+                summary = {} if trace_local else table.record({}, record.mask, record.bits)
+                root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
+                visited = {record.mask | root.latched}
+                queue = deque([root])
+                pending = None  # the keyed child a prefix resumes at
+                keep = prefixes is not None and not record.goal
+                if record.goal and not reject(root):
+                    yield root
+            while pending is not None or queue:
+                if pending is None:
+                    budget.check_time()
+                    node = queue.popleft()
+                    stats.nodes_expanded += 1
+                    if trace_local:
+                        own = node.record
+                        node.summary = table.record(dict(node.summary), own.mask, own.bits)
+                    start = 0
                 parent = node.record
                 parent_mask = parent.mask
-                if trace_local:
-                    node.summary = table.record(dict(node.summary), parent_mask, parent.bits)
                 summary = node.summary
-                for index, action in enumerate(memo.applicable(parent)):
-                    budget.spend_node()
-                    stats.nodes_generated += 1
-                    record = memo.step(parent, index)
-                    mask = record.mask
-                    if not table.is_novel(mask, record.bits, parent_mask, summary):
-                        stats.pruned_by_novelty += 1
-                        continue
-                    latched = node.latched | (mask & goal_bits)
-                    cost = node.cost + action.cost
-                    child = _Node(record, cost, latched, node, action.name, summary)
+                actions = memo.applicable(parent)
+                for index in range(start, len(actions)):
+                    if pending is None:
+                        budget.spend_node()
+                        stats.nodes_generated += 1
+                        record = memo.step(parent, index)
+                        mask = record.mask
+                        if not table.is_novel(mask, record.bits, parent_mask, summary):
+                            stats.pruned_by_novelty += 1
+                            continue
+                        action = actions[index]
+                        latched = node.latched | (mask & goal_bits)
+                        cost = node.cost + action.cost
+                        child = _Node(record, cost, latched, node, action.name, summary)
+                        if keep and (record.goal or latched == goal_bits):
+                            prefixes[width] = _Prefix(
+                                queue, visited, node, index, child, trace_local
+                            )
+                            keep = False
+                    else:
+                        child, pending = pending, None
+                        record, latched, cost = child.record, child.latched, child.cost
+                        mask = record.mask
                     if reject(child):
                         stats.pruned_by_behaviour += 1
                         continue
@@ -422,6 +512,8 @@ def _iw_goal_stream(
                     visited.add(key)
                     queue.append(child)
                 node.summary = None
+            if keep:
+                prefixes[width] = None
         finally:
             widths[width] += time.perf_counter() - started
 
@@ -434,6 +526,7 @@ def _forbidding_stream(
     key_of: Callable[[_Node], object],
     forbidden,
     settled: Optional[int] = None,
+    prefixes: Optional[dict] = None,
 ) -> Iterator[tuple]:
     """Yield ``(node, key_of(node))`` for each kept goal node whose key is
     not in ``forbidden``, and forbid the key as the caller resumes.
@@ -445,7 +538,8 @@ def _forbidding_stream(
     newly forbidden key is that of a settled interior node the stream
     already let through, a restart would have dropped that node, so the
     stream is closed and a fresh one starts under the whole forbidden set
-    (``stats.restarts``).
+    (``stats.restarts``). ``prefixes`` goes to every IW stream started
+    (see ``_iw_goal_stream``).
     """
     forbidden = set(forbidden)
     passed: set = set()  # keys of the settled interior nodes let through
@@ -464,7 +558,7 @@ def _forbidding_stream(
         return False
 
     while True:
-        with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
+        with closing(_iw_goal_stream(memo, novelty, budget, stats, reject, prefixes)) as stream:
             for node in stream:
                 key = key_of(node)
                 yield node, key
@@ -480,15 +574,38 @@ def _forbidding_stream(
 def _behaviour_rule(memo: TransitionMemo, space: BehaviourSpace, interior_pruning: bool) -> tuple:
     """Phase 1's ``key_of`` and ``settled`` for ``_forbidding_stream``.
 
-    A node's key is its behaviour. With no cost feature a behaviour is its
-    goal order alone, and once every goal has latched that order is fixed:
-    latched goals stay latched, so every goal node below has it. With
-    ``interior_pruning`` on, such a node, whose latched mask is the memo's
-    ``goal_bits``, is settled.
+    A node's key is its behaviour, read off its path's ``latched`` masks
+    without building any state: the node's cost, and one group for each
+    step that latches order goals, the goals it adds. Each added mask maps
+    to its goals through one dict per call. With no cost feature a
+    behaviour is its goal order alone, and once every goal has latched
+    that order is fixed: latched goals stay latched, so every goal node
+    below has it. With ``interior_pruning`` on, such a node, whose latched
+    mask is the memo's ``goal_bits``, is settled.
     """
+    order_feature = space.order_feature
+    order_bits = 0 if order_feature is None else memo.goal_mask(order_feature.goals)
+    with_cost = space.cost_feature is not None
+    groups: dict = {}  # mask of the order goals a step latches -> those goals
 
-    def key_of(node: _Node):
-        return behaviour_of(space, node_states(memo, node))
+    def key_of(node: _Node) -> Behaviour:
+        cost = node.cost if with_cost else None
+        if order_feature is None:
+            return Behaviour(cost)
+        order = []
+        now = node.latched & order_bits
+        while now:  # up the path until nothing is latched
+            node = node.parent
+            before = 0 if node is None else node.latched & order_bits
+            if before != now:
+                added = now & ~before
+                group = groups.get(added)
+                if group is None:
+                    group = groups[added] = memo.goals(added)
+                order.append(group)
+                now = before
+        order.reverse()
+        return Behaviour(cost, tuple(order))
 
     settled = interior_pruning and space.cost_feature is None
     return key_of, (memo.goal_bits if settled else None)
@@ -602,21 +719,29 @@ def fbi(
     out of play implicitly (every behaviour is already taken) and forbids
     exact plan sequences instead. Each phase resumes one IW stream after
     every plan rather than restarting the search, with the plans and order
-    a restart per plan would give. Every behaviour is read off the states of
-    the goal node the stream yields; no plan is replayed. The search runs
-    under the smaller of ``limits.cost_bound`` and the space's cost bound.
-    On a budget trip the partial result rides on the raised
-    ``BudgetExceeded``. Both phases share one ``TransitionMemo``.
+    a restart per plan would give, and every stream after the first starts
+    each width from the goal-free prefix the first one kept. Every
+    behaviour is read off the goal node the stream yields; no plan is
+    replayed. The search runs under the smaller of ``limits.cost_bound``
+    and the space's cost bound. On a budget trip the partial result rides
+    on the raised ``BudgetExceeded``. Both phases share one
+    ``TransitionMemo``.
     """
 
     def pairs(memo, budget, stats):
         key_of, settled = _behaviour_rule(memo, space, interior_pruning)
         plans = []
-        with closing(_forbidding_stream(memo, novelty, budget, stats, key_of, (), settled)) as one:
+        # Every stream of the run, restarts and phase 2 included, starts each
+        # width from its goal-free prefix. One stream closes before the next
+        # starts, so no two streams share the prefix nodes at once.
+        prefixes: dict = {}
+        one = _forbidding_stream(memo, novelty, budget, stats, key_of, (), settled, prefixes)
+        with closing(one):
             for node, behaviour in one:
                 plans.append(node_plan(node))
                 yield plans[-1], behaviour
-        with closing(_forbidding_stream(memo, novelty, budget, stats, node_plan, plans)) as two:
+        two = _forbidding_stream(memo, novelty, budget, stats, node_plan, plans, prefixes=prefixes)
+        with closing(two):
             for node, plan in two:
                 yield plan, key_of(node)
 

@@ -252,8 +252,9 @@ class TestSuiteRunsEachModeOnce:
         assert ("error" in {r.outcome for r in rows}) == (suite == "fixtures")
 
     def test_budget_trip_after_k_plans_leaves_row_k_done(self, tmp_path):
-        # 200 nodes: fbi on open3x3 finds its second plan, then trips.
-        options = dict(features=("go",), limits=SearchLimits(6, 60.0, 200))
+        # 100 nodes: fbi on open3x3 finds its second plan at 39, then trips
+        # before its third, at 109.
+        options = dict(features=("go",), limits=SearchLimits(6, 60.0, 100))
         root = tmp_path / "in"
         root.mkdir()
         (root / "open3x3.grid").write_text(fixture_path("open3x3.grid").read_text())

@@ -1,14 +1,20 @@
 """Golden output: the plans, counters and exhaustion flag of a fixed sweep.
 
-Each instance's rows are pinned by a digest in ``golden_digests.json``. A row
-holds one run's plans, every ``SearchStats`` field except the wall times, and
-``exhausted``. The sweep runs ``fbi`` and ``fbi_naive`` on every fixture file,
-in the ``go`` and ``go,cb`` spaces, at widths 1-3, in both novelty scopes. It
-also runs ``fbi`` on the three-pattern Puzznic level (k = 7, ``go``) and on a
-seven-spoke star network (k = 30, ``go,cb``, cost bound 24). A change that is
-meant to change plan output re-records the digests with
+Each instance's rows are pinned by two digests in ``golden_digests.json``:
+``plans`` over each run's plans and ``exhausted``, and ``counters`` over
+every ``SearchStats`` field except the wall times. The sweep runs ``fbi``
+and ``fbi_naive`` on every fixture file, in the ``go`` and ``go,cb`` spaces,
+at widths 1-3, in both novelty scopes. It also runs ``fbi`` on the
+three-pattern Puzznic level (k = 7, ``go``) and on a seven-spoke star network
+(k = 30, ``go,cb``, cost bound 24). A change that is meant to change plan
+output re-records the digests with
 
     PYTHONPATH=src python3 tests/test_golden.py
+
+and one that is meant to change only the counters re-records the counter
+digests, and refuses if a plan digest differs, with
+
+    PYTHONPATH=src python3 tests/test_golden.py counters
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import functools
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -34,22 +41,22 @@ FIXTURE_BOUND = 8
 PUZZNIC_ROWS = ("#########", "#a..b..c#", "##.###.##", "#a.@b..c#", "#########")
 
 
-def _row(result, mode, features, novelty) -> list:
+def _row(result, mode, features, novelty) -> tuple:
+    """One run's ``(plans row, counters row)``."""
+    run = [mode, ",".join(features), novelty.max_width, novelty.scope.value]
     stats = result.stats.as_dict()
     del stats["wall_time_s"], stats["wall_time_by_width"]
-    return [
-        mode,
-        ",".join(features),
-        novelty.max_width,
-        novelty.scope.value,
-        [list(plan) for plan in result.plans],
-        stats,
-        result.exhausted,
-    ]
+    return [*run, [list(plan) for plan in result.plans], result.exhausted], [*run, stats]
 
 
 def _digest(rows) -> str:
     return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def _digests(rows) -> dict:
+    """The ``plans`` and ``counters`` digests of an instance's rows."""
+    plans, counters = zip(*rows)
+    return {"plans": _digest(plans), "counters": _digest(counters)}
 
 
 def fixture_rows(name: str) -> list:
@@ -100,12 +107,26 @@ def test_every_instance_is_recorded():
     assert sorted(_recorded()) == sorted(SWEEP)
 
 
+@functools.lru_cache(maxsize=None)
+def _swept(name: str) -> dict:
+    return _digests(SWEEP[name]())
+
+
 @pytest.mark.parametrize("name", sorted(SWEEP))
 def test_sweep_matches_the_recorded_digest(name):
-    assert _digest(SWEEP[name]()) == _recorded()[name]
+    assert _swept(name)["plans"] == _recorded()[name]["plans"]
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP))
+def test_sweep_counters_match_the_recorded_digest(name):
+    assert _swept(name)["counters"] == _recorded()[name]["counters"]
 
 
 if __name__ == "__main__":
-    digests = {name: _digest(rows()) for name, rows in sorted(SWEEP.items())}
+    digests = {name: _swept(name) for name in sorted(SWEEP)}
+    if sys.argv[1:] == ["counters"]:
+        moved = sorted(n for n in digests if digests[n]["plans"] != _recorded()[n]["plans"])
+        if moved:
+            sys.exit(f"plan digests differ, nothing recorded: {', '.join(moved)}")
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"recorded {len(digests)} digests in {GOLDEN}")

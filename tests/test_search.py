@@ -12,6 +12,7 @@ from divsim.behaviour import (
     BehaviourSpace,
     CostBound,
     GoalOrder,
+    behaviour_of,
     extract_behaviour,
 )
 from divsim.core import Action, SimulatorProblem, replay
@@ -118,6 +119,49 @@ class PairsThenTriple(SimulatorProblem):
 
     def is_goal(self, state):
         return state == self.CHAIN[-1]
+
+
+class PairGate(SimulatorProblem):
+    """A goal behind a state that is new only as a pair.
+
+    ``next`` walks {a} -> {b} -> {a, b} -> {g}, ``alt`` goes from {a, b} to
+    {c, g}, and ``back`` returns to {a}. Both atoms of {a, b} held on its own
+    path, so width 1 prunes it and meets no goal and no latched goal; width
+    2 reaches both goal states.
+    """
+
+    CHAIN = tuple(frozenset(f"gate-{n}" for n in names) for names in ("a", "b", "ab", "g"))
+    ALT = frozenset({"gate-c", "gate-g"})
+
+    @property
+    def initial(self):
+        return self.CHAIN[0]
+
+    @property
+    def actions(self):
+        return (Action("next"), Action("alt"), Action("back"))
+
+    @property
+    def goal_predicates(self):
+        return ("gate-g",)
+
+    def applicable(self, state):
+        return tuple(
+            a for a in self.actions
+            if (a.name == "next" and state in self.CHAIN[:-1])
+            or (a.name == "alt" and state == self.CHAIN[2])
+            or (a.name == "back" and state != self.CHAIN[0])
+        )
+
+    def simulate(self, state, action):
+        if action.name == "back":
+            return self.CHAIN[0]
+        if action.name == "alt":
+            return self.ALT
+        return self.CHAIN[self.CHAIN.index(state) + 1]
+
+    def is_goal(self, state):
+        return "gate-g" in state
 
 
 # Test-local atom numbering; in a search the run's TransitionMemo assigns it.
@@ -329,13 +373,10 @@ class TestNovelty:
         counts = collections.Counter()
 
         class CountingTable(NoveltyTable):
-            def __init__(self, *args):
-                super().__init__(*args)
-                counts["tables"] += 1
-
-            def record(self, *args):
+            def record(self, summary, *args):
                 counts["records"] += 1
-                return super().record(*args)
+                counts["root_records"] += not summary
+                return super().record(summary, *args)
 
             def is_novel(self, *args):
                 novel = super().is_novel(*args)
@@ -373,9 +414,11 @@ class TestNovelty:
 
     @pytest.mark.parametrize("name", ["puzznic-abc", "pentest-star7"])
     def test_global_scope_records_every_novel_candidate(self, name, monkeypatch):
-        _, counts = self._counted_run(name, NoveltyScope.GLOBAL, monkeypatch)
-        # One record per width iteration's root, and one per novel candidate.
-        assert counts["records"] == counts["tables"] + counts["novel"]
+        stats, counts = self._counted_run(name, NoveltyScope.GLOBAL, monkeypatch)
+        # One root record per width started from the root, and one per novel
+        # candidate. Later streams start a width from its prefix, or skip it.
+        assert counts["records"] == counts["root_records"] + counts["novel"]
+        assert counts["root_records"] == len(stats.wall_time_by_width)
         assert counts["novel"] > 0
 
     def test_config_rejects_zero_width(self):
@@ -922,6 +965,41 @@ class TestResumedStreams:
         assert res.stats.restarts == 1
         assert res.plans == restart_fbi(problem, space, 6, novelty, limits).plans
 
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    def test_phase_two_generates_fewer_nodes_than_phase_one(self, scope, monkeypatch):
+        # Phase 2 starts each width from the prefix phase 1 kept, or skips
+        # it: in global scope neither width meets a keyed node.
+        problem, space, bound, k = _workload_instance("pentest-star7")
+        novelty = NoveltyConfig(2, scope)
+        phases = _phase_nodes(monkeypatch, problem, space, k, novelty, SearchLimits(bound))
+        assert len(phases) == 2
+        assert phases[1] < phases[0]
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    def test_a_width_with_no_keyed_node_is_skipped(self, scope):
+        problem = PairGate()
+        novelty = NoveltyConfig(2, scope)
+        limits = SearchLimits(10, 30.0, 1_000_000)
+        stats = search.SearchStats()
+        memo = core.TransitionMemo(problem, stats)
+        budget = search.Budget(limits)
+        prefixes = {}
+        plans, nodes = [], []
+        for _ in range(2):
+            before = stats.nodes_generated
+            stream = search._iw_goal_stream(memo, novelty, budget, stats, lambda n: False, prefixes)
+            plans.append([search.node_plan(node) for node in stream])
+            nodes.append(stats.nodes_generated - before)
+        assert prefixes[1] is None
+        assert isinstance(prefixes[2], search._Prefix)
+        assert plans[0] == plans[1] == [("next",) * 3, ("next", "next", "alt")]
+        assert 0 < nodes[1] < nodes[0]
+        assert stats.simulate_calls + stats.memo_hits == stats.nodes_generated
+        space = _go_space(problem)
+        got = fbi(problem, space, 3, novelty, limits)
+        assert got.plans == restart_fbi(problem, space, 3, novelty, limits).plans
+        assert len(got.plans) == 2
+
     def test_node_budget_reaches_more_plans_than_restarting(self):
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
         space = _go_cb_space(problem)
@@ -940,28 +1018,52 @@ class TestResumedStreams:
         assert partial == full.plans[: len(partial)]
 
 
+def _phase_nodes(monkeypatch, problem, space, k, novelty, limits) -> list:
+    """The nodes each ``_forbidding_stream`` of one ``fbi`` run generates."""
+    real = search._forbidding_stream
+    phases = []
+
+    def counted(memo, novelty, budget, stats, *args, **kwargs):
+        before = stats.nodes_generated
+        try:
+            yield from real(memo, novelty, budget, stats, *args, **kwargs)
+        finally:
+            phases.append(stats.nodes_generated - before)
+
+    monkeypatch.setattr(search, "_forbidding_stream", counted)
+    fbi(problem, space, k, novelty, limits)
+    return phases
+
+
+@pytest.mark.parametrize("cost_only", [False, True], ids=["case-space", "cost-only"])
 @pytest.mark.parametrize("case", RESUME_CASES, ids=[c[0] for c in RESUME_CASES])
-def test_node_states_equal_the_replayed_trace(case, monkeypatch):
-    """The search's integer nodes convert back to exactly the replayed trace,
-    at every goal node and every interior node a behaviour is read from."""
+def test_behaviours_read_off_latched_masks_equal_the_replayed_trace(case, cost_only, monkeypatch):
+    """The behaviour the search reads off a node's latched masks is the one
+    read off the replayed trace of its plan, at every goal node and every
+    interior node a behaviour is read from."""
     _, make, make_space, k, bound = case
     problem = make()
-    space = make_space(problem)
+    space = BehaviourSpace((CostBound(bound),)) if cost_only else make_space(problem)
     limits = SearchLimits(bound, 30.0, 1_000_000)
     seen = []
-    real = search.node_states
+    real = search._behaviour_rule
 
-    def recording(memo, node):
-        states = real(memo, node)
-        seen.append((search.node_plan(node), states))
-        return states
+    def recording(memo, space, interior_pruning):
+        key_of, settled = real(memo, space, interior_pruning)
 
-    monkeypatch.setattr(search, "node_states", recording)
+        def recorded(node):
+            key = key_of(node)
+            seen.append((search.node_plan(node), key))
+            return key
+
+        return recorded, settled
+
+    monkeypatch.setattr(search, "_behaviour_rule", recording)
     fbi(problem, space, k, limits=limits)
     fbi_naive(problem, k, limits=limits, space=space)
     assert seen
-    for plan, states in seen:
-        assert states == list(replay(problem, plan).states)
+    for plan, key in seen:
+        assert key == behaviour_of(space, replay(problem, plan).states)
 
 
 class TestSpaceCapsCost:
