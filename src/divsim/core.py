@@ -19,7 +19,7 @@ from collections.abc import Hashable
 from functools import cached_property
 
 from .errors import CostBoundExceeded, InapplicableAction, UnknownAction
-from .record import Record, set_field
+from .record import Record
 
 GOAL_ATOM = "goal-state"
 COST_ATOM_PREFIX = "cost-"
@@ -53,13 +53,6 @@ class AugmentedState(Record):
     cost_so_far: int
     goal_flag: bool
     latched: frozenset
-
-    def __init__(self, raw: State, cost_so_far: int, goal_flag: bool, latched: frozenset):
-        # Spelled out, not left to ``Record``: the search builds one per trace position.
-        set_field(self, "raw", raw)
-        set_field(self, "cost_so_far", cost_so_far)
-        set_field(self, "goal_flag", goal_flag)
-        set_field(self, "latched", latched)
 
 
 class Trace(Record):

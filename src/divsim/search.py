@@ -1,15 +1,15 @@
 """Width-based search with behaviour and plan forbidding.
 
 The core loop is a breadth-first search per width i = 1..max_width that keeps
-a successor only if
+a successor only if, tested in this order,
 
 (a) it is novel at width i,
+(c) its visited key (raw truths plus latched goals) is unseen this iteration,
+(d) its cost does not exceed the cost bound,
 (b) its key, its behaviour (or, in plan-forbidding mode, its plan), is not
     forbidden. Goal nodes are checked; with interior pruning on and no cost
     feature, so are interior nodes whose goals have all latched, as every
-    goal node below one has its goal order and so its behaviour,
-(c) its visited key (raw truths plus latched goals) is unseen this iteration,
-(d) its cost does not exceed the cost bound.
+    goal node below one has its goal order and so its behaviour.
 
 Nodes hold the run memo's record of their state, and both tests above
 read its atom mask. A behaviour is read off the latched goal masks along
@@ -27,13 +27,9 @@ forbid-and-resume loop, ``_forbidding_stream``, with the behaviour or the
 plan as the key. Each phase resumes one search rather than restarting it for
 every plan, and finds the plans, in the same order, that a restart per plan
 would find. Every behaviour is read off the goal node that ends its plan;
-no plan is replayed. Until a width meets its first keyed child, one that
-is novel and is a goal or has every goal latched, no forbidden key can
-act, so every stream of an ``fbi`` run searches that stretch alike. The
-first stream keeps it as the width's ``_Prefix``, and every later one,
-restarts and phase 2 included, starts the width there or skips a width
-that met no keyed child. ``fbi`` and ``fbi_naive`` share one top-k runner,
-``_top_k``.
+no plan is replayed. When no node can be settled, phase 2 reads its plans
+off phase 1's search instead of searching again (see ``fbi``). ``fbi``
+and ``fbi_naive`` share one top-k runner, ``_top_k``.
 """
 
 from __future__ import annotations
@@ -354,69 +350,19 @@ class NoveltyTable:
         return novel
 
 
-class _Prefix:
-    """A width's goal-free prefix: its IW iteration as it stands when the
-    iteration first meets a keyed child.
-
-    A child is keyed when it passes the novelty test and is a goal state or
-    has every goal latched. Before the first keyed child no ``reject`` of
-    ``_forbidding_stream`` can return True or record anything, and the
-    visited, novelty and cost tests depend only on the run, so every stream
-    of a run reaches this point with the same queue, visited keys and
-    summaries. The prefix keeps them, with the node being expanded, the
-    index of the action that made the keyed child, and the child itself, so
-    that a later stream starts there instead of generating it all again.
-
-    In trace scope a built summary never changes, so the queued nodes'
-    summary references and the expansion's own summary are kept as they
-    are; the ``summary`` fields that point at them are reassigned and
-    cleared as the search goes on, and ``resume`` sets them back. In global
-    scope the one summary of the iteration, which then holds the keyed
-    child, is copied, and ``resume`` shares one fresh copy of it among every
-    restored node. The nodes themselves are reused, so the streams that
-    share a prefix must not be alive at once.
-    """
-
-    __slots__ = ("queue", "summaries", "visited", "summary", "node", "index", "child")
-
-    def __init__(self, queue, visited, node: _Node, index: int, child: _Node, trace_local: bool):
-        self.queue = tuple(queue)
-        self.summaries = tuple(n.summary for n in queue) if trace_local else None
-        self.visited = set(visited)
-        self.summary = node.summary if trace_local else dict(node.summary)
-        self.node = node
-        self.index = index
-        self.child = child
-
-    def resume(self) -> tuple:
-        """``(queue, visited, node, index, child)`` for a stream that starts
-        here, with every restored node's summary set back."""
-        if self.summaries is None:
-            summary = dict(self.summary)
-            summaries = itertools.repeat(summary)
-        else:
-            summary = self.summary
-            summaries = self.summaries
-        for node, own in zip(self.queue, summaries):
-            node.summary = own
-        self.node.summary = self.child.summary = summary
-        return deque(self.queue), set(self.visited), self.node, self.index, self.child
-
-
 def _iw_goal_stream(
     memo: TransitionMemo,
     novelty: NoveltyConfig,
     budget: Budget,
     stats: SearchStats,
     reject: Callable[[_Node], bool],
-    prefixes: Optional[dict] = None,
 ) -> Iterator[_Node]:
     """Yield every kept goal node, running widths 1..max_width in turn.
 
     ``memo`` is the run's memo, whose masks the novelty test reads.
-    ``reject`` implements condition (b); rejected goal nodes are pruned
-    entirely, leaving their visited keys unrecorded so that other routes to
-    the same state stay open.
+    ``reject`` implements condition (b) and is asked last, of nodes that
+    passed every other test. A rejected node is pruned entirely, leaving
+    its visited key unrecorded so that other routes to its state stay open.
 
     A goal node is yielded before its visited key and queue entry are
     recorded, and ``reject`` is asked again on resume. A caller that has
@@ -424,85 +370,52 @@ def _iw_goal_stream(
     exactly as a restart under the larger forbidden set would prune it, and
     the stream goes on where a restart would arrive. A node still queued
     when the stream closes never builds its own novelty summary.
-
-    ``prefixes``, when given, holds the ``_Prefix`` of each width that a
-    stream of the same run has already searched, or None for a width whose
-    whole iteration met no keyed child and so yields nothing to any stream.
-    A width starts from its prefix when there is one, is skipped when it is
-    None, and otherwise starts from the root and records what it meets. A
-    width whose root is a goal state is keyed at once and keeps no prefix.
-    Only the nodes a stream generates itself are counted and charged to the
-    budget.
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
     goal_bits = memo.goal_bits
     widths = stats.wall_time_by_width
     for width in range(1, novelty.max_width + 1):
-        prefix = () if prefixes is None else prefixes.get(width, ())  # () starts at the root
-        if prefix is None:
-            continue
         started = time.perf_counter()
         # Keyed now, so that stats copied at a plan hold every width begun.
         widths.setdefault(width, 0.0)
         try:
+            record = memo.initial
             table = NoveltyTable(width, novelty.scope)
-            if prefix:
-                queue, visited, node, start, pending = prefix.resume()
-                keep = False
-            else:
-                record = memo.initial
-                summary = {} if trace_local else table.record({}, record.mask, record.bits)
-                root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
-                visited = {record.mask | root.latched}
-                queue = deque([root])
-                pending = None  # the keyed child a prefix resumes at
-                keep = prefixes is not None and not record.goal
-                if record.goal and not reject(root):
-                    yield root
-            while pending is not None or queue:
-                if pending is None:
-                    budget.check_time()
-                    node = queue.popleft()
-                    stats.nodes_expanded += 1
-                    if trace_local:
-                        own = node.record
-                        node.summary = table.record(dict(node.summary), own.mask, own.bits)
-                    start = 0
+            summary = {} if trace_local else table.record({}, record.mask, record.bits)
+            root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
+            visited = {record.mask | root.latched}
+            queue = deque([root])
+            if record.goal and not reject(root):
+                yield root
+            while queue:
+                budget.check_time()
+                node = queue.popleft()
+                stats.nodes_expanded += 1
                 parent = node.record
                 parent_mask = parent.mask
+                if trace_local:
+                    node.summary = table.record(dict(node.summary), parent_mask, parent.bits)
                 summary = node.summary
-                actions = memo.applicable(parent)
-                for index in range(start, len(actions)):
-                    if pending is None:
-                        budget.spend_node()
-                        stats.nodes_generated += 1
-                        record = memo.step(parent, index)
-                        mask = record.mask
-                        if not table.is_novel(mask, record.bits, parent_mask, summary):
-                            stats.pruned_by_novelty += 1
-                            continue
-                        action = actions[index]
-                        latched = node.latched | (mask & goal_bits)
-                        cost = node.cost + action.cost
-                        child = _Node(record, cost, latched, node, action.name, summary)
-                        if keep and (record.goal or latched == goal_bits):
-                            prefixes[width] = _Prefix(
-                                queue, visited, node, index, child, trace_local
-                            )
-                            keep = False
-                    else:
-                        child, pending = pending, None
-                        record, latched, cost = child.record, child.latched, child.cost
-                        mask = record.mask
-                    if reject(child):
-                        stats.pruned_by_behaviour += 1
+                for index, action in enumerate(memo.applicable(parent)):
+                    budget.spend_node()
+                    stats.nodes_generated += 1
+                    record = memo.step(parent, index)
+                    mask = record.mask
+                    if not table.is_novel(mask, record.bits, parent_mask, summary):
+                        stats.pruned_by_novelty += 1
                         continue
+                    latched = node.latched | (mask & goal_bits)
                     key = mask | latched  # latches tell same-raw states' goal histories apart
                     if key in visited:
                         stats.pruned_by_visited += 1
                         continue
+                    cost = node.cost + action.cost
                     if cost > budget.cost_bound:
                         stats.pruned_by_cost += 1
+                        continue
+                    child = _Node(record, cost, latched, node, action.name, summary)
+                    if reject(child):
+                        stats.pruned_by_behaviour += 1
                         continue
                     if record.goal:
                         yield child
@@ -512,8 +425,6 @@ def _iw_goal_stream(
                     visited.add(key)
                     queue.append(child)
                 node.summary = None
-            if keep:
-                prefixes[width] = None
         finally:
             widths[width] += time.perf_counter() - started
 
@@ -526,30 +437,34 @@ def _forbidding_stream(
     key_of: Callable[[_Node], object],
     forbidden,
     settled: Optional[int] = None,
-    prefixes: Optional[dict] = None,
+    passed_over: Optional[dict] = None,
+    k: int = 0,
 ) -> Iterator[tuple]:
     """Yield ``(node, key_of(node))`` for each kept goal node whose key is
     not in ``forbidden``, and forbid the key as the caller resumes.
 
     Condition (b) drops a goal node whose key is forbidden, and an interior
-    node within the cost bound that is settled, its latched goals the mask
-    ``settled``, and whose key is forbidden. Every goal node below a
-    settled node must have its key. One IW stream serves every key. When a
-    newly forbidden key is that of a settled interior node the stream
-    already let through, a restart would have dropped that node, so the
-    stream is closed and a fresh one starts under the whole forbidden set
-    (``stats.restarts``). ``prefixes`` goes to every IW stream started
-    (see ``_iw_goal_stream``).
+    node that is settled, its latched goals the mask ``settled``, and whose
+    key is forbidden. Every goal node below a settled node must have its
+    key. One IW stream serves every key. When a newly forbidden key is that
+    of a settled interior node the stream already let through, a restart
+    would have dropped that node, so the stream is closed and a fresh one
+    starts under the whole forbidden set (``stats.restarts``).
+
+    ``passed_over``, when given, maps the plan of each goal node (b) drops,
+    yielded ones included, to the node, in the stream's order, up to k plans.
     """
     forbidden = set(forbidden)
     passed: set = set()  # keys of the settled interior nodes let through
-    cost_bound = budget.cost_bound
 
     def reject(node: _Node) -> bool:
         if node.record.goal:
-            return key_of(node) in forbidden
-        # Over the bound, condition (d) drops the node, so it is not let through.
-        if settled is None or node.latched != settled or node.cost > cost_bound:
+            if key_of(node) not in forbidden:
+                return False
+            if passed_over is not None and len(passed_over) < k:
+                passed_over.setdefault(node_plan(node), node)
+            return True
+        if node.latched != settled:  # never equal when settled is None
             return False
         key = key_of(node)
         if key in forbidden:
@@ -558,7 +473,7 @@ def _forbidding_stream(
         return False
 
     while True:
-        with closing(_iw_goal_stream(memo, novelty, budget, stats, reject, prefixes)) as stream:
+        with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
             for node in stream:
                 key = key_of(node)
                 yield node, key
@@ -719,29 +634,34 @@ def fbi(
     out of play implicitly (every behaviour is already taken) and forbids
     exact plan sequences instead. Each phase resumes one IW stream after
     every plan rather than restarting the search, with the plans and order
-    a restart per plan would give, and every stream after the first starts
-    each width from the goal-free prefix the first one kept. Every
-    behaviour is read off the goal node the stream yields; no plan is
-    replayed. The search runs under the smaller of ``limits.cost_bound``
-    and the space's cost bound. On a budget trip the partial result rides
-    on the raised ``BudgetExceeded``. Both phases share one
-    ``TransitionMemo``.
+    a restart per plan would give. Every behaviour is read off the goal
+    node the stream yields; no plan is replayed. The search runs under the
+    smaller of ``limits.cost_bound`` and the space's cost bound. On a budget
+    trip the partial result rides on the raised ``BudgetExceeded``. Both
+    phases share one ``TransitionMemo``.
+
+    When no node can be settled (a cost feature, or ``interior_pruning``
+    off), condition (b) drops only goal nodes, and neither phase queues a
+    goal node but the root, so both generate the same nodes in the same
+    order. Phase 2 would yield the goal nodes phase 1 passed over, less the
+    plans already held, so it reads them off phase 1. Phase 1 keeps the first
+    k; with m plans of its own, at least the k - m that phase 2 needs are new.
     """
 
     def pairs(memo, budget, stats):
         key_of, settled = _behaviour_rule(memo, space, interior_pruning)
         plans = []
-        # Every stream of the run, restarts and phase 2 included, starts each
-        # width from its goal-free prefix. One stream closes before the next
-        # starts, so no two streams share the prefix nodes at once.
-        prefixes: dict = {}
-        one = _forbidding_stream(memo, novelty, budget, stats, key_of, (), settled, prefixes)
+        over = {} if settled is None else None  # plan -> passed-over goal node
+        one = _forbidding_stream(memo, novelty, budget, stats, key_of, (), settled, over, k)
         with closing(one):
             for node, behaviour in one:
                 plans.append(node_plan(node))
                 yield plans[-1], behaviour
-        two = _forbidding_stream(memo, novelty, budget, stats, node_plan, plans, prefixes=prefixes)
-        with closing(two):
+        if over is not None:
+            held = set(plans)
+            yield from ((plan, key_of(node)) for plan, node in over.items() if plan not in held)
+            return
+        with closing(_forbidding_stream(memo, novelty, budget, stats, node_plan, plans)) as two:
             for node, plan in two:
                 yield plan, key_of(node)
 

@@ -121,49 +121,6 @@ class PairsThenTriple(SimulatorProblem):
         return state == self.CHAIN[-1]
 
 
-class PairGate(SimulatorProblem):
-    """A goal behind a state that is new only as a pair.
-
-    ``next`` walks {a} -> {b} -> {a, b} -> {g}, ``alt`` goes from {a, b} to
-    {c, g}, and ``back`` returns to {a}. Both atoms of {a, b} held on its own
-    path, so width 1 prunes it and meets no goal and no latched goal; width
-    2 reaches both goal states.
-    """
-
-    CHAIN = tuple(frozenset(f"gate-{n}" for n in names) for names in ("a", "b", "ab", "g"))
-    ALT = frozenset({"gate-c", "gate-g"})
-
-    @property
-    def initial(self):
-        return self.CHAIN[0]
-
-    @property
-    def actions(self):
-        return (Action("next"), Action("alt"), Action("back"))
-
-    @property
-    def goal_predicates(self):
-        return ("gate-g",)
-
-    def applicable(self, state):
-        return tuple(
-            a for a in self.actions
-            if (a.name == "next" and state in self.CHAIN[:-1])
-            or (a.name == "alt" and state == self.CHAIN[2])
-            or (a.name == "back" and state != self.CHAIN[0])
-        )
-
-    def simulate(self, state, action):
-        if action.name == "back":
-            return self.CHAIN[0]
-        if action.name == "alt":
-            return self.ALT
-        return self.CHAIN[self.CHAIN.index(state) + 1]
-
-    def is_goal(self, state):
-        return "gate-g" in state
-
-
 # Test-local atom numbering; in a search the run's TransitionMemo assigns it.
 BITS = {"p": 1, "q": 2, "r": 4}
 
@@ -373,6 +330,10 @@ class TestNovelty:
         counts = collections.Counter()
 
         class CountingTable(NoveltyTable):
+            def __init__(self, *args):
+                super().__init__(*args)
+                counts["tables"] += 1
+
             def record(self, summary, *args):
                 counts["records"] += 1
                 counts["root_records"] += not summary
@@ -415,10 +376,10 @@ class TestNovelty:
     @pytest.mark.parametrize("name", ["puzznic-abc", "pentest-star7"])
     def test_global_scope_records_every_novel_candidate(self, name, monkeypatch):
         stats, counts = self._counted_run(name, NoveltyScope.GLOBAL, monkeypatch)
-        # One root record per width started from the root, and one per novel
-        # candidate. Later streams start a width from its prefix, or skip it.
+        # One root record per width of every search started (each builds
+        # one table), and one per novel candidate.
         assert counts["records"] == counts["root_records"] + counts["novel"]
-        assert counts["root_records"] == len(stats.wall_time_by_width)
+        assert counts["root_records"] == counts["tables"] >= len(stats.wall_time_by_width)
         assert counts["novel"] > 0
 
     def test_config_rejects_zero_width(self):
@@ -796,7 +757,9 @@ class TestTransitionMemo:
         assert phase_two, "the run must reach plan forbidding"
         assert len(problem.simulated) == len(set(problem.simulated))
         assert res.stats.simulate_calls == len(problem.simulated)
-        assert res.stats.memo_hits > res.stats.simulate_calls
+        # Width 2 steps through the transitions width 1 simulated; phase 2
+        # reads its plans off phase 1 and looks nothing up.
+        assert res.stats.memo_hits > 0
         # One lookup per generated node: behaviours come from the nodes, so
         # no plan is replayed.
         assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
@@ -884,10 +847,15 @@ def _first_goal_space(problem):
     return BehaviourSpace((GoalOrder(tuple(problem.goal_predicates[:1])),))
 
 
+def _cost_space(problem, bound=8):
+    return BehaviourSpace((CostBound(bound),))
+
+
 
 # (id, problem factory, space factory, k, cost bound). The toggles exercise
 # interior pruning, which needs a space without cost; the stars have cost so
-# that they reach phase 2 with trace-local novelty.
+# that they reach phase 2 with trace-local novelty, and one of them has a
+# cost feature alone.
 RESUME_CASES = (
     ("corridor_bend", _fixture("corridor_bend.grid"), _go_space, 4, 8),
     ("two_targets_line", _fixture("two_targets_line.grid"), _go_space, 6, 7),
@@ -895,6 +863,7 @@ RESUME_CASES = (
     ("star-3", _star(3, {1, 2, 3}, 1), _go_cb_space, 12, 8),
     ("star-4", _star(4, {1, 3}, 1), _go_cb_space, 12, 8),
     ("star-5", _star(5, {2, 4}), _go_cb_space, 12, 8),
+    ("star-3-cost-only", _star(3, {1, 2, 3}, 1), _cost_space, 12, 8),
     ("undo-toggle", UndoToggleProblem, _go_space, 6, 10),
     ("finish-toggle", FinishToggleProblem, _go_space, 6, 10),
     ("undo-toggle-one-group", UndoToggleProblem, _first_goal_space, 6, 10),
@@ -966,39 +935,42 @@ class TestResumedStreams:
         assert res.plans == restart_fbi(problem, space, 6, novelty, limits).plans
 
     @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
-    def test_phase_two_generates_fewer_nodes_than_phase_one(self, scope, monkeypatch):
-        # Phase 2 starts each width from the prefix phase 1 kept, or skips
-        # it: in global scope neither width meets a keyed node.
+    def test_phase_two_generates_no_node_on_the_star(self, scope, monkeypatch):
+        # The star's space has a cost feature, so no node is settled and
+        # phase 2 reads its plans off phase 1's search: one search runs.
+        # In global scope that search finds no plan at all.
         problem, space, bound, k = _workload_instance("pentest-star7")
         novelty = NoveltyConfig(2, scope)
-        phases = _phase_nodes(monkeypatch, problem, space, k, novelty, SearchLimits(bound))
-        assert len(phases) == 2
-        assert phases[1] < phases[0]
+        got, phases = _phase_nodes(monkeypatch, problem, space, k, novelty, SearchLimits(bound))
+        assert phases == [got.stats.nodes_generated]
+        if scope is NoveltyScope.TRACE_LOCAL:
+            first = got.stats_at[got.behaviour_count]  # at phase 2's first plan
+            assert len(got.plans) > got.behaviour_count, "the run must reach phase 2"
+            assert first.nodes_generated == got.stats.nodes_generated
+        else:
+            assert got.plans == ()
 
-    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
-    def test_a_width_with_no_keyed_node_is_skipped(self, scope):
-        problem = PairGate()
-        novelty = NoveltyConfig(2, scope)
-        limits = SearchLimits(10, 30.0, 1_000_000)
-        stats = search.SearchStats()
-        memo = core.TransitionMemo(problem, stats)
-        budget = search.Budget(limits)
-        prefixes = {}
-        plans, nodes = [], []
-        for _ in range(2):
-            before = stats.nodes_generated
-            stream = search._iw_goal_stream(memo, novelty, budget, stats, lambda n: False, prefixes)
-            plans.append([search.node_plan(node) for node in stream])
-            nodes.append(stats.nodes_generated - before)
-        assert prefixes[1] is None
-        assert isinstance(prefixes[2], search._Prefix)
-        assert plans[0] == plans[1] == [("next",) * 3, ("next", "next", "alt")]
-        assert 0 < nodes[1] < nodes[0]
-        assert stats.simulate_calls + stats.memo_hits == stats.nodes_generated
-        space = _go_space(problem)
-        got = fbi(problem, space, 3, novelty, limits)
-        assert got.plans == restart_fbi(problem, space, 3, novelty, limits).plans
-        assert len(got.plans) == 2
+    @pytest.mark.parametrize("k", [3, 8, 12])
+    def test_passed_over_plans_are_bounded_by_k(self, k, monkeypatch):
+        # The star has 6 behaviours and 9 plans. At k 3 phase 1 meets k, at
+        # k 8 it keeps exactly k passed-over plans, enough for phase 2, and
+        # at k 12 all 9.
+        problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
+        space = _go_cb_space(problem)
+        real = search._forbidding_stream
+        kept = []
+
+        def captured(*args):
+            if len(args) > 7 and args[7] is not None:
+                kept.append(args[7])
+            return real(*args)
+
+        monkeypatch.setattr(search, "_forbidding_stream", captured)
+        got = fbi(problem, space, k, limits=STAR_LIMITS)
+        (over,) = kept
+        assert 0 < len(over) <= k
+        assert (len(over) == k) == (k == 8)
+        assert got.plans == restart_fbi(problem, space, k, limits=STAR_LIMITS).plans
 
     def test_node_budget_reaches_more_plans_than_restarting(self):
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
@@ -1018,8 +990,9 @@ class TestResumedStreams:
         assert partial == full.plans[: len(partial)]
 
 
-def _phase_nodes(monkeypatch, problem, space, k, novelty, limits) -> list:
-    """The nodes each ``_forbidding_stream`` of one ``fbi`` run generates."""
+def _phase_nodes(monkeypatch, problem, space, k, novelty, limits) -> tuple:
+    """One ``fbi`` run's result and the nodes each of its
+    ``_forbidding_stream``s generates."""
     real = search._forbidding_stream
     phases = []
 
@@ -1031,8 +1004,7 @@ def _phase_nodes(monkeypatch, problem, space, k, novelty, limits) -> list:
             phases.append(stats.nodes_generated - before)
 
     monkeypatch.setattr(search, "_forbidding_stream", counted)
-    fbi(problem, space, k, novelty, limits)
-    return phases
+    return fbi(problem, space, k, novelty, limits), phases
 
 
 @pytest.mark.parametrize("cost_only", [False, True], ids=["case-space", "cost-only"])
