@@ -27,9 +27,9 @@ forbid-and-resume loop, ``_forbidding_stream``, with the behaviour or the
 plan as the key. Each phase resumes one search rather than restarting it for
 every plan, and finds the plans, in the same order, that a restart per plan
 would find. Every behaviour is read off the goal node that ends its plan;
-no plan is replayed. When no node can be settled, phase 2 reads its plans
-off phase 1's search instead of searching again (see ``fbi``). ``fbi``
-and ``fbi_naive`` share one top-k runner, ``_top_k``.
+no plan is replayed. Unless phase 1 dropped an interior node, phase 2
+reads its plans off phase 1's search instead of searching again (see
+``fbi``). ``fbi`` and ``fbi_naive`` share one top-k runner, ``_top_k``.
 """
 
 from __future__ import annotations
@@ -453,11 +453,14 @@ def _forbidding_stream(
 
     ``passed_over``, when given, maps the plan of each goal node (b) drops,
     yielded ones included, to the node, in the stream's order, up to k plans.
+    The first interior node (b) drops leaves it holding only the key None,
+    and ends it.
     """
     forbidden = set(forbidden)
     passed: set = set()  # keys of the settled interior nodes let through
 
     def reject(node: _Node) -> bool:
+        nonlocal k
         if node.record.goal:
             if key_of(node) not in forbidden:
                 return False
@@ -468,6 +471,10 @@ def _forbidding_stream(
             return False
         key = key_of(node)
         if key in forbidden:
+            if passed_over is not None:  # phase 2 must search (see ``fbi``)
+                passed_over.clear()
+                passed_over[None] = None
+                k = 0
             return True
         passed.add(key)
         return False
@@ -640,24 +647,29 @@ def fbi(
     trip the partial result rides on the raised ``BudgetExceeded``. Both
     phases share one ``TransitionMemo``.
 
-    When no node can be settled (a cost feature, or ``interior_pruning``
-    off), condition (b) drops only goal nodes, and neither phase queues a
-    goal node but the root, so both generate the same nodes in the same
-    order. Phase 2 would yield the goal nodes phase 1 passed over, less the
-    plans already held, so it reads them off phase 1. Phase 1 keeps the first
-    k; with m plans of its own, at least the k - m that phase 2 needs are new.
+    While phase 1's condition (b) drops only goal nodes, and neither phase
+    queues a goal node but the root, both phases generate the same nodes in
+    the same order. Phase 2 would yield the goal nodes phase 1 passed over,
+    less the plans already held, so it reads them off phase 1. Phase 1 keeps
+    the first k; with m plans of its own, at least the k - m that phase 2
+    needs are new. Only a run whose phase 1 dropped a settled interior node
+    searches again from the root, as a plain search may visit that node and
+    so prune a goal node behind it that phase 1 passed over. No built-in
+    domain has a non-goal node with every goal latched. A restart needs no
+    check of its own: the restarted stream drops the forbidden node, or one
+    before it, so the run dropped an interior node.
     """
 
     def pairs(memo, budget, stats):
         key_of, settled = _behaviour_rule(memo, space, interior_pruning)
         plans = []
-        over = {} if settled is None else None  # plan -> passed-over goal node
+        over = {}  # plan -> passed-over goal node; key None once an interior node drops
         one = _forbidding_stream(memo, novelty, budget, stats, key_of, (), settled, over, k)
         with closing(one):
             for node, behaviour in one:
                 plans.append(node_plan(node))
                 yield plans[-1], behaviour
-        if over is not None:
+        if None not in over:
             held = set(plans)
             yield from ((plan, key_of(node)) for plan, node in over.items() if plan not in held)
             return

@@ -1,4 +1,5 @@
 import pathlib
+import random
 
 import pytest
 
@@ -164,6 +165,95 @@ class FinishToggleProblem(ToggleProblem):
 
     def is_goal(self, state):
         return self.goal_set <= state and self._done in state
+
+
+class SwitchProblem(SimulatorProblem):
+    """A toy whose actions switch atoms on and off.
+
+    Each entry of ``rules`` is ``(action, needs, needs_off, sets, clears)``,
+    in declaration order: the action applies when every atom of ``needs``
+    is true and every atom of ``needs_off`` false. The goal predicates are
+    ``goals``, and a goal state has them and ``also`` all true.
+    """
+
+    def __init__(self, goals, rules, also=()):
+        self._goals = tuple(goals)
+        self._goal = frozenset(goals) | frozenset(also)
+        self._rules = tuple(rules)
+        self._actions = tuple(rule[0] for rule in self._rules)
+
+    @property
+    def initial(self):
+        return frozenset()
+
+    @property
+    def actions(self):
+        return self._actions
+
+    @property
+    def goal_predicates(self):
+        return self._goals
+
+    def applicable(self, state):
+        return tuple(
+            action
+            for action, needs, needs_off, _, _ in self._rules
+            if needs <= state and not needs_off & state
+        )
+
+    def simulate(self, state, action):
+        _, _, _, sets, clears = self._rules[self._actions.index(action)]
+        return (state - clears) | sets
+
+    def is_goal(self, state):
+        return self._goal <= state
+
+
+def undo_mark_problem():
+    """Goals ``a`` and ``b``; unset-a undoes ``a`` and sets the mark ``m``,
+    which mark sets too.
+
+    set-a, set-b, unset-a is a non-goal node with both goals latched, in
+    the order a, b, and set-b, mark, set-a a goal node with the same atoms
+    and latches. A plain search visits the first and prunes the second. With
+    interior pruning on, phase 1 drops the first once the order a, b is
+    forbidden, and so reaches the second, which it passes over as its order
+    b, a is forbidden too. Read off phase 1, phase 2 would add that plan;
+    searched, it does not.
+    """
+    a, b, m = "a", "b", "m"
+    on = frozenset
+    rules = (
+        (Action("set-a", 2), on(), on({a}), on({a}), on()),
+        (Action("unset-a"), on({a}), on(), on({m}), on({a})),
+        (Action("set-b"), on(), on({b}), on({b}), on()),
+        (Action("mark"), on(), on({m}), on({m}), on()),
+    )
+    return SwitchProblem((a, b), rules)
+
+
+def random_undo_problem(seed: int) -> SwitchProblem:
+    """A seeded ``SwitchProblem`` whose goals can be undone.
+
+    It has 2-3 goals ``gi``, each set by set-gi (cost 1 or 2) and, with
+    probability 0.8, cleared by unset-gi, which also sets a random mark of
+    1-3 marks ``mj``; about half the marks have a mark-mj that sets them.
+    With probability 0.3 the goal state also needs one mark.
+    """
+    rng = random.Random(seed)
+    goals = tuple(f"g{i}" for i in range(rng.randint(2, 3)))
+    marks = tuple(f"m{j}" for j in range(rng.randint(1, 3)))
+    on = frozenset
+    rules = []
+    for g in goals:
+        rules.append((Action(f"set-{g}", rng.randint(1, 2)), on(), on({g}), on({g}), on()))
+        if rng.random() < 0.8:
+            rules.append((Action(f"unset-{g}"), on({g}), on(), on({rng.choice(marks)}), on({g})))
+    for m in marks:
+        if rng.random() < 0.5:
+            rules.append((Action(f"mark-{m}"), on(), on({m}), on({m}), on()))
+    also = (rng.choice(marks),) if rng.random() < 0.3 else ()
+    return SwitchProblem(goals, rules, also)
 
 
 @pytest.fixture

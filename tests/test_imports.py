@@ -1,5 +1,7 @@
-"""What a fresh interpreter imports: a run loads only the modules it uses."""
+"""What divsim imports: only the standard library, and in a fresh
+interpreter only the modules a run uses."""
 
+import ast
 import json
 import os
 import subprocess
@@ -63,3 +65,22 @@ def test_a_pentest_run_loads_no_other_domain_nor_statistics_nor_csv():
 def test_unknown_names_are_attribute_errors():
     with pytest.raises(AttributeError, match="no_such_name"):
         divsim.domains.no_such_name
+
+
+def test_divsim_imports_only_the_standard_library():
+    package = Path(divsim.__file__).resolve().parent
+    bad = []
+    for path in sorted(package.rglob("*.py")):
+        where = path.relative_to(package.parents[1])
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "divsim" and top not in sys.stdlib_module_names:
+                    bad.append(f"{where}:{node.lineno}: import {name}")
+    assert not bad, "\n".join(bad)

@@ -39,6 +39,8 @@ from conftest import (
     UndoToggleProblem,
     feature_space,
     fixture_path,
+    random_undo_problem,
+    undo_mark_problem,
 )
 from oracles import plain_iw, restart_fbi
 from test_acceptance import star_scenario
@@ -855,7 +857,8 @@ def _cost_space(problem, bound=8):
 # (id, problem factory, space factory, k, cost bound). The toggles exercise
 # interior pruning, which needs a space without cost; the stars have cost so
 # that they reach phase 2 with trace-local novelty, and one of them has a
-# cost feature alone.
+# cost feature alone. undo-mark drops an interior node that a plain search
+# keeps, so its phase 2 must search again.
 RESUME_CASES = (
     ("corridor_bend", _fixture("corridor_bend.grid"), _go_space, 4, 8),
     ("two_targets_line", _fixture("two_targets_line.grid"), _go_space, 6, 7),
@@ -869,6 +872,7 @@ RESUME_CASES = (
     ("undo-toggle-one-group", UndoToggleProblem, _first_goal_space, 6, 10),
     ("finish-toggle-one-group", FinishToggleProblem, _first_goal_space, 6, 10),
     ("pairs", _fixture("pairs.puz"), _go_space, 6, 6),
+    ("undo-mark", undo_mark_problem, _go_space, 6, 10),
 )
 
 
@@ -895,6 +899,22 @@ class TestResumedStreams:
         assert len(naive.behaviours) == len(naive.plans)
         for plan, behaviour in zip(naive.plans, naive.behaviours):
             assert behaviour == extract_behaviour(space, problem, plan)
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_resumed_fbi_equals_restart_reference_on_random_goal_undoing_problems(
+        self, width, scope
+    ):
+        novelty = NoveltyConfig(width, scope)
+        limits = SearchLimits(8, 30.0, 1_000_000)
+        for seed in range(40):
+            problem = random_undo_problem(seed)
+            space = _go_space(problem)
+            got = fbi(problem, space, 6, novelty, limits)
+            ref = restart_fbi(problem, space, 6, novelty, limits)
+            assert got.plans == ref.plans, seed
+            assert got.behaviours == ref.behaviours, seed
+            assert got.exhausted == ref.exhausted, seed
 
     def test_no_restart_on_a_star(self):
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
@@ -935,11 +955,14 @@ class TestResumedStreams:
         assert res.plans == restart_fbi(problem, space, 6, novelty, limits).plans
 
     @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
-    def test_phase_two_generates_no_node_on_the_star(self, scope, monkeypatch):
-        # The star's space has a cost feature, so no node is settled and
-        # phase 2 reads its plans off phase 1's search: one search runs.
-        # In global scope that search finds no plan at all.
-        problem, space, bound, k = _workload_instance("pentest-star7")
+    @pytest.mark.parametrize("features", [("go",), ("go", "cb")], ids=",".join)
+    def test_phase_two_generates_no_node_on_the_star(self, features, scope, monkeypatch):
+        # No node of the star is a non-goal node with every goal latched,
+        # so phase 1 drops no interior node and phase 2 reads its plans off
+        # phase 1's search: one search runs. In global scope that search
+        # finds no plan at all.
+        problem, _, bound, k = _workload_instance("pentest-star7")
+        space = feature_space(problem, features, bound)
         novelty = NoveltyConfig(2, scope)
         got, phases = _phase_nodes(monkeypatch, problem, space, k, novelty, SearchLimits(bound))
         assert phases == [got.stats.nodes_generated]
@@ -950,18 +973,19 @@ class TestResumedStreams:
         else:
             assert got.plans == ()
 
-    @pytest.mark.parametrize("k", [3, 8, 12])
-    def test_passed_over_plans_are_bounded_by_k(self, k, monkeypatch):
-        # The star has 6 behaviours and 9 plans. At k 3 phase 1 meets k, at
-        # k 8 it keeps exactly k passed-over plans, enough for phase 2, and
-        # at k 12 all 9.
+    @pytest.mark.parametrize("features, k", [("go,cb", 3), ("go,cb", 8), ("go,cb", 12), ("go", 8)])
+    def test_passed_over_plans_are_bounded_by_k(self, features, k, monkeypatch):
+        # The star has 9 plans, and 6 behaviours in go,cb. There, at k 3
+        # phase 1 meets k, at k 8 it keeps exactly k passed-over plans,
+        # enough for phase 2, and at k 12 all 9. In go it has 3 behaviours,
+        # and phase 2 reads 5 plans off the 8 phase 1 keeps at k 8.
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
-        space = _go_cb_space(problem)
+        space = feature_space(problem, features.split(","), 8)
         real = search._forbidding_stream
         kept = []
 
         def captured(*args):
-            if len(args) > 7 and args[7] is not None:
+            if len(args) > 7:
                 kept.append(args[7])
             return real(*args)
 
