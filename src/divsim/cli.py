@@ -78,7 +78,12 @@ def _add_space_options(sub):
 def _add_search_options(sub):
     """The run options of ``solve`` and ``bench``, defaulting as the library does."""
     _add_space_options(sub)
-    sub.add_argument("--max-width", type=int, default=NoveltyConfig.max_width)
+    sub.add_argument(
+        "--max-width",
+        type=int,
+        default=NoveltyConfig.max_width,
+        help="highest novelty width; a width that prunes nothing ends the sweep",
+    )
     sub.add_argument(
         "--novelty", choices=[s.value for s in NoveltyScope], default=NoveltyConfig.scope.value
     )

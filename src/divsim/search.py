@@ -11,6 +11,25 @@ a successor only if, tested in this order,
     feature, so are interior nodes whose goals have all latched, as every
     goal node below one has its goal order and so its behaviour.
 
+A width whose search pruned no node by (a) ends the sweep; no higher
+width can add a plan. This is exact for every caller of the stream:
+
+- At width i+1, a node that passes novelty at width i also passes, given
+  the same history: its new tuple of size at most i also counts at width
+  i+1. This holds in both scopes.
+- So, if width i pruned nothing, width i+1 keeps the same nodes in the
+  same order, as long as the answers of (c), (d) and (b) agree. Those of
+  (c) and (d) agree because they do not depend on the width.
+- Those of (b) agree too. ``fbi`` queues no goal node but the root: each
+  is dropped, or yielded and then dropped, so the answers on goal nodes
+  do not shape the tree. An interior node dropped at width i still has a
+  forbidden key at width i+1. An interior node let through at width i has
+  a key that no later yield forbade, or the stream would have restarted.
+- Every goal node of width i+1 was met at width i, so its behaviour or
+  plan is already forbidden: width i+1 yields nothing and passes nothing
+  over. ``fbi_naive``'s (b) drops nothing, so there width i+1 yields
+  only plans already found.
+
 Nodes hold the run memo's record of their state, and both tests above
 read its atom mask. A behaviour is read off the latched goal masks along
 its node's path; no ``AugmentedState`` is built (``node_states``, which
@@ -108,6 +127,8 @@ class SearchStats(MutableRecord):
     simulate_calls: int = 0
     memo_hits: int = 0
     restarts: int = 0
+    # Width -> seconds spent in it, keyed for every width begun; a width the
+    # sweep never began, because a lower one pruned nothing, has no key.
     wall_time_by_width: dict = None  # None gives each instance a dict of its own
     wall_time_s: float = 0.0
 
@@ -161,7 +182,8 @@ class PlanSetResult(Record):
         plans and stops at the k-th; with fewer than k plans found, it ends
         as this run did. Only the time values differ: ``wall_time_s`` is
         the time at the k-th plan, and ``wall_time_by_width`` keys every
-        width begun by then but holds the time of the widths ended by then.
+        width begun by then but holds the time of the widths ended by then;
+        a width never begun has no key.
         A result whose ``stats_at`` lacks the k-th plan raises ValueError.
         """
         _check_k(k)
@@ -370,6 +392,11 @@ def _iw_goal_stream(
     exactly as a restart under the larger forbidden set would prune it, and
     the stream goes on where a restart would arrive. A node still queued
     when the stream closes never builds its own novelty summary.
+
+    A width in which novelty pruned no node ends the stream: it was a plain
+    breadth-first search, so the next width would generate the same nodes
+    in the same order and yield no goal node whose key is not already
+    forbidden (the module docstring gives the argument).
     """
     trace_local = novelty.scope is NoveltyScope.TRACE_LOCAL
     goal_bits = memo.goal_bits
@@ -378,6 +405,7 @@ def _iw_goal_stream(
         started = time.perf_counter()
         # Keyed now, so that stats copied at a plan hold every width begun.
         widths.setdefault(width, 0.0)
+        pruned = False
         try:
             record = memo.initial
             table = NoveltyTable(width, novelty.scope)
@@ -403,6 +431,7 @@ def _iw_goal_stream(
                     mask = record.mask
                     if not table.is_novel(mask, record.bits, parent_mask, summary):
                         stats.pruned_by_novelty += 1
+                        pruned = True
                         continue
                     latched = node.latched | (mask & goal_bits)
                     key = mask | latched  # latches tell same-raw states' goal histories apart
@@ -427,6 +456,8 @@ def _iw_goal_stream(
                 node.summary = None
         finally:
             widths[width] += time.perf_counter() - started
+        if not pruned:
+            return
 
 
 def _forbidding_stream(
@@ -688,14 +719,14 @@ def fbi_naive(
     *,
     space: Optional[BehaviourSpace] = None,
 ) -> PlanSetResult:
-    """Top-k baseline: one width-by-width sweep that keeps the frontier going.
+    """Top-k baseline: one IW stream, resumed after every plan.
 
-    Every kept goal node contributes its plan (duplicates across width
-    iterations are skipped) and the search continues from the same frontier
-    until k plans, exhaustion, or a budget trip. ``space``, when given,
-    caps the search's cost bound at its own, as in ``fbi``, and gives each
-    plan the behaviour read off its goal node; otherwise it does not steer
-    the search. Without it the result holds no behaviours.
+    Every kept goal node contributes its plan (duplicates across widths are
+    skipped) and the stream resumes where it stopped until k plans,
+    exhaustion, or a budget trip. ``space``, when given, caps the search's
+    cost bound at its own, as in ``fbi``, and gives each plan the behaviour
+    read off its goal node; otherwise it does not steer the search. Without
+    it the result holds no behaviours.
     """
 
     def pairs(memo, budget, stats):

@@ -713,8 +713,8 @@ class TestNaive:
         assert res.behaviour_count == 0
 
 
-class CountingPentest(PentestProblem):
-    """Pentest problem that records every transition it is asked to simulate."""
+class Counting:
+    """Mixin for a problem that records every transition it is asked to simulate."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -725,18 +725,36 @@ class CountingPentest(PentestProblem):
         return super().simulate(state, action)
 
 
+class CountingPentest(Counting, PentestProblem):
+    pass
+
+
+class CountingGrid(Counting, GridProblem):
+    pass
+
+
 STAR_LIMITS = SearchLimits(8, 30.0, 1_000_000)
 
 
 def _pentest_run(run):
-    """``run(problem, space)`` on a fresh counting three-spoke star network."""
+    """``run(problem, space)`` on a fresh counting three-spoke star network.
+
+    Width 1 prunes nothing there, so the sweep ends after it."""
     problem = CountingPentest.from_text(star_scenario(3, {1, 2, 3}, 1))
-    space = BehaviourSpace((GoalOrder(tuple(problem.goal_predicates)), CostBound(8)))
-    return problem, run(problem, space)
+    return problem, run(problem, _go_cb_space(problem))
+
+
+def _grid_run(run):
+    """``run(problem, space)`` on a fresh counting ``three_targets.grid``.
+
+    Width 1 prunes there, so width 2 runs and steps through the
+    transitions width 1 simulated."""
+    problem = CountingGrid.from_text(fixture_path("three_targets.grid").read_text())
+    return problem, run(problem, _go_cb_space(problem))
 
 
 def _fbi(problem, space):
-    # Six behaviours exist, so k=12 runs through phase 2 to exhaustion.
+    # k=12 runs through phase 2 to exhaustion on both counting problems.
     return fbi(problem, space, k=12, limits=STAR_LIMITS)
 
 
@@ -754,7 +772,7 @@ def _naive_k(problem, space, k, limits):
 
 class TestTransitionMemo:
     def test_fbi_simulates_each_transition_once(self):
-        problem, res = _pentest_run(_fbi)
+        problem, res = _grid_run(_fbi)
         phase_two = res.plans[res.behaviour_count :]
         assert phase_two, "the run must reach plan forbidding"
         assert len(problem.simulated) == len(set(problem.simulated))
@@ -772,7 +790,7 @@ class TestTransitionMemo:
         )
 
     def test_naive_counts_add_up(self):
-        problem, res = _pentest_run(lambda p, _: fbi_naive(p, k=12, limits=STAR_LIMITS))
+        problem, res = _grid_run(lambda p, _: fbi_naive(p, k=12, limits=STAR_LIMITS))
         assert len(problem.simulated) == len(set(problem.simulated))
         assert res.stats.simulate_calls == len(problem.simulated)
         assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
@@ -810,10 +828,10 @@ class TestTransitionMemo:
 
     @pytest.mark.parametrize("run", [_fbi, _naive], ids=["fbi", "naive"])
     def test_capped_memo_gives_the_same_plans(self, run, monkeypatch):
-        _, full = _pentest_run(run)
+        _, full = _grid_run(run)
         monkeypatch.setattr(core, "MEMO_CAP", 5)
         memos = self._recorded_memos(monkeypatch)
-        problem, capped = _pentest_run(run)
+        problem, capped = _grid_run(run)
         assert capped.plans == full.plans
         assert capped.behaviours == full.behaviours
         assert capped.stats.nodes_generated == full.stats.nodes_generated
@@ -852,6 +870,43 @@ def _first_goal_space(problem):
 def _cost_space(problem, bound=8):
     return BehaviourSpace((CostBound(bound),))
 
+
+# Each ``run(problem, space, novelty)`` asks for 12 plans within cost 8.
+SWEEP_RUNS = {
+    "fbi": lambda problem, space, novelty: fbi(problem, space, 12, novelty, STAR_LIMITS),
+    "naive": lambda problem, space, novelty: fbi_naive(
+        problem, 12, novelty, STAR_LIMITS, space=space
+    ),
+}
+
+
+@pytest.mark.parametrize("run", SWEEP_RUNS.values(), ids=SWEEP_RUNS.keys())
+class TestWidthSweepStop:
+    """A width that prunes nothing by novelty ends the sweep: the next width
+    would generate the same nodes and find no new plan."""
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_a_width_that_prunes_nothing_ends_the_sweep(self, run, width):
+        problem = _star(3, {1, 2, 3}, 1)()
+        space = _go_cb_space(problem)
+        one = run(problem, space, NoveltyConfig(1))
+        got = run(problem, space, NoveltyConfig(width))
+        assert one.stats.pruned_by_novelty == 0
+        assert got.plans == one.plans
+        assert got.behaviours == one.behaviours
+        assert got.exhausted == one.exhausted
+        assert got.stats.nodes_generated == one.stats.nodes_generated
+        assert list(got.stats.wall_time_by_width) == [1]
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    def test_a_width_that_prunes_runs_the_next(self, run, scope):
+        problem = load_problem(fixture_path("three_targets.grid"))
+        space = _go_cb_space(problem)
+        one = run(problem, space, NoveltyConfig(1, scope))
+        two = run(problem, space, NoveltyConfig(2, scope))
+        assert one.stats.pruned_by_novelty > 0
+        assert list(two.stats.wall_time_by_width) == [1, 2]
+        assert set(two.plans) - set(one.plans)
 
 
 # (id, problem factory, space factory, k, cost bound). The toggles exercise
