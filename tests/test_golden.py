@@ -6,7 +6,13 @@ every ``SearchStats`` field except the wall times. The sweep runs ``fbi``
 and ``fbi_naive`` on every fixture file, in the ``go`` and ``go,cb`` spaces,
 at widths 1-3, in both novelty scopes. It also runs ``fbi`` on the
 three-pattern Puzznic level (k = 7, ``go``) and on a seven-spoke star network
-(k = 30, ``go,cb``, cost bound 24). A change that is meant to change plan
+(k = 30, ``go,cb``, cost bound 24). Three toys whose goals can be undone,
+the only instances with the non-goal all-latched nodes that interior
+pruning drops, run ``fbi`` in ``go`` (k = 6, cost bound 10) at widths 1-2,
+in both scopes, with interior pruning on and off: these rows reach the
+stream restart and phase 2's own search. Last, the restart reference runs
+``behaviour_generator`` and then ``plan_generator`` to a fixed point on a
+three-spoke star and on the undo-mark toy. A change that is meant to change plan
 output re-records the digests with
 
     PYTHONPATH=src python3 tests/test_golden.py
@@ -30,7 +36,15 @@ import pytest
 from divsim.domains import PentestProblem, PuzznicProblem, load_problem
 from divsim.search import NoveltyConfig, NoveltyScope, SearchLimits, fbi, fbi_naive
 
-from conftest import FIXTURE_NAMES, feature_space, fixture_path
+from conftest import (
+    FIXTURE_NAMES,
+    FinishToggleProblem,
+    UndoToggleProblem,
+    feature_space,
+    fixture_path,
+    undo_mark_problem,
+)
+from oracles import restart_fbi
 from test_acceptance import star_scenario
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_digests.json")
@@ -91,10 +105,45 @@ def star_rows() -> list:
     return [_row(got, "fbi", ("go", "cb"), novelty)]
 
 
+TOGGLES = {
+    "undo-toggle": UndoToggleProblem,
+    "finish-toggle": FinishToggleProblem,
+    "undo-mark": undo_mark_problem,
+}
+
+
+def toggle_rows(make) -> list:
+    rows = []
+    for pruning in (True, False):
+        for width in (1, 2):
+            for scope in NoveltyScope:
+                problem = make()
+                space = feature_space(problem, ("go",), None)
+                novelty = NoveltyConfig(width, scope)
+                got = fbi(problem, space, 6, novelty, SearchLimits(10), interior_pruning=pruning)
+                rows.append(_row(got, "fbi" if pruning else "fbi-no-pruning", ("go",), novelty))
+    return rows
+
+
+def chain_rows() -> list:
+    """The generators called afresh under every plan found so far."""
+    star = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
+    mark = undo_mark_problem()
+    rows = []
+    for problem, features, k in ((star, ("go", "cb"), 12), (mark, ("go",), 6)):
+        space = feature_space(problem, features, 8)
+        novelty = NoveltyConfig()
+        got = restart_fbi(problem, space, k, novelty, SearchLimits(8))
+        rows.append(_row(got, "chain", features, novelty))
+    return rows
+
+
 SWEEP = {
     **{name: functools.partial(fixture_rows, name) for name in FIXTURE_NAMES},
     "puzznic-abc": puzznic_rows,
     "pentest-star7": star_rows,
+    **{name: functools.partial(toggle_rows, make) for name, make in TOGGLES.items()},
+    "generator-chain": chain_rows,
 }
 
 
