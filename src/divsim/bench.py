@@ -101,12 +101,10 @@ def build_space(problem, features: Sequence[str], cost_bound: int) -> BehaviourS
 def plan_set_document(spec: TaskSpec, costs, result: PlanSetResult, outcome: str) -> dict:
     """The JSON-ready plan set of a run; ``costs`` holds the cost of each
     plan of ``result``, in order."""
-    plans = []
-    for i, (plan, cost) in enumerate(zip(result.plans, costs)):
-        entry = {"actions": list(plan), "cost": cost}
-        if i < len(result.behaviours):
-            entry["behaviour"] = behaviour_to_json(result.behaviours[i])
-        plans.append(entry)
+    plans = [
+        {"actions": list(plan), "cost": cost, "behaviour": behaviour_to_json(behaviour)}
+        for plan, cost, behaviour in zip(result.plans, costs, result.behaviours)
+    ]
     return {
         "instance": str(spec.instance),
         "mode": spec.mode,

@@ -1,15 +1,18 @@
 """Width-based search with behaviour and plan forbidding.
 
-The core loop is a breadth-first search per width i = 1..max_width that keeps
-a successor only if, tested in this order,
+The core loop, ``_iw_goal_stream``, is a breadth-first search per width
+i = 1..max_width that keeps a successor only if, tested in this order,
 
 (a) it is novel at width i,
 (c) its visited key (raw truths plus latched goals) is unseen this iteration,
 (d) its cost does not exceed the cost bound,
 (b) its key, its behaviour (or, in plan-forbidding mode, its plan), is not
-    forbidden. Goal nodes are checked; with interior pruning on and no cost
-    feature, so are interior nodes whose goals have all latched, as every
-    goal node below one has its goal order and so its behaviour.
+    forbidden. The stream yields each goal node that passes (a), (c) and
+    (d), the planner decides (b) on it, and the stream drops it on resume:
+    a goal node is a leaf, save in ``fbi_naive``. With interior pruning on
+    and no cost feature, the stream also asks the planner about each
+    interior node whose goals have all latched, as every goal node below
+    one has its goal order and so its behaviour.
 
 A width whose search pruned no node by (a) ends the sweep; no higher
 width can add a plan. This is exact for every caller of the stream:
@@ -20,15 +23,15 @@ width can add a plan. This is exact for every caller of the stream:
 - So, if width i pruned nothing, width i+1 keeps the same nodes in the
   same order, as long as the answers of (c), (d) and (b) agree. Those of
   (c) and (d) agree because they do not depend on the width.
-- Those of (b) agree too. ``fbi`` queues no goal node but the root: each
-  is dropped, or yielded and then dropped, so the answers on goal nodes
-  do not shape the tree. An interior node dropped at width i still has a
+- Those of (b) agree too. Goal nodes do not shape the tree: ``fbi``
+  queues none but the root, whatever its answer, and ``fbi_naive``
+  queues every one. An interior node dropped at width i still has a
   forbidden key at width i+1. An interior node let through at width i has
   a key that no later yield forbade, or the stream would have restarted.
 - Every goal node of width i+1 was met at width i, so its behaviour or
-  plan is already forbidden: width i+1 yields nothing and passes nothing
-  over. ``fbi_naive``'s (b) drops nothing, so there width i+1 yields
-  only plans already found.
+  plan is already forbidden, and its plan already met: ``fbi`` takes
+  nothing from width i+1, and ``fbi_naive`` finds there only plans it
+  has.
 
 Nodes hold the run memo's record of their state, and both tests above
 read its atom mask. A behaviour is read off the latched goal masks along
@@ -38,17 +41,18 @@ scope a node's novelty summary is built when the node is expanded and
 dropped when the expansion ends; its queued children carry it until they
 are expanded in turn.
 
-A kept successor that is a goal state is yielded to the caller, which may
-forbid its behaviour (or plan) before the search resumes. The top-level
-planner first forbids behaviours until the space is exhausted, then falls back
-to forbidding whole plans to fill the requested count. Both phases run one
-forbid-and-resume loop, ``_forbidding_stream``, with the behaviour or the
-plan as the key. Each phase resumes one search rather than restarting it for
-every plan, and finds the plans, in the same order, that a restart per plan
-would find. Every behaviour is read off the goal node that ends its plan;
-no plan is replayed. Unless phase 1 dropped an interior node, phase 2
-reads its plans off phase 1's search instead of searching again (see
-``fbi``). ``fbi`` and ``fbi_naive`` share one top-k runner, ``_top_k``.
+Each planner filters the one stream itself. ``fbi`` first forbids
+behaviours until the space is exhausted, then falls back to forbidding
+whole plans to fill the requested count. ``behaviour_generator`` and
+``plan_generator`` return the first goal node whose behaviour, or plan, is
+new, and ``fbi_naive`` skips plans it has. Each ``fbi`` phase resumes one
+search rather than restarting it for every plan, and finds the plans, in
+the same order, that a restart per plan would find (``_iw_goal_stream``
+gives the argument). Every behaviour is read off the goal node that ends
+its plan; no plan is replayed. Unless phase 1 dropped an interior node,
+phase 2 reads its plans off phase 1's search instead of searching again
+(see ``fbi``). ``fbi`` and ``fbi_naive`` share one top-k runner,
+``_top_k``.
 """
 
 from __future__ import annotations
@@ -377,21 +381,31 @@ def _iw_goal_stream(
     novelty: NoveltyConfig,
     budget: Budget,
     stats: SearchStats,
-    reject: Callable[[_Node], bool],
+    *,
+    drop: Optional[Callable[[_Node], bool]] = None,
+    expand_goals: bool = False,
 ) -> Iterator[_Node]:
     """Yield every kept goal node, running widths 1..max_width in turn.
 
-    ``memo`` is the run's memo, whose masks the novelty test reads.
-    ``reject`` implements condition (b) and is asked last, of nodes that
-    passed every other test. A rejected node is pruned entirely, leaving
-    its visited key unrecorded so that other routes to its state stay open.
+    ``memo`` is the run's memo, whose masks the novelty test reads. A goal
+    node that passed every test but (b) is yielded before its visited key
+    and queue entry are recorded. On resume the stream drops it, leaving
+    its visited key unrecorded so that other routes to its state stay open
+    (``pruned_by_behaviour``); with ``expand_goals`` it queues it instead.
+    The root is always queued. ``drop`` is condition (b) on interior
+    nodes: it is asked last, of each kept non-goal node whose goals have
+    all latched, and a node it drops is pruned as a goal node is.
 
-    A goal node is yielded before its visited key and queue entry are
-    recorded, and ``reject`` is asked again on resume. A caller that has
-    forbidden the node's behaviour (or plan) in between thus sees it pruned
-    exactly as a restart under the larger forbidden set would prune it, and
-    the stream goes on where a restart would arrive. A node still queued
-    when the stream closes never builds its own novelty summary.
+    A caller decides (b) on each goal node it is yielded: it skips one
+    whose behaviour (or plan) it has forbidden, and may forbid that of one
+    it takes before it resumes. A goal node is dropped either way, so the
+    answer does not shape the tree, and a node ``drop`` dropped stays
+    dropped as the forbidden set grows. The stream thus goes on where a
+    restart under the larger forbidden set would arrive, and yields the
+    same goal nodes in the same order. Only a node ``drop`` let through can
+    tell the two apart, once its key is forbidden: ``fbi`` then restarts
+    the stream. A node still queued when the stream closes never builds its
+    own novelty summary.
 
     A width in which novelty pruned no node ends the stream: it was a plain
     breadth-first search, so the next width would generate the same nodes
@@ -413,7 +427,7 @@ def _iw_goal_stream(
             root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
             visited = {record.mask | root.latched}
             queue = deque([root])
-            if record.goal and not reject(root):
+            if record.goal:
                 yield root
             while queue:
                 budget.check_time()
@@ -443,14 +457,14 @@ def _iw_goal_stream(
                         stats.pruned_by_cost += 1
                         continue
                     child = _Node(record, cost, latched, node, action.name, summary)
-                    if reject(child):
-                        stats.pruned_by_behaviour += 1
-                        continue
                     if record.goal:
                         yield child
-                        if reject(child):
+                        if not expand_goals:
                             stats.pruned_by_behaviour += 1
                             continue
+                    elif drop is not None and latched == goal_bits and drop(child):
+                        stats.pruned_by_behaviour += 1
+                        continue
                     visited.add(key)
                     queue.append(child)
                 node.summary = None
@@ -460,72 +474,8 @@ def _iw_goal_stream(
             return
 
 
-def _forbidding_stream(
-    memo: TransitionMemo,
-    novelty: NoveltyConfig,
-    budget: Budget,
-    stats: SearchStats,
-    key_of: Callable[[_Node], object],
-    forbidden,
-    settled: Optional[int] = None,
-    passed_over: Optional[dict] = None,
-    k: int = 0,
-) -> Iterator[tuple]:
-    """Yield ``(node, key_of(node))`` for each kept goal node whose key is
-    not in ``forbidden``, and forbid the key as the caller resumes.
-
-    Condition (b) drops a goal node whose key is forbidden, and an interior
-    node that is settled, its latched goals the mask ``settled``, and whose
-    key is forbidden. Every goal node below a settled node must have its
-    key. One IW stream serves every key. When a newly forbidden key is that
-    of a settled interior node the stream already let through, a restart
-    would have dropped that node, so the stream is closed and a fresh one
-    starts under the whole forbidden set (``stats.restarts``).
-
-    ``passed_over``, when given, maps the plan of each goal node (b) drops,
-    yielded ones included, to the node, in the stream's order, up to k plans.
-    The first interior node (b) drops leaves it holding only the key None,
-    and ends it.
-    """
-    forbidden = set(forbidden)
-    passed: set = set()  # keys of the settled interior nodes let through
-
-    def reject(node: _Node) -> bool:
-        nonlocal k
-        if node.record.goal:
-            if key_of(node) not in forbidden:
-                return False
-            if passed_over is not None and len(passed_over) < k:
-                passed_over.setdefault(node_plan(node), node)
-            return True
-        if node.latched != settled:  # never equal when settled is None
-            return False
-        key = key_of(node)
-        if key in forbidden:
-            if passed_over is not None:  # phase 2 must search (see ``fbi``)
-                passed_over.clear()
-                passed_over[None] = None
-                k = 0
-            return True
-        passed.add(key)
-        return False
-
-    while True:
-        with closing(_iw_goal_stream(memo, novelty, budget, stats, reject)) as stream:
-            for node in stream:
-                key = key_of(node)
-                yield node, key
-                forbidden.add(key)
-                if key in passed:
-                    break
-            else:
-                return
-        stats.restarts += 1
-        passed.clear()
-
-
 def _behaviour_rule(memo: TransitionMemo, space: BehaviourSpace, interior_pruning: bool) -> tuple:
-    """Phase 1's ``key_of`` and ``settled`` for ``_forbidding_stream``.
+    """Phase 1's ``key_of``, and whether its interior pruning applies.
 
     A node's key is its behaviour, read off its path's ``latched`` masks
     without building any state: the node's cost, and one group for each
@@ -534,7 +484,8 @@ def _behaviour_rule(memo: TransitionMemo, space: BehaviourSpace, interior_prunin
     behaviour is its goal order alone, and once every goal has latched
     that order is fixed: latched goals stay latched, so every goal node
     below has it. With ``interior_pruning`` on, such a node, whose latched
-    mask is the memo's ``goal_bits``, is settled.
+    mask is the memo's ``goal_bits``, is settled, and phase 1 drops it when
+    its behaviour is forbidden.
     """
     order_feature = space.order_feature
     order_bits = 0 if order_feature is None else memo.goal_mask(order_feature.goals)
@@ -560,8 +511,7 @@ def _behaviour_rule(memo: TransitionMemo, space: BehaviourSpace, interior_prunin
         order.reverse()
         return Behaviour(cost, tuple(order))
 
-    settled = interior_pruning and space.cost_feature is None
-    return key_of, (memo.goal_bits if settled else None)
+    return key_of, interior_pruning and not with_cost
 
 
 def behaviour_generator(
@@ -577,19 +527,22 @@ def behaviour_generator(
 ) -> Optional[tuple]:
     """One plan whose behaviour is not forbidden, or None when none is reachable.
 
-    Returns ``(plan, behaviour, stats)``. This is the first pair of the
-    phase-1 stream that ``fbi`` runs; ``_behaviour_rule`` says which nodes
-    ``interior_pruning`` drops. The call searches over a memo of its own,
+    Returns ``(plan, behaviour, stats)``: the first goal node of the IW
+    stream whose behaviour is not forbidden. With interior pruning
+    (``_behaviour_rule``) the stream drops each settled interior node whose
+    behaviour is forbidden. The call searches over a memo of its own,
     within the cost bound of ``budget``, by default ``Budget(limits, space)``.
     """
     budget = budget if budget is not None else Budget(limits, space)
     stats = stats if stats is not None else SearchStats()
     memo = TransitionMemo(problem, stats)
-    key_of, settled = _behaviour_rule(memo, space, interior_pruning)
-    stream = _forbidding_stream(memo, novelty, budget, stats, key_of, forbidden, settled)
-    with closing(stream):
-        for node, behaviour in stream:
-            return node_plan(node), behaviour, stats
+    key_of, interior = _behaviour_rule(memo, space, interior_pruning)
+    drop = (lambda node: key_of(node) in forbidden) if interior else None
+    with closing(_iw_goal_stream(memo, novelty, budget, stats, drop=drop)) as stream:
+        for node in stream:
+            behaviour = key_of(node)
+            if behaviour not in forbidden:
+                return node_plan(node), behaviour, stats
     return None
 
 
@@ -604,31 +557,33 @@ def plan_generator(
 ) -> Optional[tuple]:
     """One goal-reaching plan differing as an action sequence from every known plan.
 
-    Returns ``(plan, stats)`` or None: the first plan of the phase-2 stream
-    that ``fbi`` runs, over a memo of its own.
+    Returns ``(plan, stats)`` or None: the first goal node of the IW stream
+    whose plan is not known, searched over a memo of its own.
     """
     budget = budget if budget is not None else Budget(limits)
     stats = stats if stats is not None else SearchStats()
     memo = TransitionMemo(problem, stats)
-    with closing(_forbidding_stream(memo, novelty, budget, stats, node_plan, known)) as stream:
-        for _, plan in stream:
-            return plan, stats
+    with closing(_iw_goal_stream(memo, novelty, budget, stats)) as stream:
+        for node in stream:
+            plan = node_plan(node)
+            if plan not in known:
+                return plan, stats
     return None
 
 
 def _top_k(
     problem: SimulatorProblem,
-    space: Optional[BehaviourSpace],
+    space: BehaviourSpace,
     k: int,
     limits: SearchLimits,
     pairs: Callable[..., Iterator[tuple]],
 ) -> PlanSetResult:
     """The first ``k`` pairs of ``pairs(memo, budget, stats)`` as a result.
 
-    ``pairs`` yields ``(plan, behaviour)``, with None for no behaviour, over
-    the run's ``TransitionMemo``, within ``Budget(limits, space)``. The
-    stats are copied at every plan (``PlanSetResult.stats_at``). On a
-    budget trip the partial result rides on the raised ``BudgetExceeded``.
+    ``pairs`` yields ``(plan, behaviour)`` over the run's ``TransitionMemo``,
+    within ``Budget(limits, space)``. The stats are copied at every plan
+    (``PlanSetResult.stats_at``). On a budget trip the partial result rides
+    on the raised ``BudgetExceeded``.
     """
     _check_k(k)
     budget = Budget(limits, space)
@@ -648,8 +603,7 @@ def _top_k(
             for plan, behaviour in itertools.islice(stream, k):
                 stats_at.append(stats.at(time.perf_counter() - started))
                 plans.append(plan)
-                if behaviour is not None:
-                    behaviours.append(behaviour)
+                behaviours.append(behaviour)
     except BudgetExceeded as err:
         err.partial = result(False)
         raise
@@ -678,35 +632,67 @@ def fbi(
     trip the partial result rides on the raised ``BudgetExceeded``. Both
     phases share one ``TransitionMemo``.
 
-    While phase 1's condition (b) drops only goal nodes, and neither phase
-    queues a goal node but the root, both phases generate the same nodes in
-    the same order. Phase 2 would yield the goal nodes phase 1 passed over,
-    less the plans already held, so it reads them off phase 1. Phase 1 keeps
-    the first k; with m plans of its own, at least the k - m that phase 2
-    needs are new. Only a run whose phase 1 dropped a settled interior node
-    searches again from the root, as a plain search may visit that node and
-    so prune a goal node behind it that phase 1 passed over. No built-in
-    domain has a non-goal node with every goal latched. A restart needs no
-    check of its own: the restarted stream drops the forbidden node, or one
-    before it, so the run dropped an interior node.
+    Phase 1 keeps the forbidden behaviours, and with interior pruning
+    (``_behaviour_rule``) drops a settled interior node whose behaviour is
+    forbidden. When it forbids the behaviour of a settled interior node it
+    let through, a restart would have dropped that node, so it closes the
+    stream and starts a fresh one (``stats.restarts``).
+
+    While phase 1 drops no interior node, both phases generate the same
+    nodes in the same order, as neither queues a goal node but the root.
+    Phase 2 would yield the plans of the goal nodes phase 1 met, less the
+    plans already held, so it reads them off phase 1. Phase 1 keeps the
+    first k plans it meets; with m plans of its own, at least the k - m
+    that phase 2 needs are new. Only a run whose phase 1 dropped a settled
+    interior node searches again from the root, as a plain search may
+    visit that node and so prune a goal node behind it that phase 1 met.
+    No built-in domain has a non-goal node with every goal latched. A
+    restart needs no check of its own: the restarted stream drops the
+    forbidden node, or one before it, so the run dropped an interior node.
     """
 
     def pairs(memo, budget, stats):
-        key_of, settled = _behaviour_rule(memo, space, interior_pruning)
-        plans = []
-        over = {}  # plan -> passed-over goal node; key None once an interior node drops
-        one = _forbidding_stream(memo, novelty, budget, stats, key_of, (), settled, over, k)
-        with closing(one):
-            for node, behaviour in one:
-                plans.append(node_plan(node))
-                yield plans[-1], behaviour
-        if None not in over:
-            held = set(plans)
-            yield from ((plan, key_of(node)) for plan, node in over.items() if plan not in held)
-            return
-        with closing(_forbidding_stream(memo, novelty, budget, stats, node_plan, plans)) as two:
-            for node, plan in two:
-                yield plan, key_of(node)
+        key_of, interior = _behaviour_rule(memo, space, interior_pruning)
+        forbidden = set()
+        passed = set()  # behaviours of the settled interior nodes let through
+        held = set()  # the plans yielded
+        met = {}  # plan -> goal node, for the first k plans phase 1 meets
+        dropped = False  # whether phase 1 dropped an interior node
+
+        def drop(node: _Node) -> bool:
+            nonlocal dropped
+            behaviour = key_of(node)
+            if behaviour in forbidden:
+                dropped = True
+                return True
+            passed.add(behaviour)
+            return False
+
+        while True:
+            one = _iw_goal_stream(memo, novelty, budget, stats, drop=drop if interior else None)
+            with closing(one):
+                for node in one:
+                    if len(met) < k:
+                        met.setdefault(node_plan(node), node)
+                    behaviour = key_of(node)
+                    if behaviour not in forbidden:
+                        forbidden.add(behaviour)
+                        plan = node_plan(node)
+                        held.add(plan)
+                        yield plan, behaviour
+                        if behaviour in passed:
+                            break
+                else:
+                    break
+            stats.restarts += 1
+            passed.clear()
+        # Phase 2 runs its own stream only if phase 1 dropped an interior node.
+        with closing(_iw_goal_stream(memo, novelty, budget, stats)) as two:
+            found = ((node_plan(node), node) for node in two) if dropped else met.items()
+            for plan, node in found:
+                if plan not in held:
+                    held.add(plan)
+                    yield plan, key_of(node)
 
     return _top_k(problem, space, k, limits, pairs)
 
@@ -717,28 +703,25 @@ def fbi_naive(
     novelty: NoveltyConfig = NoveltyConfig(),
     limits: SearchLimits = SearchLimits(),
     *,
-    space: Optional[BehaviourSpace] = None,
+    space: BehaviourSpace,
 ) -> PlanSetResult:
     """Top-k baseline: one IW stream, resumed after every plan.
 
     Every kept goal node contributes its plan (duplicates across widths are
-    skipped) and the stream resumes where it stopped until k plans,
-    exhaustion, or a budget trip. ``space``, when given, caps the search's
-    cost bound at its own, as in ``fbi``, and gives each plan the behaviour
-    read off its goal node; otherwise it does not steer the search. Without
-    it the result holds no behaviours.
+    skipped) and is expanded like any other node; the stream resumes where
+    it stopped until k plans, exhaustion, or a budget trip. ``space`` caps
+    the search's cost bound at its own, as in ``fbi``, and gives each plan
+    the behaviour read off its goal node; it does not steer the search.
     """
 
     def pairs(memo, budget, stats):
-        key_of = None if space is None else _behaviour_rule(memo, space, False)[0]
+        key_of = _behaviour_rule(memo, space, False)[0]
         seen = set()
-        stream = _iw_goal_stream(memo, novelty, budget, stats, lambda node: False)
-        with closing(stream):
+        with closing(_iw_goal_stream(memo, novelty, budget, stats, expand_goals=True)) as stream:
             for node in stream:
                 plan = node_plan(node)
-                if plan in seen:
-                    continue
-                seen.add(plan)
-                yield plan, None if key_of is None else key_of(node)
+                if plan not in seen:
+                    seen.add(plan)
+                    yield plan, key_of(node)
 
     return _top_k(problem, space, k, limits, pairs)

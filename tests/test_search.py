@@ -348,8 +348,8 @@ class TestNovelty:
 
         stream = search._iw_goal_stream
 
-        def checked_stream(*args):
-            with contextlib.closing(stream(*args)) as goals:
+        def checked_stream(*args, **kwargs):
+            with contextlib.closing(stream(*args, **kwargs)) as goals:
                 for goal in goals:
                     # The parent is mid-expansion; every earlier ancestor is done.
                     ancestors = search._chain(goal)[:-1]
@@ -683,7 +683,7 @@ class TestBudgets:
     def test_naive_budget_partial_not_exhausted(self):
         problem = load_problem(fixture_path("three_targets.grid"))
         with pytest.raises(BudgetExceeded) as err:
-            fbi_naive(problem, k=50, limits=SearchLimits(8, 30.0, 30))
+            fbi_naive(problem, k=50, limits=SearchLimits(8, 30.0, 30), space=_go_space(problem))
         assert not err.value.partial.exhausted
 
 
@@ -704,13 +704,6 @@ class TestNaive:
         assert len(res.plans) == 3
         assert len(set(res.plans)) == 3
         assert res.behaviour_count == len(set(res.behaviours))
-
-    def test_without_space_reports_plan_count(self):
-        problem = load_problem(fixture_path("corridor3.grid"))
-        res = fbi_naive(problem, k=1, limits=LIMITS)
-        assert res.plans == (("right", "right"),)
-        assert res.behaviours == ()
-        assert res.behaviour_count == 0
 
 
 class Counting:
@@ -790,7 +783,9 @@ class TestTransitionMemo:
         )
 
     def test_naive_counts_add_up(self):
-        problem, res = _grid_run(lambda p, _: fbi_naive(p, k=12, limits=STAR_LIMITS))
+        problem, res = _grid_run(
+            lambda p, _: fbi_naive(p, k=12, limits=STAR_LIMITS, space=_go_space(p))
+        )
         assert len(problem.simulated) == len(set(problem.simulated))
         assert res.stats.simulate_calls == len(problem.simulated)
         assert res.stats.simulate_calls + res.stats.memo_hits == res.stats.nodes_generated
@@ -802,7 +797,7 @@ class TestTransitionMemo:
         budget = search.Budget(STAR_LIMITS)
 
         def stream():
-            return search._iw_goal_stream(memo, NoveltyConfig(), budget, stats, lambda n: False)
+            return search._iw_goal_stream(memo, NoveltyConfig(), budget, stats, expand_goals=True)
 
         with contextlib.closing(stream()) as goals:
             parent = next(goals).parent.record
@@ -971,6 +966,19 @@ class TestResumedStreams:
             assert got.behaviours == ref.behaviours, seed
             assert got.exhausted == ref.exhausted, seed
 
+    def test_drop_is_asked_only_of_non_goal_nodes_with_every_goal_latched(self):
+        problem = UndoToggleProblem()
+        stats = search.SearchStats()
+        memo = core.TransitionMemo(problem, stats)
+        asked = []  # ``append`` returns None, so drop lets every node through
+        stream = search._iw_goal_stream(
+            memo, NoveltyConfig(), search.Budget(LIMITS), stats, drop=asked.append
+        )
+        with contextlib.closing(stream):
+            goals = list(stream)
+        assert goals and asked
+        assert all(not n.record.goal and n.latched == memo.goal_bits for n in asked)
+
     def test_no_restart_on_a_star(self):
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
         res = fbi(problem, _go_cb_space(problem), k=12, limits=STAR_LIMITS)
@@ -1030,25 +1038,24 @@ class TestResumedStreams:
 
     @pytest.mark.parametrize("features, k", [("go,cb", 3), ("go,cb", 8), ("go,cb", 12), ("go", 8)])
     def test_passed_over_plans_are_bounded_by_k(self, features, k, monkeypatch):
-        # The star has 9 plans, and 6 behaviours in go,cb. There, at k 3
-        # phase 1 meets k, at k 8 it keeps exactly k passed-over plans,
+        # The star has 9 plans, each met once, and 6 behaviours in go,cb.
+        # There, at k 3 phase 1 meets k, at k 8 it keeps exactly k plans,
         # enough for phase 2, and at k 12 all 9. In go it has 3 behaviours,
-        # and phase 2 reads 5 plans off the 8 phase 1 keeps at k 8.
+        # and phase 2 reads 5 plans off the 8 phase 1 keeps at k 8. Phase 1
+        # computes one plan per goal node it keeps and one per plan it
+        # yields; phase 2 reads the kept plans and computes none.
         problem = PentestProblem.from_text(star_scenario(3, {1, 2, 3}, 1))
         space = feature_space(problem, features.split(","), 8)
-        real = search._forbidding_stream
-        kept = []
+        real = search.node_plan
+        calls = []
 
-        def captured(*args):
-            if len(args) > 7:
-                kept.append(args[7])
-            return real(*args)
+        def counted(node):
+            calls.append(node)
+            return real(node)
 
-        monkeypatch.setattr(search, "_forbidding_stream", captured)
+        monkeypatch.setattr(search, "node_plan", counted)
         got = fbi(problem, space, k, limits=STAR_LIMITS)
-        (over,) = kept
-        assert 0 < len(over) <= k
-        assert (len(over) == k) == (k == 8)
+        assert len(calls) - got.behaviour_count == min(k, 9)
         assert got.plans == restart_fbi(problem, space, k, limits=STAR_LIMITS).plans
 
     def test_node_budget_reaches_more_plans_than_restarting(self):
@@ -1070,9 +1077,9 @@ class TestResumedStreams:
 
 
 def _phase_nodes(monkeypatch, problem, space, k, novelty, limits) -> tuple:
-    """One ``fbi`` run's result and the nodes each of its
-    ``_forbidding_stream``s generates."""
-    real = search._forbidding_stream
+    """One ``fbi`` run's result and the nodes each ``_iw_goal_stream`` it
+    starts generates."""
+    real = search._iw_goal_stream
     phases = []
 
     def counted(memo, novelty, budget, stats, *args, **kwargs):
@@ -1082,7 +1089,7 @@ def _phase_nodes(monkeypatch, problem, space, k, novelty, limits) -> tuple:
         finally:
             phases.append(stats.nodes_generated - before)
 
-    monkeypatch.setattr(search, "_forbidding_stream", counted)
+    monkeypatch.setattr(search, "_iw_goal_stream", counted)
     return fbi(problem, space, k, novelty, limits), phases
 
 
@@ -1100,14 +1107,14 @@ def test_behaviours_read_off_latched_masks_equal_the_replayed_trace(case, cost_o
     real = search._behaviour_rule
 
     def recording(memo, space, interior_pruning):
-        key_of, settled = real(memo, space, interior_pruning)
+        key_of, interior = real(memo, space, interior_pruning)
 
         def recorded(node):
             key = key_of(node)
             seen.append((search.node_plan(node), key))
             return key
 
-        return recorded, settled
+        return recorded, interior
 
     monkeypatch.setattr(search, "_behaviour_rule", recording)
     fbi(problem, space, k, limits=limits)
