@@ -10,10 +10,10 @@ three-pattern Puzznic level (k = 7, ``go``) and on a seven-spoke star network
 the only instances with the non-goal all-latched nodes that interior
 pruning drops, run ``fbi`` in ``go`` (k = 6, cost bound 10) at widths 1-2,
 in both scopes, with interior pruning on and off: these rows reach the
-stream restart and phase 2's own search. Last, the restart reference runs
-``behaviour_generator`` and then ``plan_generator`` to a fixed point on a
-three-spoke star and on the undo-mark toy. A change that is meant to change plan
-output re-records the digests with
+stream restart and phase 2's own search. Last, the restart reference
+calls ``behaviour_generator`` and then ``plan_generator`` afresh for every
+plan, on a three-spoke star and on the undo-mark toy. A change that is
+meant to change plan output re-records the digests with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
