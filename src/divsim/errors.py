@@ -92,16 +92,14 @@ class BudgetExceeded(DivsimError):
 
 
 class OracleTooLarge(DivsimError):
-    """The brute-force enumeration guard tripped.
+    """The brute-force oracle's guard tripped.
 
-    ``estimate`` is a lower bound on the enumeration size: the power
-    ``branching**max_len`` multiplied out only until it passed ``limit``.
+    The oracle queues one path per distinct (state, cost, goal order so far)
+    key. ``count`` is the number of keys it was about to hold, one past
+    ``limit``; the search stops there rather than grow without bound.
     """
 
-    def __init__(self, estimate, limit, branching, max_len):
-        super().__init__(
-            f"enumerating {branching} actions to max_len {max_len} exceeds "
-            f"oracle guard {limit}"
-        )
-        self.estimate = estimate
+    def __init__(self, count, limit):
+        super().__init__(f"oracle search passed {limit} distinct (state, cost, goal order) keys")
+        self.count = count
         self.limit = limit

@@ -1,12 +1,20 @@
 """Exhaustive behaviour enumeration for small instances.
 
-The oracle walks every action sequence up to a length and cost cap, with no
-novelty pruning, and collects the behaviour of every goal-reaching plan. Its
-only shortcut is skipping a child whose (state, cost) a sibling in the same
-expansion already reached: the two trajectories are equal, so the second
-cannot carry a new behaviour. That skips exactly the trajectories already
-enumerated, since queued trajectories are distinct and so only a sibling
-can repeat one.
+The oracle walks action sequences breadth-first up to a length and cost cap,
+with no novelty pruning, and collects the behaviour of every goal-reaching
+plan. It keeps one run-wide set of the keys it has queued, where a path's
+key is its last raw state, its cost so far and its goal order so far (the
+``latch_groups`` of the order feature's goals). A child whose key is already
+in the set is skipped. That is the search over the product of the simulator
+with a small monitor, the cost plus the goal order, on which the behaviour
+of every extension depends.
+
+Skipping a key's later visits loses no behaviour. What a path can still
+reach depends only on its key and the length it has left, and breadth-first
+order gives a key's first visit the most length left. Nor does it change a
+witness: each extension of a skipped path has the same behaviour as the same
+extension of the key's first path, which comes earlier in breadth-first
+order. The set's size bounds the work, and ``NODE_GUARD`` bounds the set.
 """
 
 from __future__ import annotations
@@ -15,11 +23,11 @@ import math
 from collections import deque
 from typing import Optional
 
-from .behaviour import BehaviourSpace, behaviour_of
+from .behaviour import BehaviourSpace, behaviour_of, latch_groups
 from .core import SimulatorProblem, initial_augmented, successor_augmented
 from .errors import OracleTooLarge
 
-NODE_GUARD = 10_000_000
+NODE_GUARD = 1_000_000
 
 
 def brute_force_behaviours(
@@ -30,27 +38,28 @@ def brute_force_behaviours(
 ) -> dict:
     """Every behaviour reachable by a plan of length <= max_len and cost <= bound.
 
-    Returns ``{behaviour: witness_plan}`` with the breadth-first-shortest
-    witness per behaviour. The default cost bound is the space's cost
-    feature's bound, or none without one. Estimated work above
-    ``NODE_GUARD`` nodes raises OracleTooLarge before searching.
+    Returns ``{behaviour: witness_plan}`` with the first witness per
+    behaviour in breadth-first order, so a shortest one. The default cost
+    bound is the space's cost feature's bound, or none without one. Paths
+    are deduplicated on (raw state, cost so far, goal order so far), the
+    root's key included. The cost stays in the key without a cost feature,
+    as the bound still cuts paths by it. Queuing more than ``NODE_GUARD``
+    distinct keys raises OracleTooLarge.
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
-    branching = len(problem.actions)
-    estimate = 1
-    # Multiply only until past the guard: the full power can be too large to
-    # compute or print. One or no action never grows the estimate.
-    for _ in range(max_len if branching > 1 else 0):
-        estimate *= branching
-        if estimate > NODE_GUARD:
-            raise OracleTooLarge(estimate, NODE_GUARD, branching, max_len)
     if cost_bound is None:
         cf = space.cost_feature
         cost_bound = math.inf if cf is None else cf.bound
+    goals = space.order_feature.goals if space.order_feature is not None else ()
 
+    def key(states):
+        return states[-1].raw, states[-1].cost_so_far, latch_groups(states, goals)
+
+    root = (initial_augmented(problem),)
+    seen = {key(root)}
     found: dict = {}
-    queue = deque([((initial_augmented(problem),), ())])
+    queue = deque([(root, ())])
     while queue:
         states, plan = queue.popleft()
         tip = states[-1]
@@ -60,12 +69,13 @@ def brute_force_behaviours(
                 found[behaviour] = plan
         if len(plan) == max_len:
             continue
-        reached = set()
         for action in problem.applicable(tip.raw):
-            child = successor_augmented(problem, tip, action)
-            key = (child.raw, child.cost_so_far)
-            if child.cost_so_far > cost_bound or key in reached:
+            child = states + (successor_augmented(problem, tip, action),)
+            child_key = key(child)
+            if child[-1].cost_so_far > cost_bound or child_key in seen:
                 continue
-            reached.add(key)
-            queue.append((states + (child,), plan + (action.name,)))
+            if len(seen) == NODE_GUARD:
+                raise OracleTooLarge(len(seen) + 1, NODE_GUARD)
+            seen.add(child_key)
+            queue.append((child, plan + (action.name,)))
     return found

@@ -565,7 +565,8 @@ class TestOracle:
         assert code == EXIT_DATA
         assert "bad scenario JSON" in err
 
-    def test_guard_error_is_one_short_line(self, capsys):
+    def test_guard_error_is_one_short_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("divsim.oracle.NODE_GUARD", 5)
         code, out, err = run_cli(
             capsys,
             "oracle",
@@ -577,7 +578,7 @@ class TestOracle:
         assert code == EXIT_DATA
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
-        assert "max_len 20000" in err
+        assert "passed 5 distinct" in err and "max_len" not in err
 
     @pytest.mark.parametrize("bound", [2, 6])
     def test_cost_bound_applies_without_a_cost_feature(self, capsys, bound):

@@ -23,7 +23,7 @@ SAMPLES = {
     errors.LevelInvalid: ("level is unsettled",),
     errors.ScenarioInvalid: ("no host is sensitive",),
     errors.BudgetExceeded: ("time", PlanSetResult((("a",),), (), SearchStats(), False)),
-    errors.OracleTooLarge: (10**8, 10**7, 4, 20),
+    errors.OracleTooLarge: (10**6 + 1, 10**6),
 }
 
 CLASSES = [

@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -8,7 +9,7 @@ from divsim.domains import load_problem
 from divsim.errors import OracleTooLarge
 from divsim.oracle import brute_force_behaviours
 
-from conftest import ToggleProblem, fixture_path
+from conftest import ToggleProblem, fixture_path, random_undo_problem
 from oracles import dfs_behaviours
 
 
@@ -49,19 +50,22 @@ class TestBruteForce:
         got = brute_force_behaviours(problem, _both_features(problem, 3), max_len=0)
         assert got == {}
 
-    def test_guard_trips_on_huge_enumerations(self):
+    def test_guard_trips_on_huge_enumerations(self, monkeypatch):
+        monkeypatch.setattr("divsim.oracle.NODE_GUARD", 100)
         problem = load_problem(fixture_path("open3x3.grid"))
         with pytest.raises(OracleTooLarge) as err:
             brute_force_behaviours(problem, _both_features(problem, 50), max_len=50)
-        assert err.value.estimate > err.value.limit
+        assert err.value.count > err.value.limit == 100
 
-    def test_guard_trips_fast_on_astronomical_lengths(self):
+    def test_astronomical_lengths_answer_fast(self):
+        # The keys bound the search, so a length cap far past the longest
+        # plan changes neither the answer nor the work.
         problem = load_problem(fixture_path("diamond.json"))
+        space = _both_features(problem, 5)
         started = time.perf_counter()
-        with pytest.raises(OracleTooLarge) as err:
-            brute_force_behaviours(problem, _both_features(problem, 5), max_len=10**9)
+        got = brute_force_behaviours(problem, space, max_len=10**9)
         assert time.perf_counter() - started < 1.0
-        assert "max_len 1000000000" in str(err.value)
+        assert got == brute_force_behaviours(problem, space, max_len=20)
 
     def test_one_action_never_trips_the_guard(self):
         class SetOnly(ToggleProblem):
@@ -114,3 +118,18 @@ class TestBruteForce:
         space = _both_features(problem, 4)
         got = brute_force_behaviours(problem, space, max_len=4, cost_bound=4)
         assert {b.cost for b in got} == {2, 3, 4}
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("with_cost", [False, True], ids=["go", "go,cb"])
+    def test_matches_depth_first_enumeration_on_undoable_goals(self, seed, with_cost):
+        # Undoing a goal hides the goal order from the raw state, so two paths
+        # to one (state, cost) can differ in their orders: the key must keep them apart.
+        problem = random_undo_problem(seed)
+        goals = GoalOrder(tuple(problem.goal_predicates))
+        space = BehaviourSpace((CostBound(6), goals) if with_cost else (goals,))
+        bound = 6 if with_cost else math.inf
+        fast = brute_force_behaviours(problem, space, max_len=5)
+        slow = dfs_behaviours(problem, space, max_len=5, cost_bound=bound)
+        assert set(fast) == set(slow)
+        for behaviour, plan in fast.items():
+            assert len(plan) == len(slow[behaviour]), (behaviour, plan, slow[behaviour])
