@@ -70,7 +70,8 @@ class SimulatorProblem(ABC):
     tie-breaking reproducible. ``simulate`` must be deterministic and total on
     applicable actions. Planner runs memoise ``applicable``, ``simulate`` and
     ``is_goal`` (see ``TransitionMemo``), so all three must be pure functions
-    of the state.
+    of the state. The memo hashes every successor, so a state that hashes in
+    constant time keeps a step cheap.
 
     A state is opaque and hashable, and ``atoms`` gives the frozenset of
     atom strings true in it. Two states are equal iff their atoms are, so a

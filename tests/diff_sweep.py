@@ -1,8 +1,8 @@
 """Differential sweep: every planner over a grid of small instances, digested.
 
-Run it on two source trees and compare what it prints:
+Run it on a source tree, or on two and compare what they print:
 
-    PYTHONHASHSEED=0 python3 tests/diff_sweep.py SRC OUT.json
+    PYTHONHASHSEED=0 python3 tests/diff_sweep.py SRC OUT.json [record|counters]
 
 SRC is the ``src`` directory of the tree to sweep; the instances and the
 restart reference come from this file's own directory. The sweep runs
@@ -25,8 +25,19 @@ its kind and the partial result instead. OUT.json holds the records in
 run order, so two outputs can be diffed to find the first run that
 differs. The script prints the run count, how many runs restart a stream,
 reach phase 2 (phase 1 ran dry short of k) and trip a budget, and a
-SHA-256 over all records. Not collected by pytest; it takes about 16 s
-and writes about 30 MB on a 2020s x86 server core.
+SHA-256 over all records.
+
+``sweep_digests.json`` pins the sweep in two SHA-256 digests, as
+``test_golden.py`` pins its rows: ``plans`` over each run's plans,
+behaviours, ``exhausted`` and trip kind, and ``counters`` over the rest.
+The script exits 1 when either differs from the one it computed. A
+change meant to change plan output re-records both with ``record``; one
+meant to change only the counters re-records the counter digest with
+``counters``, which refuses if the plan digest differs. The digests were
+recorded under ``PYTHONHASHSEED=0`` on Python 3.11, and hash seed 1 gave
+the same ones there; other Python versions are unchecked. Not collected
+by pytest; it takes about 16 s and writes about 30 MB on a 2020s x86
+server core.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ import pathlib
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
+RECORDED = HERE / "sweep_digests.json"
 
 
 def _load(src: str):
@@ -136,11 +148,25 @@ def _planner_runs(problem, space, novelty, limits, base):
         )
 
 
+def _sha256(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _digests(records) -> dict:
+    """The ``plans`` and ``counters`` digests of the sweep's records."""
+    plans, counters = [], []
+    for key, outcome in records:
+        got = outcome.get("result") or outcome["partial"]
+        plans.append([key, outcome.get("trip"), got["plans"], got["behaviours"], got["exhausted"]])
+        counters.append([key, got["stats"], got["stats_at"]])
+    return {"plans": _sha256(plans), "counters": _sha256(counters)}
+
+
 def main(argv) -> int:
-    if len(argv) != 2:
+    if len(argv) < 2 or argv[2:] not in ([], ["record"], ["counters"]):
         print("usage:", __doc__.split("\n\n")[2].strip(), file=sys.stderr)
         return 2
-    src, out = argv
+    src, out, *mode = argv
     _load(src)
     records = []
     restarted = phase_two = tripped = 0
@@ -160,7 +186,21 @@ def main(argv) -> int:
     print(f"fbi runs that restart: {restarted}, that reach phase 2: {phase_two}")
     print(f"runs that trip a budget: {tripped}")
     print(f"sha256: {hashlib.sha256(text.encode()).hexdigest()}")
-    return 0
+    got = _digests(records)
+    recorded = json.loads(RECORDED.read_text())
+    for part in ("plans", "counters"):
+        print(f"{part} digest: {got[part]}")
+    if mode == ["counters"] and got["plans"] != recorded["plans"]:
+        print(f"plan digest differs, nothing recorded in {RECORDED.name}", file=sys.stderr)
+        return 1
+    if mode:
+        RECORDED.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+        print(f"recorded in {RECORDED.name}")
+        return 0
+    moved = [part for part in ("plans", "counters") if got[part] != recorded[part]]
+    for part in moved:
+        print(f"{part} digest differs from {RECORDED.name}: {recorded[part]}", file=sys.stderr)
+    return 1 if moved else 0
 
 
 if __name__ == "__main__":

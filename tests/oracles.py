@@ -277,33 +277,47 @@ def grid_reference(world, plan):
     return frozenset(atoms), applicable, entered == set(world.targets)
 
 
-def pentest_reference(scenario, plan):
-    """``(atoms, applicable action names, goal)`` after ``plan`` in a ``PentestScenario``.
+def pentest_initial(scenario):
+    """The initial ``(compromised, reachable)`` of a ``PentestScenario``, two
+    frozensets of host ids: nothing compromised, the hosts of the subnets
+    that face the internet reachable."""
+    return frozenset(), frozenset(h.id for h in scenario.hosts if h.subnet in scenario.internet)
 
-    The atoms are ``compromised-`` every exploited host and ``reachable-``
-    every host whose subnet faces the internet, or holds a compromised host,
-    or is adjacent to a subnet that does; the goal is every sensitive host
-    compromised.
-    """
-    exploits = {
+
+def _exploits(scenario) -> dict:
+    """Exploit action name -> the ``Host`` it compromises, in declaration order."""
+    return {
         f"exploit-{h.id}-{service}": h
         for h in scenario.hosts
         for service in h.services
         if service in scenario.exploit_costs
     }
-    compromised = {exploits[name] for name in plan}
-    assert len(compromised) == len(plan), plan
 
-    def reachable(host):
-        near = {host.subnet} | scenario.adjacency[host.subnet]
-        return host.subnet in scenario.internet or any(h.subnet in near for h in compromised)
 
-    atoms = {f"compromised-{h.id}" for h in compromised}
-    atoms |= {f"reachable-{h.id}" for h in scenario.hosts if reachable(h)}
+def pentest_step(scenario, state, name):
+    """The successor of ``state`` (as ``pentest_initial`` gives) under exploit
+    ``name``: its host is compromised, and the hosts of its subnet and of the
+    subnets adjacent to it become reachable."""
+    compromised, reachable = state
+    host = _exploits(scenario)[name]
+    assert host.id in reachable and host.id not in compromised, name
+    near = {host.subnet} | scenario.adjacency[host.subnet]
+    opened = {h.id for h in scenario.hosts if h.subnet in near}
+    return compromised | {host.id}, reachable | opened
+
+
+def pentest_view(scenario, state):
+    """``(atoms, applicable action names, goal)`` of ``state``: ``compromised-``
+    and ``reachable-`` each host in those sets; every exploit of a reachable
+    host not yet compromised; every sensitive host compromised."""
+    compromised, reachable = state
+    atoms = {f"compromised-{h}" for h in compromised} | {f"reachable-{h}" for h in reachable}
     applicable = tuple(
-        name for name, h in exploits.items() if h not in compromised and reachable(h)
+        name
+        for name, h in _exploits(scenario).items()
+        if h.id in reachable and h.id not in compromised
     )
-    goal = all(h in compromised for h in scenario.hosts if h.sensitive)
+    goal = all(h.id in compromised for h in scenario.hosts if h.sensitive)
     return frozenset(atoms), applicable, goal
 
 
