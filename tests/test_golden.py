@@ -4,9 +4,10 @@ Each instance's rows are pinned by two digests in ``golden_digests.json``:
 ``plans`` over each run's plans and ``exhausted``, and ``counters`` over
 every ``SearchStats`` field except the wall times. The sweep runs ``fbi``
 and ``fbi_naive`` on every fixture file, in the ``go`` and ``go,cb`` spaces,
-at widths 1-3, in both novelty scopes. It also runs ``fbi`` on the
-three-pattern Puzznic level (k = 7, ``go``) and on a seven-spoke star network
-(k = 30, ``go,cb``, cost bound 24). Three toys whose goals can be undone,
+at widths 1-3, in both novelty scopes; the same runs cover two Puzznic
+levels without walls whose blocks sit in the grid's edge columns. It also
+runs ``fbi`` on the three-pattern Puzznic level (k = 7, ``go``) and on a
+seven-spoke star network (k = 30, ``go,cb``, cost bound 24). Three toys whose goals can be undone,
 the only instances with the non-goal all-latched nodes that interior
 pruning drops, run ``fbi`` in ``go`` (k = 6, cost bound 10) at widths 1-2,
 in both scopes, with interior pruning on and off: these rows reach the
@@ -73,14 +74,24 @@ def _digests(rows) -> dict:
     return {"plans": _digest(plans), "counters": _digest(counters)}
 
 
-def fixture_rows(name: str) -> list:
-    """Every sweep row of one fixture file."""
+# Puzznic levels without a wall border. In row-major order the second puts an
+# empty cell (the end of row 0) just before row 1's first block, and a block
+# (the end of row 1) just before row 2's first block of the same pattern.
+EDGE_LEVELS = {
+    "puzznic-no-walls": "A.ba.b.\n",
+    "puzznic-edge-columns": "b....\na..ab\nba@ba\n",
+}
+
+
+def fixture_rows(name: str, load=None) -> list:
+    """Every sweep row of one fixture file, or of the problem ``load`` makes."""
+    load = load or (lambda: load_problem(fixture_path(name)))
     rows = []
     limits = SearchLimits(cost_bound=FIXTURE_BOUND)
     for features in (("go",), ("go", "cb")):
         for width in (1, 2, 3):
             for scope in NoveltyScope:
-                problem = load_problem(fixture_path(name))
+                problem = load()
                 space = feature_space(problem, features, FIXTURE_BOUND)
                 novelty = NoveltyConfig(width, scope)
                 got = fbi(problem, space, FIXTURE_K, novelty, limits)
@@ -140,6 +151,10 @@ def chain_rows() -> list:
 
 SWEEP = {
     **{name: functools.partial(fixture_rows, name) for name in FIXTURE_NAMES},
+    **{
+        name: functools.partial(fixture_rows, name, functools.partial(PuzznicProblem.from_text, text))
+        for name, text in EDGE_LEVELS.items()
+    },
     "puzznic-abc": puzznic_rows,
     "pentest-star7": star_rows,
     **{name: functools.partial(toggle_rows, make) for name, make in TOGGLES.items()},
