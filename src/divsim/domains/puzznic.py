@@ -19,13 +19,18 @@ Level files are ASCII with optional ``; key: value`` directive lines:
 
 ``@`` is the cursor on an empty cell; an uppercase letter is the cursor
 sitting on a block of the lowercase pattern.
+
+A ``PuzznicLevel`` keeps its grid as a tuple of rows and its cursor as
+``(row, col)``. The move rule and ``settle`` run on a flat grid instead: one
+string (or list) of the cells in row-major order, a cell being its index.
+``PuzznicProblem`` steps on flat grids, and the level functions convert.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter, deque
-from functools import cached_property
+from collections import Counter
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .. import core
@@ -55,111 +60,102 @@ class PuzznicLevel(Record):
     name: str = ""
 
     def blocks(self) -> dict:
-        out = {}
-        for r, row in enumerate(self.grid):
-            for c, cell in enumerate(row):
-                if cell != WALL and cell != EMPTY:
-                    out[(r, c)] = cell
-        return out
+        return {
+            (r, c): cell for r, row in enumerate(self.grid) for c, cell in enumerate(row)
+            if cell != WALL and cell != EMPTY
+        }
 
 
-def _freeze(rows) -> tuple:
-    return tuple("".join(row) for row in rows)
+def _rows(grid: str, width: int) -> tuple:
+    return tuple(grid[i:i + width] for i in range(0, len(grid), width))
 
 
-def _apply_gravity(rows, columns=None, moved=None) -> bool:
-    """Drop every block of ``columns`` (default all) to the bottom of its
-    wall-free column segment; add each cell a block lands in to ``moved``.
+@lru_cache(maxsize=None)
+def _neighbours(height: int, width: int) -> tuple:
+    """Each flat cell's orthogonal neighbours; none lies across a row edge."""
+    out = []
+    for i in range(height * width):
+        r, c = divmod(i, width)
+        sides = ((r > 0, i - width), (r + 1 < height, i + width),
+                 (c > 0, i - 1), (c + 1 < width, i + 1))
+        out.append(tuple(n for inside, n in sides if inside))
+    return tuple(out)
+
+
+def _gravity(cells: list, width: int, columns, moved: set) -> bool:
+    """Drop every block of ``columns`` to the bottom of its wall-free column
+    segment; add each cell a block lands in to ``moved``.
 
     One bottom-up pass per column: ``floor`` is the lowest cell of the
     current segment no block has settled in yet."""
     changed = False
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    for c in range(width) if columns is None else columns:
-        floor = height - 1
-        for r in range(height - 1, -1, -1):
-            cell = rows[r][c]
+    bottom = len(cells) - width
+    for c in columns:
+        floor = bottom + c
+        for i in range(floor, -1, -width):
+            cell = cells[i]
             if cell == WALL:
-                floor = r - 1
+                floor = i - width
             elif cell != EMPTY:
-                if floor != r:
-                    rows[floor][c] = cell
-                    rows[r][c] = EMPTY
+                if floor != i:
+                    cells[floor] = cell
+                    cells[i] = EMPTY
                     changed = True
-                    if moved is not None:
-                        moved.add((floor, c))
-                floor -= 1
+                    moved.add(floor)
+                floor -= width
     return changed
 
 
-def _match_groups(rows, seeds=None) -> list:
-    """Maximal orthogonally-connected same-pattern groups of two or more
-    blocks: every group in the grid, or only those holding a cell of ``seeds``."""
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    if seeds is None:
-        seeds = [(r, c) for r in range(height) for c in range(width)]
-    seen = set()
-    groups = []
-    for r, c in sorted(seeds):
-        cell = rows[r][c]
-        if cell in (WALL, EMPTY) or (r, c) in seen:
-            continue
-        group = []
-        queue = deque([(r, c)])
-        seen.add((r, c))
-        while queue:
-            gr, gc = queue.popleft()
-            group.append((gr, gc))
-            for nr, nc in ((gr - 1, gc), (gr + 1, gc), (gr, gc - 1), (gr, gc + 1)):
-                if 0 <= nr < height and 0 <= nc < width and (nr, nc) not in seen:
-                    if rows[nr][nc] == cell:
-                        seen.add((nr, nc))
-                        queue.append((nr, nc))
-        if len(group) >= 2:
-            groups.append(frozenset(group))
-    return groups
+def settle(cells: list, width: int, changed, record=None) -> tuple:
+    """Run the gravity/match fixpoint in place on ``cells``, the flat cells
+    of a grid ``width`` cells wide.
 
-
-def settle(grid: tuple, record=None, changed=None) -> tuple:
-    """Run the gravity/match fixpoint on a grid.
-
-    Returns ``(grid, waves)`` where each wave is a frozenset of cleared
-    ``(row, col, pattern)`` entries, in cascade order. ``record``, when given,
-    is a list that receives ``(kind, grid, info)`` frames: kind "fall" with
-    info None, or kind "clear" with info ``(wave_index, cleared, gain)``.
+    Returns the waves in cascade order, each a tuple of the ``(cell,
+    pattern)`` pairs it cleared. ``record``, when given, is a list that
+    receives ``(kind, grid, info)`` frames with the grid as one string:
+    kind "fall" with info None, or kind "clear" with info ``(wave_index,
+    cleared, gain)``.
 
     ``changed`` names the cells a push changed in a grid that was settled
     and free of matches before it, as every grid ``parse_puzznic`` accepts
-    or ``settle`` returns is. Gravity then drops only their columns and
-    matching starts only from them and the cells blocks land in; each later
-    wave drops the columns it cleared and matches from the cells that fell.
-    This finds every group, as a group without a changed cell would have
-    matched before. Without ``changed`` the whole grid is scanned.
+    or ``settle`` leaves is; naming every cell settles any grid. Gravity
+    drops only the columns of ``changed``, and matching starts only from
+    them and the cells blocks land in; each later wave drops the columns it
+    cleared and matches from the cells that fell. This finds every group,
+    as a group without a changed cell would have matched before.
     """
-    rows = [list(row) for row in grid]
+    neighbours = _neighbours(len(cells) // width, width)
     waves = []
-    moved = None if changed is None else set(changed)
-    columns = None if changed is None else {c for _, c in changed}
+    moved = set(changed)
+    columns = {i % width for i in moved}
     while True:
-        if _apply_gravity(rows, columns, moved) and record is not None:
-            record.append(("fall", _freeze(rows), None))
-        groups = _match_groups(rows, moved)
-        if not groups:
-            break
-        cleared = frozenset(
-            (r, c, rows[r][c]) for group in groups for (r, c) in group
-        )
-        for r, c, _ in cleared:
-            rows[r][c] = EMPTY
-        wave = len(waves) + 1
-        waves.append(cleared)
+        if _gravity(cells, width, columns, moved) and record is not None:
+            record.append(("fall", "".join(cells), None))
+        seen = set()
+        cleared = []
+        for i in moved:
+            pattern = cells[i]
+            if pattern == WALL or pattern == EMPTY or i in seen:
+                continue
+            seen.add(i)
+            group = [i]
+            for j in group:  # grows as the flood fill reaches new cells
+                for n in neighbours[j]:
+                    if cells[n] == pattern and n not in seen:
+                        seen.add(n)
+                        group.append(n)
+            if len(group) > 1:
+                cleared += [(j, pattern) for j in group]
+        if not cleared:
+            return tuple(waves)
+        for i, _ in cleared:
+            cells[i] = EMPTY
+        waves.append(tuple(cleared))
         if record is not None:
-            record.append(("clear", _freeze(rows), (wave, cleared, 100 * len(cleared) * wave)))
-        if changed is not None:
-            moved, columns = set(), {c for _, c, _ in cleared}
-    return _freeze(rows), tuple(waves)
+            wave = len(waves)
+            record.append(("clear", "".join(cells), (wave, waves[-1], 100 * len(cleared) * wave)))
+        moved = set()
+        columns = {i % width for i, _ in cleared}
 
 
 def score_gain(waves) -> int:
@@ -209,11 +205,10 @@ def parse_puzznic(text: str) -> PuzznicLevel:
     width = len(grid_lines[0])
     if any(len(line) != width for line in grid_lines):
         raise ParseError("grid is not rectangular")
-    rows = []
+    cells = []
     cursor = None
     counts = Counter()
     for r, line in enumerate(grid_lines):
-        row = []
         for c, ch in enumerate(line):
             if ch == "@" or "A" <= ch <= "Z":
                 if cursor is not None:
@@ -224,21 +219,19 @@ def parse_puzznic(text: str) -> PuzznicLevel:
                 raise ParseError(f"unknown cell {ch!r} at row {r}, column {c}")
             if ch not in (WALL, EMPTY):
                 counts[ch] += 1
-            row.append(ch)
-        rows.append(row)
+            cells.append(ch)
     if cursor is None:
         raise LevelInvalid("no cursor")
-    grid = _freeze(rows)
-    probe = [list(row) for row in grid]
-    if _apply_gravity(probe):
-        raise LevelInvalid("unsettled")
-    if _match_groups(probe):
-        raise LevelInvalid("initial grid contains matches")
+    frames = []
+    settle(cells, width, range(len(cells)), frames)
+    if frames:
+        kind = frames[0][0]
+        raise LevelInvalid("unsettled" if kind == "fall" else "initial grid contains matches")
     for pattern, count in sorted(counts.items()):
         if count % 2:
             warnings.warn(f"odd pattern count: {count} block(s) of {pattern!r}", stacklevel=2)
     return PuzznicLevel(
-        grid, cursor, 0, band_width, move_cost, push_cost, name
+        _rows("".join(cells), width), cursor, 0, band_width, move_cost, push_cost, name
     )
 
 
@@ -247,7 +240,7 @@ _MOVES = {name: (dr, dc, False) for name, dr, dc in CURSOR_MOVES}
 _MOVES.update((name, (0, dc, True)) for name, dc in PUSHES)
 
 
-def _destination(grid: tuple, cursor: tuple, name: str):
+def _destination(grid: str, width: int, cursor: int, name: str):
     """The cell action ``name`` takes the cursor to, or None where it does
     not apply. The cursor enters any cell but a wall; a push moves the block
     under the cursor into an empty cell, and the cursor with it."""
@@ -255,53 +248,69 @@ def _destination(grid: tuple, cursor: tuple, name: str):
         dr, dc, push = _MOVES[name]
     except KeyError:
         raise UnknownAction(name) from None
-    r, c = cursor
-    if push and grid[r][c] in (WALL, EMPTY):
+    if push and grid[cursor] in (WALL, EMPTY):
         return None
+    r, c = divmod(cursor, width)
     r += dr
     c += dc
-    if 0 <= r < len(grid) and 0 <= c < len(grid[r]):
-        cell = grid[r][c]
+    if 0 <= r < len(grid) // width and 0 <= c < width:
+        dest = r * width + c
+        cell = grid[dest]
         if cell == EMPTY or not (push or cell == WALL):
-            return (r, c)
+            return dest
     return None
 
 
-def _step(grid: tuple, cursor: tuple, score: int, action: str, record=None) -> tuple:
-    """``(grid, cursor, score)`` after ``action``.
+def _step(grid: str, width: int, cursor: int, score: int, action: str, record=None) -> tuple:
+    """``(grid, cursor, score)`` after ``action``, on a flat grid.
 
     A push moves the block, then settles the grid and adds the cascade's
     score. ``record`` is as for ``settle``, with a "push" frame first.
+    Errors name the cursor as ``(row, col)``.
     """
-    dest = _destination(grid, cursor, action)
+    dest = _destination(grid, width, cursor, action)
     push = _MOVES[action][2]
-    if dest is None and push:
-        raise InapplicableAction(
-            f"cannot {action} at {cursor}: cursor must sit on a block "
-            "with an empty destination cell"
-        )
     if dest is None:
-        raise InapplicableAction(f"cursor cannot move {action.split('-')[1]} from {cursor}")
+        at = divmod(cursor, width)
+        raise InapplicableAction(
+            f"cannot {action} at {at}: cursor must sit on a block with an empty destination cell"
+            if push else f"cursor cannot move {action.split('-')[1]} from {at}"
+        )
     if not push:
         return grid, dest, score
-    r, c = cursor
-    row = list(grid[r])
-    row[dest[1]] = row[c]
-    row[c] = EMPTY
-    pushed = grid[:r] + ("".join(row),) + grid[r + 1:]
+    cells = list(grid)
+    cells[dest], cells[cursor] = cells[cursor], EMPTY
     if record is not None:
-        record.append(("push", pushed, None))
-    grid, waves = settle(pushed, record, (cursor, dest))
-    return grid, dest, score + score_gain(waves)
+        record.append(("push", "".join(cells), None))
+    waves = settle(cells, width, (cursor, dest), record)
+    return "".join(cells), dest, score + score_gain(waves)
+
+
+def _flat(level: PuzznicLevel) -> tuple:
+    """``(grid, width, cursor)`` of a level, its grid one string of cells."""
+    width = len(level.grid[0])
+    r, c = level.cursor
+    return "".join(level.grid), width, r * width + c
 
 
 def applicable_moves(level: PuzznicLevel) -> tuple:
-    return tuple(name for name in _MOVES if _destination(level.grid, level.cursor, name))
+    grid, width, cursor = _flat(level)
+    return tuple(name for name in _MOVES if _destination(grid, width, cursor, name) is not None)
 
 
 def puzznic_step(level: PuzznicLevel, action: str, record=None) -> PuzznicLevel:
-    grid, cursor, score = _step(level.grid, level.cursor, level.score, action, record)
-    return level._replace(grid=grid, cursor=cursor, score=score)
+    """``level`` after ``action``. ``record`` receives the frames of
+    ``settle`` with each grid as a tuple of rows and each wave's cleared
+    blocks as a frozenset of ``(row, col, pattern)``."""
+    grid, width, cursor = _flat(level)
+    frames = None if record is None else []
+    grid, cursor, score = _step(grid, width, cursor, level.score, action, frames)
+    for kind, frame, info in frames or ():
+        if info is not None:
+            wave, cleared, gain = info
+            info = wave, frozenset((*divmod(i, width), p) for i, p in cleared), gain
+        record.append((kind, _rows(frame, width), info))
+    return level._replace(grid=_rows(grid, width), cursor=divmod(cursor, width), score=score)
 
 
 def level_goal(level: PuzznicLevel) -> bool:
@@ -330,51 +339,58 @@ def puzznic_predicates(level: PuzznicLevel, patterns=None) -> frozenset:
 
 
 class PuzznicProblem(SimulatorProblem):
-    """Planner view of a level: a state is the tuple ``(grid, cursor, score)``.
+    """Planner view of a level: a state is the tuple ``(grid, cursor, score)``,
+    where ``grid`` is one string of the level's cells in row-major order and
+    ``cursor`` is the index of a cell in it.
 
     The walls, band width and costs are the level's and never change, so
     these three fields are the whole state. ``simulate`` and ``applicable``
     run the same move rule and physics as ``puzznic_step``. As walls never
     move, a cursor move's destination depends on the cell alone: the problem
     asks the move rule once per cell, at construction, and answers cursor
-    moves from that table; pushes still run the rule and the physics.
-    ``atoms`` gives the set ``puzznic_predicates`` would, built from tables of atom strings
-    that the problem makes once: cursor and block atoms per cell, cleared
-    atoms per pattern, and band atoms as scores reach them. Many states
-    share a grid, so the block and cleared atoms of each grid are built once
-    and kept in a table; it stops taking new grids at ``core.MEMO_CAP``, the
-    memo's own bound, and later grids are built on every call. The band width
-    is at most 100 and scores are multiples of 100, so a band names one
-    score and two states are equal iff their atoms are.
+    moves from that table; pushes still run the rule and ``settle``.
+    ``atoms`` gives the set ``puzznic_predicates`` would, built from tables
+    of atom strings that the problem makes once: cursor and block atoms per
+    cell, cleared atoms per pattern, and band atoms as scores reach them.
+    Many states share a grid, so each grid's goal flag and its block and
+    cleared atoms are built once and kept in one table; it stops taking new
+    grids at ``core.MEMO_CAP``, the memo's own bound, and later grids are
+    built on every call. The band width is at most 100 and scores are
+    multiples of 100, so a band names one score and two states are equal iff
+    their atoms are.
     """
 
     def __init__(self, level: PuzznicLevel):
         self.level0 = level
         self.patterns = tuple(sorted(set(level.blocks().values())))
-        cells = [
-            (r, c) for r, row in enumerate(level.grid) for c, cell in enumerate(row) if cell != WALL
-        ]
-        self._cursor_atoms = {(r, c): f"cursor-{r}-{c}" for r, c in cells}
-        self._block_atoms = {
-            (p, r, c): f"block-{p}-{r}-{c}" for p in self.patterns for r, c in cells
-        }
+        grid, self._width, _ = _flat(level)
+        cells = [i for i, cell in enumerate(grid) if cell != WALL]
+        names = {i: f"{i // self._width}-{i % self._width}" for i in cells}
+        self._cursor_atoms = {i: f"cursor-{names[i]}" for i in cells}
+        self._block_atoms = {(p, i): f"block-{p}-{names[i]}" for p in self.patterns for i in cells}
         self._cleared_atoms = tuple((p, f"cleared-{p}") for p in self.patterns)
         self._band_atoms: dict = {}  # band -> its atom
-        self._grid_atoms: dict = {}  # grid -> its block and cleared atoms
+        self._grids: dict = {}  # grid -> (goal flag, its block and cleared atoms)
         self._cursor_dests: dict = {}  # (cell, cursor move name) -> the cell it reaches
-        # cell -> its applicable actions: its cursor moves, then with push-left,
-        # with push-right, with both
+        # cell -> (its applicable actions: its cursor moves, then with push-left,
+        # with push-right, with both; the cells to its left and right, or the
+        # cell itself at the grid's edge, as it holds the block a push moves)
         self._moves: dict = {}
         cursor_moves, (left, right) = self.actions[:-2], self.actions[-2:]
         for cell in cells:
             moves = []
             for action in cursor_moves:
-                dest = _destination(level.grid, cell, action.name)
+                dest = _destination(grid, self._width, cell, action.name)
                 if dest is not None:
                     self._cursor_dests[cell, action.name] = dest
                     moves.append(action)
             moves = tuple(moves)
-            self._moves[cell] = (moves, moves + (left,), moves + (right,), moves + (left, right))
+            column = cell % self._width
+            self._moves[cell] = (
+                (moves, moves + (left,), moves + (right,), moves + (left, right)),
+                cell - 1 if column else cell,
+                cell + 1 if column + 1 < self._width else cell,
+            )
 
     @classmethod
     def from_text(cls, text: str) -> "PuzznicProblem":
@@ -382,7 +398,8 @@ class PuzznicProblem(SimulatorProblem):
 
     @cached_property
     def initial(self) -> tuple:
-        return (self.level0.grid, self.level0.cursor, self.level0.score)
+        grid, _, cursor = _flat(self.level0)
+        return (grid, cursor, self.level0.score)
 
     @cached_property
     def actions(self) -> tuple:
@@ -396,25 +413,31 @@ class PuzznicProblem(SimulatorProblem):
 
     def applicable(self, state: tuple) -> tuple:
         grid, cursor, _ = state
-        moves = self._moves[cursor]
-        r, c = cursor
-        row = grid[r]
-        if row[c] == EMPTY:
+        moves, left, right = self._moves[cursor]
+        if grid[cursor] == EMPTY:
             return moves[0]
-        left = c > 0 and row[c - 1] == EMPTY
-        right = c + 1 < len(row) and row[c + 1] == EMPTY
-        return moves[left + 2 * right]
+        return moves[(grid[left] == EMPTY) + 2 * (grid[right] == EMPTY)]
 
     def simulate(self, state: tuple, action: Action) -> tuple:
         grid, cursor, score = state
         dest = self._cursor_dests.get((cursor, action.name))
         if dest is None:
-            return _step(grid, cursor, score, action.name)
+            return _step(grid, self._width, cursor, score, action.name)
         return grid, dest, score
 
+    def _grid_entry(self, grid: str) -> tuple:
+        """``grid``'s goal flag and its block and cleared atoms."""
+        atoms = self._block_atoms
+        blocks = [atoms[cell, i] for i, cell in enumerate(grid) if cell != WALL and cell != EMPTY]
+        present = set(grid)
+        cleared = [atom for p, atom in self._cleared_atoms if p not in present]
+        entry = (not blocks, frozenset(blocks + cleared))
+        if len(self._grids) < core.MEMO_CAP:
+            self._grids[grid] = entry
+        return entry
+
     def is_goal(self, state: tuple) -> bool:
-        # A row strips to nothing iff it holds no block.
-        return not any(row.strip(WALL + EMPTY) for row in state[0])
+        return (self._grids.get(state[0]) or self._grid_entry(state[0]))[0]
 
     def atoms(self, state: tuple) -> frozenset:
         grid, cursor, score = state
@@ -422,33 +445,16 @@ class PuzznicProblem(SimulatorProblem):
         band_atom = self._band_atoms.get(band)
         if band_atom is None:
             band_atom = self._band_atoms[band] = f"score-band-{band}"
-        grid_atoms = self._grid_atoms.get(grid)
-        if grid_atoms is None:
-            out = []
-            remaining = set()
-            for r, row in enumerate(grid):
-                for c, cell in enumerate(row):
-                    if cell != WALL and cell != EMPTY:
-                        out.append(self._block_atoms[cell, r, c])
-                        remaining.add(cell)
-            out += [atom for p, atom in self._cleared_atoms if p not in remaining]
-            grid_atoms = frozenset(out)
-            if len(self._grid_atoms) < core.MEMO_CAP:
-                self._grid_atoms[grid] = grid_atoms
+        grid_atoms = (self._grids.get(grid) or self._grid_entry(grid))[1]
         return grid_atoms | {self._cursor_atoms[cursor], band_atom}
 
 
 def _compose_frame(caption: str, grid, cursor, score: int) -> str:
-    rows = []
-    for r, row in enumerate(grid):
-        cells = []
-        for c, cell in enumerate(row):
-            if (r, c) == cursor:
-                cells.append("@" if cell == EMPTY else cell.upper())
-            else:
-                cells.append(cell)
-        rows.append("".join(cells))
-    return "\n".join([caption] + rows + [f"score {score}"])
+    rows = list(grid)
+    r, c = cursor
+    cell = rows[r][c]
+    rows[r] = rows[r][:c] + ("@" if cell == EMPTY else cell.upper()) + rows[r][c + 1:]
+    return "\n".join([caption, *rows, f"score {score}"])
 
 
 def render_puzznic(problem: PuzznicProblem, plan: Sequence[str]) -> list:
@@ -466,13 +472,9 @@ def render_puzznic(problem: PuzznicProblem, plan: Sequence[str]) -> list:
         try:
             after = puzznic_step(level, name, record)
         except InapplicableAction as err:
-            raise InapplicableAction(
-                f"{err.reason} (frame {len(frames)})", index=index
-            ) from None
+            raise InapplicableAction(f"{err.reason} (frame {len(frames)})", index=index) from None
         if not record:
-            frames.append(
-                _compose_frame(name, after.grid, after.cursor, after.score)
-            )
+            frames.append(_compose_frame(name, after.grid, after.cursor, after.score))
         else:
             score = level.score
             for kind, grid, info in record:
@@ -484,9 +486,7 @@ def render_puzznic(problem: PuzznicProblem, plan: Sequence[str]) -> list:
                     wave, cleared, gain = info
                     score += gain
                     patterns = sorted({p for _, _, p in cleared})
-                    for p in patterns:
-                        if p not in clear_order:
-                            clear_order.append(p)
+                    clear_order += [p for p in patterns if p not in clear_order]
                     caption = f"clear wave {wave}: {len(cleared)} block(s) +{gain}"
                 frames.append(_compose_frame(caption, grid, after.cursor, score))
         level = after

@@ -5,6 +5,7 @@ import pytest
 
 from divsim.behaviour import BehaviourSpace, CostBound, GoalOrder
 from divsim.core import Action, SimulatorProblem
+from divsim.domains.puzznic import settle
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.iterdir() if p.is_file())
@@ -46,6 +47,25 @@ MICRO = (
     ("diamond go+cb", "diamond.json", ("go", "cb"), 5, 3),
     ("multi_sensitive go+cb", "multi_sensitive.json", ("go", "cb"), 3, 3),
 )
+
+
+# Puzznic levels without a wall border. In row-major order the second puts an
+# empty cell (the end of row 0) just before row 1's first block, and a block
+# (the end of row 1) just before row 2's first block of the same pattern.
+EDGE_LEVELS = {
+    "puzznic-no-walls": "A.ba.b.\n",
+    "puzznic-edge-columns": "b....\na..ab\nba@ba\n",
+}
+
+
+def settle_rows(grid):
+    """The package's ``settle`` run from every cell of a tuple of rows:
+    ``(rows, waves)``, each wave a frozenset of ``(row, col, pattern)``."""
+    width = len(grid[0])
+    cells = list("".join(grid))
+    waves = settle(cells, width, range(len(cells)))
+    rows = tuple("".join(cells[i:i + width]) for i in range(0, len(cells), width))
+    return rows, tuple(frozenset((*divmod(i, width), p) for i, p in wave) for wave in waves)
 
 
 def assert_one_object_per_atom(*states):

@@ -5,8 +5,9 @@ calling into the package's own logic: the temporal evaluator expands the
 quantifiers literally and derives Release through its Until dual, the width
 search is a separate BFS, the behaviour enumerator is a depth-first walk
 with no deduplication, and the Grid and Pentest encoders rebuild a state's
-atoms from the plan that reached it, and Puzznic gravity repacks each column
-segment as a list. The one exception is ``restart_fbi``, the
+atoms from the plan that reached it, Puzznic gravity repacks each column
+segment as a list, and Puzznic settling scans a tuple of rows whole for
+every wave. The one exception is ``restart_fbi``, the
 forbid-and-restart loop, which calls the package's one-shot generators
 (themselves checked against ``plain_iw``). Slow is fine; these only run on
 tiny inputs.
@@ -345,3 +346,36 @@ def segment_gravity(rows, columns=None, moved=None):
                             moved.add((top + i, c))
                 top = r + 1
     return changed
+
+
+def reference_settle(grid, record=None):
+    """Settle a tuple of rows by full scans: gravity on every column, then
+    every block next to a block of its own pattern clears, which is every
+    group of two or more, until none is left. Returns ``(rows, waves)``,
+    each wave the frozenset of ``(row, col, pattern)`` it cleared, and
+    appends to ``record`` the frames ``puzznic_step`` records."""
+    rows = [list(row) for row in grid]
+    height, width = len(rows), len(rows[0])
+    waves = []
+    while True:
+        if segment_gravity(rows) and record is not None:
+            record.append(("fall", tuple(map("".join, rows)), None))
+        blocks = {
+            (r, c): rows[r][c]
+            for r in range(height)
+            for c in range(width)
+            if rows[r][c] not in "#."
+        }
+        cleared = set()
+        for (r, c), p in blocks.items():
+            near = ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1))
+            if any(blocks.get(cell) == p for cell in near):
+                cleared.add((r, c, p))
+        if not cleared:
+            return tuple(map("".join, rows)), tuple(waves)
+        for r, c, _ in cleared:
+            rows[r][c] = "."
+        waves.append(frozenset(cleared))
+        if record is not None:
+            gain = 100 * len(cleared) * len(waves)
+            record.append(("clear", tuple(map("".join, rows)), (len(waves), waves[-1], gain)))

@@ -22,7 +22,6 @@ from divsim.domains.puzznic import (
     level_goal,
     parse_puzznic,
     puzznic_step,
-    settle,
 )
 from divsim.ltl import (
     Not,
@@ -37,7 +36,7 @@ from divsim.oracle import brute_force_behaviours
 from divsim.search import NoveltyConfig, SearchLimits, behaviour_generator, fbi, fbi_naive
 from divsim.stats import paired_t_test
 
-from conftest import MICRO, UndoToggleProblem, feature_space, fixture_path
+from conftest import MICRO, UndoToggleProblem, feature_space, fixture_path, settle_rows
 from oracles import eval_reference, plain_iw, random_formula, random_view
 
 
@@ -412,7 +411,7 @@ def test_criterion_7_puzznic_physics():
     # settle is a fixpoint on every parsed (hence settled) level
     for name in ("single_pair.puz", "ledge.puz", "cascade.puz", "pairs.puz"):
         level = parse_puzznic(fixture_path(name).read_text())
-        settled, waves = settle(level.grid)
+        settled, waves = settle_rows(level.grid)
         problems.append((name, settled == level.grid and waves == ()))
     idempotent = all(ok for _, ok in problems)
 
@@ -449,8 +448,8 @@ def test_criterion_7_puzznic_physics():
         cascade_before = blocks(level.grid)
         for _, grid, _ in record:
             # settling any intermediate snapshot must reach a stable grid
-            again, _ = settle(grid)
-            idempotent = idempotent and settle(again) == (again, ())
+            again, _ = settle_rows(grid)
+            idempotent = idempotent and settle_rows(again) == (again, ())
     cascade_ok = gains == [200, 400] and level.score == 600 and level_goal(level)
     monotone = all(a <= b for a, b in zip(scores, scores[1:]))
 

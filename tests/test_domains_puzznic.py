@@ -10,16 +10,13 @@ from divsim.core import Action, replay, trace_view
 from divsim.domains import PuzznicProblem, load_problem
 from divsim.domains.puzznic import (
     PuzznicLevel,
-    _apply_gravity,
-    _destination,
-    _step,
+    _gravity,
     applicable_moves,
     level_goal,
     parse_puzznic,
     puzznic_predicates,
     puzznic_step,
     render_puzznic,
-    settle,
     score_gain,
 )
 from divsim.errors import (
@@ -30,8 +27,14 @@ from divsim.errors import (
 )
 from divsim.search import SearchLimits, fbi
 
-from conftest import FIXTURES, assert_one_object_per_atom, fixture_path
-from oracles import segment_gravity
+from conftest import (
+    EDGE_LEVELS,
+    FIXTURES,
+    assert_one_object_per_atom,
+    fixture_path,
+    settle_rows,
+)
+from oracles import reference_settle, segment_gravity
 
 
 def _grid(*rows):
@@ -47,6 +50,16 @@ def _pushed_by_hand(grid, r, c, dc):
     row = list(grid[r])
     row[c], row[c + dc] = ".", row[c]
     return grid[:r] + ("".join(row),) + grid[r + 1:]
+
+
+def _level(problem, state):
+    """The ``PuzznicLevel`` that a state of ``problem`` stands for."""
+    grid, cursor, score = state
+    width = len(problem.level0.grid[0])
+    assert type(grid) is str and len(grid) == len(problem.level0.grid) * width
+    assert type(cursor) is int and type(score) is int
+    rows = tuple(grid[i:i + width] for i in range(0, len(grid), width))
+    return problem.level0._replace(grid=rows, cursor=divmod(cursor, width), score=score)
 
 
 class TestParsing:
@@ -109,14 +122,14 @@ class TestParsing:
 class TestPhysics:
     def test_settle_is_idempotent(self):
         grid = _grid("#####", "#a..#", "#b.a#", "#####")
-        settled, waves = settle(grid)
-        again, more = settle(settled)
+        settled, waves = settle_rows(grid)
+        again, more = settle_rows(settled)
         assert again == settled
         assert more == ()
 
     def test_gravity_is_per_column_segment(self):
         grid = _grid("#####", "#ab.#", "#...#", "#.#.#", "#####")
-        settled, waves = settle(grid)
+        settled, waves = settle_rows(grid)
         assert waves == ()
         # column 1 is open down to row 3; column 2 has a wall at row 3
         assert settled == _grid("#####", "#...#", "#.b.#", "#a#.#", "#####")
@@ -124,26 +137,26 @@ class TestPhysics:
     def test_matches_clear_and_cascade(self):
         # the b pair clears first, then the freed a drops next to the other a
         grid = _grid("######", "#.a..#", "#.b..#", "#.ba.#", "######")
-        settled, waves = settle(grid)
+        settled, waves = settle_rows(grid)
         assert _block_counts(settled) == Counter()
         assert [sorted(p for _, _, p in wave) for wave in waves] == [["b", "b"], ["a", "a"]]
         assert score_gain(waves) == 100 * 2 * 1 + 100 * 2 * 2
 
     def test_blocks_are_conserved_outside_clears(self):
         grid = _grid("#####", "#a.b#", "#.#.#", "#####")
-        settled, waves = settle(grid)
+        settled, waves = settle_rows(grid)
         assert waves == ()
         assert _block_counts(settled) == _block_counts(grid)
 
     def test_orthogonal_only_no_diagonal_match(self):
         grid = _grid("#####", "#a#.#", "##a.#", "#####")
-        settled, waves = settle(grid)
+        settled, waves = settle_rows(grid)
         assert waves == ()
         assert _block_counts(settled) == Counter({"a": 2})
 
     def test_three_in_a_row_clears_together(self):
         grid = _grid("#####", "#aaa#", "#####")
-        settled, waves = settle(grid)
+        settled, waves = settle_rows(grid)
         assert len(waves) == 1 and len(waves[0]) == 3
         assert score_gain(waves) == 300
 
@@ -228,11 +241,39 @@ class TestProblem:
 
     def test_state_is_grid_cursor_and_score(self):
         problem = load_problem(fixture_path("cascade.puz"))
+        level = problem.level0
+        assert level.grid == ("#####", "#b.a#", "#a.##", "#b#.#", "#####")
+        assert level.cursor == (1, 2)
+        assert problem.initial == ("######b.a##a.###b#.######", 7, 0)
         trace = replay(problem, ("cursor-right", "push-left"))
-        grid, cursor, score = trace.states[-1].raw
-        assert score == 600
-        assert level_goal(problem.level0._replace(grid=grid, cursor=cursor, score=score))
-        assert trace.states[-1].goal_flag
+        moved, pushed = (_level(problem, state.raw) for state in trace.states[1:])
+        assert trace.states[1].raw == ("######b.a##a.###b#.######", 8, 0)
+        assert moved == puzznic_step(level, "cursor-right") and not level_goal(moved)
+        assert not problem.is_goal(trace.states[1].raw) and not trace.states[1].goal_flag
+        assert pushed == puzznic_step(moved, "push-left") and pushed.score == 600
+        assert level_goal(pushed) and trace.states[-1].goal_flag
+
+    def test_inapplicable_messages_name_the_cursor_by_row_and_column(self):
+        problem = PuzznicProblem.from_text("#####\n#A.a#\n#####\n")
+        moved = problem.simulate(problem.initial, problem.action_named("cursor-right"))
+        expected = {
+            (problem.initial, "cursor-up"): "cursor cannot move up from (1, 1)",
+            (problem.initial, "push-left"): (
+                "cannot push-left at (1, 1): cursor must sit on a block "
+                "with an empty destination cell"
+            ),
+            (moved, "cursor-down"): "cursor cannot move down from (1, 2)",
+            (moved, "push-right"): (
+                "cannot push-right at (1, 2): cursor must sit on a block "
+                "with an empty destination cell"
+            ),
+        }
+        for (state, name), message in expected.items():
+            with pytest.raises(InapplicableAction) as got:
+                problem.simulate(state, problem.action_named(name))
+            with pytest.raises(InapplicableAction) as want:
+                puzznic_step(_level(problem, state), name)
+            assert str(got.value) == str(want.value) == message
 
     def test_score_band_predicate_tracks_band_width(self):
         problem = PuzznicProblem.from_text("; band-width: 50\n#####\n#A.a#\n#####\n")
@@ -283,6 +324,15 @@ class TestProblem:
 # The three-pattern level of the benchmark's ``puzznic-fbi`` workload.
 FBI_LEVEL = "#########\n#a..b..c#\n##.###.##\n#a.@b..c#\n#########\n"
 
+# Every level the problem is checked on against the reference functions: the
+# one above, each fixture, and two without walls whose blocks sit in the
+# grid's edge columns.
+LEVELS = {
+    "puzznic-fbi": FBI_LEVEL,
+    **{path.name: path.read_text() for path in sorted(FIXTURES.rglob("*.puz"))},
+    **EDGE_LEVELS,
+}
+
 
 @functools.lru_cache(maxsize=None)
 def _fbi_pairs(text):
@@ -299,49 +349,45 @@ def _fbi_pairs(text):
 
 class TestReferenceAgreement:
     """The problem's state against the ``PuzznicLevel`` reference functions,
-    over every (state, action) pair ``fbi`` reaches on a three-pattern level."""
-
-    TEXT = FBI_LEVEL
+    over every (state, action) pair ``fbi`` reaches on each level."""
 
     @pytest.fixture(scope="class")
     def reached(self):
-        return _fbi_pairs(self.TEXT)
+        return _fbi_pairs(FBI_LEVEL)
 
-    @staticmethod
-    def _level(problem, state):
-        grid, cursor, score = state
-        return problem.level0._replace(grid=grid, cursor=cursor, score=score)
-
-    def test_simulate_applicable_and_atoms_match_the_reference(self, reached):
-        problem, pairs = reached
-        assert len(pairs) > 10_000
-        for state in {state for state, _ in pairs}:
-            level = self._level(problem, state)
+    @pytest.mark.parametrize("name", sorted(LEVELS))
+    def test_simulate_applicable_and_atoms_match_the_reference(self, name):
+        problem, pairs = _fbi_pairs(LEVELS[name])
+        assert len(pairs) > (10_000 if name == "puzznic-fbi" else 0)
+        for state in {problem.initial} | {state for state, _ in pairs}:
+            level = _level(problem, state)
             names = tuple(a.name for a in problem.applicable(state))
             assert names == applicable_moves(level)
             assert problem.atoms(state) == puzznic_predicates(level, problem.patterns)
+            assert problem.is_goal(state) == level_goal(level)
         for state, action in pairs:
             record = []
-            after = puzznic_step(self._level(problem, state), action.name, record)
+            level = _level(problem, state)
+            after = puzznic_step(level, action.name, record)
             successor = problem.simulate(state, action)
-            assert successor == (after.grid, after.cursor, after.score)
+            assert _level(problem, successor) == after
             assert problem.atoms(successor) == puzznic_predicates(after, problem.patterns)
             assert problem.is_goal(successor) == level_goal(after)
             if action.name.startswith("push-"):
-                assert successor == self._settled_by_hand(state, action.name, record)
+                assert after == self._settled_by_hand(level, action.name, record)
 
     @staticmethod
-    def _settled_by_hand(state, name, record):
-        """The successor of a push made by hand and settled by the full scan;
-        asserts that ``record`` holds the same frames and waves."""
-        grid, (r, c), score = state
-        dc = 1 if name == "push-right" else -1
-        pushed = _pushed_by_hand(grid, r, c, dc)
+    def _settled_by_hand(level, name, record):
+        """The level after a push made by hand and settled by the reference's
+        full scans; asserts that ``record`` holds the same frames and waves."""
+        (r, c), dc = level.cursor, 1 if name == "push-right" else -1
+        pushed = _pushed_by_hand(level.grid, r, c, dc)
         expected = [("push", pushed, None)]
-        settled, waves = settle(pushed, expected)
+        settled, waves = reference_settle(pushed, expected)
         assert record == expected
         assert waves == tuple(info[1] for kind, _, info in record if kind == "clear")
-        return settled, (r, c + dc), score + score_gain(waves)
+        score = level.score + score_gain(waves)
+        return level._replace(grid=settled, cursor=(r, c + dc), score=score)
 
     def test_atoms_tell_states_apart_and_share_strings(self, reached):
         problem, pairs = reached
@@ -354,50 +400,45 @@ class TestReferenceAgreement:
     def test_grid_atom_table_stops_at_the_memo_cap(self, reached, monkeypatch):
         monkeypatch.setattr(core, "MEMO_CAP", 3)
         walked, pairs = reached
-        problem = PuzznicProblem.from_text(self.TEXT)
+        problem = PuzznicProblem.from_text(FBI_LEVEL)
         states = {problem.initial: None}
         for state, action in pairs:
             states.update({state: None, walked.simulate(state, action): None})
         atoms = []
         for state in states:
+            level = _level(problem, state)
             atoms.append(problem.atoms(state))
-            assert len(problem._grid_atoms) <= 3
-            assert atoms[-1] == puzznic_predicates(self._level(problem, state), problem.patterns)
-        assert len(problem._grid_atoms) == 3
+            assert problem.is_goal(state) == level_goal(level)
+            assert len(problem._grids) <= 3
+            assert atoms[-1] == puzznic_predicates(level, problem.patterns)
+        assert len(problem._grids) == 3
         assert len({state[0] for state in states}) > 3
+        assert any(problem.is_goal(state) for state in states)
         assert_one_object_per_atom(*atoms, problem.goal_predicates)
 
 
 class TestMoveTables:
     """``applicable`` and ``simulate``, which answer cursor moves from tables
-    built at load, against the move rule ``_destination`` and ``_step`` on
-    every state ``fbi`` reaches. The last level has no walls, so blocks sit
-    at the grid's edges."""
-
-    LEVELS = {
-        "puzznic-fbi": FBI_LEVEL,
-        **{path.name: path.read_text() for path in sorted(FIXTURES.rglob("*.puz"))},
-        "no-walls": "A.ba.b.\n",
-    }
+    built at load, against ``applicable_moves`` and ``puzznic_step`` for every
+    action in every state ``fbi`` reaches on each level."""
 
     @pytest.mark.parametrize("name", sorted(LEVELS))
     def test_every_action_answers_as_the_move_rule(self, name):
-        problem, pairs = _fbi_pairs(self.LEVELS[name])
+        problem, pairs = _fbi_pairs(LEVELS[name])
         states = {problem.initial} | {problem.simulate(s, a) for s, a in pairs}
         pushes = 0
         for state in states:
-            grid, cursor, score = state
+            level = _level(problem, state)
             applicable = problem.applicable(state)
-            assert applicable == tuple(
-                a for a in problem.actions if _destination(grid, cursor, a.name)
-            )
+            assert tuple(a.name for a in applicable) == applicable_moves(level)
             pushes += sum(a.name.startswith("push-") for a in applicable)
             for action in problem.actions:
                 if action in applicable:
-                    assert problem.simulate(state, action) == _step(*state, action.name)
+                    successor = problem.simulate(state, action)
+                    assert _level(problem, successor) == puzznic_step(level, action.name)
                     continue
                 with pytest.raises(InapplicableAction) as want:
-                    _step(*state, action.name)
+                    puzznic_step(level, action.name)
                 with pytest.raises(InapplicableAction) as got:
                     problem.simulate(state, action)
                 assert str(got.value) == str(want.value)
@@ -416,21 +457,21 @@ class TestGravity:
             columns = None
             if rng.random() < 0.5:
                 columns = sorted(rng.sample(range(width), rng.randint(0, width)))
-            rows, expected = [list(row) for row in grid], [list(row) for row in grid]
+            cells, expected = [cell for row in grid for cell in row], [list(row) for row in grid]
             moved, expected_moved = set(), set()
-            changed = _apply_gravity(rows, columns, moved)
+            changed = _gravity(cells, width, range(width) if columns is None else columns, moved)
             assert changed == segment_gravity(expected, columns, expected_moved)
-            assert rows == expected
+            assert cells == [cell for row in expected for cell in row]
             # Every cell a block lands in, which holds the cells whose pattern changed.
-            assert expected_moved <= moved
-            assert all(rows[r][c] in "ab" and grid[r][c] != "#" for r, c in moved)
+            assert expected_moved <= {divmod(i, width) for i in moved}
+            assert all(cells[i] in "ab" and grid[i // width][i % width] != "#" for i in moved)
             falls += changed
         assert falls > 500
 
 
 class TestSettleFromChangedCells:
-    """A push settled from the cells it changed against the full scan, on
-    random settled grids."""
+    """A push settled from the cells it changed against the reference's full
+    scans, on random settled grids."""
 
     CASES = 400
 
@@ -442,7 +483,7 @@ class TestSettleFromChangedCells:
             cells = rng.choices("#.abc", weights=(2, 4, 2, 2, 2), k=width)
             rows.append("#" + "".join(cells) + "#")
         rows.append("#" * (width + 2))
-        return settle(tuple(rows))[0]
+        return reference_settle(tuple(rows))[0]
 
     def test_every_push_settles_as_the_full_scan_does(self):
         rng = random.Random(12)
@@ -458,10 +499,9 @@ class TestSettleFromChangedCells:
                         hinted = puzznic_step(PuzznicLevel(grid, (r, c)), name, record)
                         pushed = _pushed_by_hand(grid, r, c, dc)
                         full = [("push", pushed, None)]
-                        settled, waves = settle(pushed, full)
+                        settled, waves = reference_settle(pushed, full)
                         assert (hinted.grid, hinted.score) == (settled, score_gain(waves))
-                        changed = ((r, c), (r, c + dc))
-                        assert settle(pushed, changed=changed) == (settled, waves)
+                        assert settle_rows(pushed) == (settled, waves)
                         assert record == full
                         pushes += 1
                         cascades += len(waves) > 1

@@ -7,14 +7,15 @@ and ``fbi_naive`` on every fixture file, in the ``go`` and ``go,cb`` spaces,
 at widths 1-3, in both novelty scopes; the same runs cover two Puzznic
 levels without walls whose blocks sit in the grid's edge columns. It also
 runs ``fbi`` on the three-pattern Puzznic level (k = 7, ``go``) and on a
-seven-spoke star network (k = 30, ``go,cb``, cost bound 24). Three toys whose goals can be undone,
-the only instances with the non-goal all-latched nodes that interior
-pruning drops, run ``fbi`` in ``go`` (k = 6, cost bound 10) at widths 1-2,
-in both scopes, with interior pruning on and off: these rows reach the
-stream restart and phase 2's own search. Last, the restart reference
-calls ``behaviour_generator`` and then ``plan_generator`` afresh for every
-plan, on a three-spoke star and on the undo-mark toy. A change that is
-meant to change plan output re-records the digests with
+seven-spoke star network (k = 30, ``go,cb``, cost bound 24). Three toys
+whose goals can be undone, the only instances with the non-goal
+all-latched nodes that interior pruning drops, run ``fbi`` in ``go``
+(k = 6, cost bound 10) at widths 1-2, in both scopes, with interior pruning
+on and off: these rows reach the stream restart and phase 2's own search.
+Last, the restart reference calls ``behaviour_generator`` and then
+``plan_generator`` afresh for every plan, on a three-spoke star and on the
+undo-mark toy. A change that is meant to change plan output re-records the
+digests with
 
     PYTHONPATH=src python3 tests/test_golden.py
 
@@ -38,6 +39,7 @@ from divsim.domains import PentestProblem, PuzznicProblem, load_problem
 from divsim.search import NoveltyConfig, NoveltyScope, SearchLimits, fbi, fbi_naive
 
 from conftest import (
+    EDGE_LEVELS,
     FIXTURE_NAMES,
     FinishToggleProblem,
     UndoToggleProblem,
@@ -72,15 +74,6 @@ def _digests(rows) -> dict:
     """The ``plans`` and ``counters`` digests of an instance's rows."""
     plans, counters = zip(*rows)
     return {"plans": _digest(plans), "counters": _digest(counters)}
-
-
-# Puzznic levels without a wall border. In row-major order the second puts an
-# empty cell (the end of row 0) just before row 1's first block, and a block
-# (the end of row 1) just before row 2's first block of the same pattern.
-EDGE_LEVELS = {
-    "puzznic-no-walls": "A.ba.b.\n",
-    "puzznic-edge-columns": "b....\na..ab\nba@ba\n",
-}
 
 
 def fixture_rows(name: str, load=None) -> list:
@@ -152,7 +145,9 @@ def chain_rows() -> list:
 SWEEP = {
     **{name: functools.partial(fixture_rows, name) for name in FIXTURE_NAMES},
     **{
-        name: functools.partial(fixture_rows, name, functools.partial(PuzznicProblem.from_text, text))
+        name: functools.partial(
+            fixture_rows, name, functools.partial(PuzznicProblem.from_text, text)
+        )
         for name, text in EDGE_LEVELS.items()
     },
     "puzznic-abc": puzznic_rows,
