@@ -13,9 +13,8 @@ satisfy (up to simultaneity, see ``behaviour_formula``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import ltl
 from .core import (
     GOAL_ATOM,
     COST_ATOM_PREFIX,
@@ -26,6 +25,9 @@ from .core import (
 )
 from .errors import CostBoundExceeded, NotAGoalPlan
 from .record import Record, set_field
+
+if TYPE_CHECKING:
+    from . import ltl
 
 
 class CostBound(Record):
@@ -151,6 +153,8 @@ def behaviour_formula(space: BehaviourSpace, behaviour: Behaviour) -> ltl.Formul
     ordered pair of goals contributes ``(!first-b U first-a)``; goals in the
     same group contribute nothing, so the empty conjunction is ``true``.
     """
+    from . import ltl
+
     parts = []
     if space.cost_feature is not None and behaviour.cost is not None:
         parts.append(

@@ -26,7 +26,6 @@ from .bench import (
 from .behaviour import behaviour_to_json
 from .domains import DOMAINS, load_problem, read_utf8
 from .errors import DivsimError, ParseError
-from .oracle import brute_force_behaviours
 from .search import NoveltyConfig, NoveltyScope, SearchLimits
 
 EXIT_OK = 0
@@ -34,6 +33,7 @@ EXIT_UNSOLVED = 2
 EXIT_BUDGET = 3
 EXIT_USAGE = 64
 EXIT_DATA = 65
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse defaults to exit code 2 on usage errors; we reserve 2."""
@@ -168,6 +168,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import brute_force_behaviours
+
     problem = load_problem(args.instance, args.domain)
     space = build_space(problem, args.features, args.cost_bound)
     found = brute_force_behaviours(problem, space, args.max_len, cost_bound=args.cost_bound)

@@ -70,8 +70,17 @@ from .errors import BudgetExceeded
 from .record import MutableRecord, Record, check_int, set_field
 
 # Not called by the search: perfbench/tracing.py rebinds these names to count calls.
+# ``evaluate`` and ``is_latch_monotone`` are read from ``ltl`` by ``__getattr__``,
+# so ``ltl`` loads only when the tracer asks for them.
 from .behaviour import behaviour_formula, latch_groups  # noqa: F401
-from .ltl import evaluate, is_latch_monotone  # noqa: F401
+
+
+def __getattr__(name):
+    if name not in ("evaluate", "is_latch_monotone"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import ltl
+
+    return getattr(ltl, name)
 
 
 class NoveltyScope(Enum):
