@@ -8,8 +8,9 @@ latched goal predicates) lives beside the simulator's raw state, never
 inside it, so novelty pruning only ever sees raw atoms. At the API edge
 (``replay``, behaviour extraction, the oracle) a trace position is an
 ``AugmentedState``. Inside a planner run the search keeps the same facts as
-integers: the run's ``TransitionMemo`` interns each state and gives it an
-atom bitmask, and latched goals are a mask of goal bits.
+integers: the problem gives each atom one bit and each state the
+bitmask of its atoms, the run's ``TransitionMemo`` interns each state with
+its mask, and latched goals are a mask of goal bits.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ LATCH_ATOM_PREFIX = "first-"
 
 State = Hashable  # a simulator's own state; SimulatorProblem.atoms gives its true atoms
 Plan = tuple  # tuple[str, ...] of action ids, applied left to right
+
+
+def mask_bits(mask: int) -> list:
+    """The one-bit ints of ``mask``, lowest first."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low)
+        mask ^= low
+    return bits
 
 
 class Action(Record):
@@ -79,6 +90,17 @@ class SimulatorProblem(ABC):
     one string object per distinct atom of the problem, and is a pure
     function of the state too; the default suits a domain whose states
     are already those frozensets.
+
+    The search reads a state's atoms as a bitmask. ``atom_bit`` gives each
+    atom one power-of-two bit, fixed for the problem's lifetime, and
+    ``atom_mask(state)`` is the OR of ``atom_bit`` over ``atoms(state)``.
+    Only set relations between masks steer the search, so which bit an
+    atom gets changes no plan. The defaults intern atoms as they meet them:
+    the goal predicates first, in declaration order, then every other atom
+    in the order ``atoms`` yields it, which is set order and follows the
+    string hash seed; their table is not capped, as a bit must not change
+    meaning. A domain that keeps its state as ints can give both natively
+    and skip building atom strings per state.
     """
 
     @property
@@ -101,6 +123,25 @@ class SimulatorProblem(ABC):
     def atoms(self, state: State) -> frozenset:
         """The atoms true in ``state``."""
         return state
+
+    @cached_property
+    def _atom_bits(self) -> dict:
+        return {atom: 1 << i for i, atom in enumerate(dict.fromkeys(self.goal_predicates))}
+
+    def atom_bit(self, atom: str) -> int:
+        """The bit of ``atom`` in every mask of this problem."""
+        bits = self._atom_bits
+        bit = bits.get(atom)
+        if bit is None:
+            bit = bits[atom] = 1 << len(bits)
+        return bit
+
+    def atom_mask(self, state: State) -> int:
+        """The OR of the bits of the atoms true in ``state``."""
+        mask = 0
+        for atom in self.atoms(state):
+            mask |= self.atom_bit(atom)
+        return mask
 
     @property
     @abstractmethod
@@ -142,16 +183,15 @@ MEMO_CAP = 200_000
 
 class StateRecord:
     """What one planner run knows of one state: the interned ``state``, its
-    ``goal`` flag, its atom ``mask`` and ``bits``, and once it is expanded,
-    its ``applicable`` actions and the ``successors`` of a prefix of them."""
+    ``goal`` flag and atom ``mask``, and once it is expanded, its
+    ``applicable`` actions and the ``successors`` of a prefix of them."""
 
-    __slots__ = ("state", "goal", "mask", "bits", "applicable", "successors")
+    __slots__ = ("state", "goal", "mask", "applicable", "successors")
 
-    def __init__(self, state: State, goal: bool, mask: int, bits: tuple):
+    def __init__(self, state: State, goal: bool, mask: int):
         self.state = state
         self.goal = goal
         self.mask = mask
-        self.bits = bits
         self.applicable = None
         self.successors = None
 
@@ -161,9 +201,9 @@ class TransitionMemo:
 
     The table holds one ``StateRecord`` per state the problem returns, so
     every state is interned: the problem is asked for a state's goal flag
-    and ``atoms`` once, when the memo first meets the state, and for its
-    ``applicable`` actions once, when it is first expanded. ``initial`` is
-    the initial state's record. A record's ``successors`` list holds the
+    and ``atom_mask`` once, when the memo first meets the state, and for
+    its ``applicable`` actions once, when it is first expanded. ``initial``
+    is the initial state's record. A record's ``successors`` list holds the
     successor records of its applicable actions in action order, filled as
     the search steps, so ``step(record, i)`` asks the problem to simulate
     only when ``i`` is past the list's end. A search expands a state's
@@ -174,15 +214,10 @@ class TransitionMemo:
     once it reaches ``MEMO_CAP``, misses are still answered but no new
     record or successor is stored.
 
-    A mask sets one bit per atom of the state, and the state's bits are
-    those one-bit ints, one per atom, which the novelty test builds its keys
-    from. Bits are dense ids the memo gives atoms: the goal predicates
-    first, in declaration order, so that ``goal_bits`` is their mask, then
-    every other atom in first-seen order, which is set order and follows the
-    string hash seed. A mask means the same thing for the whole run and
-    nothing outside it. The id table has one entry per distinct atom, which
-    the problem bounds, and is not capped: a mask must not change meaning
-    mid-run.
+    Masks are the problem's (see ``SimulatorProblem.atom_bit``), so the
+    memo keeps no table of atoms: ``goal_bits`` is the mask of the goal
+    predicates, and ``goals`` and ``goal_mask`` ask the problem for their
+    bits.
 
     Each real ``simulate`` call and each memo hit is counted into
     ``stats.simulate_calls`` and ``stats.memo_hits``.
@@ -192,9 +227,8 @@ class TransitionMemo:
         self.problem = problem
         self.stats = stats
         self._records: dict = {}  # state -> its StateRecord
-        self._ids: dict = {}  # atom -> its bit in every mask of this run
         self._size = 0  # records plus stored successors
-        self.goal_bits = self._mask_and_bits(problem.goal_predicates)[0]
+        self.goal_bits = self.goal_mask(problem.goal_set)
         self.initial = self._record(problem.initial)
 
     def __len__(self) -> int:
@@ -204,35 +238,21 @@ class TransitionMemo:
         record = self._records.get(state)
         if record is None:
             problem = self.problem
-            record = StateRecord(
-                state, problem.is_goal(state), *self._mask_and_bits(problem.atoms(state))
-            )
+            record = StateRecord(state, problem.is_goal(state), problem.atom_mask(state))
             if self._size < MEMO_CAP:
                 self._records[state] = record
                 self._size += 1
         return record
 
-    def _mask_and_bits(self, atoms) -> tuple:
-        ids = self._ids
-        mask = 0
-        bits = []
-        for pred in atoms:
-            bit = ids.get(pred)
-            if bit is None:
-                bit = ids[pred] = 1 << len(ids)
-            mask |= bit
-            bits.append(bit)
-        return mask, tuple(bits)
-
     def goals(self, mask: int) -> frozenset:
         """The goal predicates whose bits ``mask`` sets."""
-        ids = self._ids
-        return frozenset(g for g in self.problem.goal_set if ids[g] & mask)
+        bit = self.problem.atom_bit
+        return frozenset(g for g in self.problem.goal_set if bit(g) & mask)
 
     def goal_mask(self, goals) -> int:
         """The mask of those of ``goals`` that are goal predicates."""
-        ids = self._ids
-        return sum(ids[g] for g in self.problem.goal_set.intersection(goals))
+        bit = self.problem.atom_bit
+        return sum(bit(g) for g in self.problem.goal_set.intersection(goals))
 
     def applicable(self, record: StateRecord) -> tuple:
         """The actions applicable in ``record``'s state, in declaration order."""

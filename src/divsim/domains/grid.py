@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ..core import Action, SimulatorProblem
+from ..core import Action, SimulatorProblem, mask_bits
 from ..errors import InapplicableAction, LevelInvalid
 from ..record import Record
 
@@ -59,28 +59,36 @@ def parse_grid(text: str) -> GridWorld:
 
 class GridProblem(SimulatorProblem):
     """Planner view of a world: a state is ``(cell, visited)``, the agent's
-    cell and the frozenset of target cells it has entered.
+    cell and an int with one bit per target cell it has entered, in target
+    order.
 
     ``applicable`` and ``simulate`` look moves up in one table, made once,
-    of the open cell each move reaches from each open cell. ``atoms`` gives
-    ``at-*`` for the cell and ``visited-*`` per visited target, from tables
-    of atom strings the problem makes once.
+    of the open cell each move reaches from each open cell. Target i's
+    ``visited-*`` atom has bit i of an atom mask, and the open cells'
+    ``at-*`` atoms the bits above the targets', so ``atom_mask`` is the
+    cell's bit ORed with ``visited``; ``atoms`` reads the mask's bits off a
+    table of atom strings the problem makes once.
     """
 
     def __init__(self, world: GridWorld):
         self.world = world
-        self._at_atom = {
-            (r, c): f"at-{r}-{c}"
-            for r in range(world.height)
-            for c in range(world.width)
-            if (r, c) not in world.walls
+        self._target_bit = {cell: 1 << i for i, cell in enumerate(world.targets)}
+        self._all_visited = (1 << len(world.targets)) - 1
+        self._atom = {  # bit of an atom mask -> its atom
+            bit: f"visited-{r}-{c}" for (r, c), bit in self._target_bit.items()
         }
-        self._visited = {cell: f"visited-{cell[0]}-{cell[1]}" for cell in world.targets}
+        self._at_bit = {}  # open cell -> the bit of its at-* atom
+        for r in range(world.height):
+            for c in range(world.width):
+                if (r, c) not in world.walls:
+                    bit = self._at_bit[r, c] = 1 << len(self._atom)
+                    self._atom[bit] = f"at-{r}-{c}"
+        self._bit_of_atom = {atom: bit for bit, atom in self._atom.items()}
         self._moves = {  # (cell, action name) -> the open cell the move reaches
             ((r, c), name): (r + dr, c + dc)
-            for r, c in self._at_atom
+            for r, c in self._at_bit
             for name, dr, dc in _MOVES
-            if (r + dr, c + dc) in self._at_atom
+            if (r + dr, c + dc) in self._at_bit
         }
 
     @classmethod
@@ -90,7 +98,7 @@ class GridProblem(SimulatorProblem):
     @cached_property
     def initial(self) -> tuple:
         start = self.world.start
-        return start, frozenset([start]) if start in self._visited else frozenset()
+        return start, self._target_bit.get(start, 0)
 
     @cached_property
     def actions(self) -> tuple:
@@ -98,7 +106,7 @@ class GridProblem(SimulatorProblem):
 
     @cached_property
     def goal_predicates(self) -> tuple:
-        return tuple(self._visited[cell] for cell in self.world.targets)
+        return tuple(self._atom[self._target_bit[cell]] for cell in self.world.targets)
 
     def applicable(self, state: tuple) -> tuple:
         cell = state[0]
@@ -109,13 +117,16 @@ class GridProblem(SimulatorProblem):
         dest = self._moves.get((cell, action.name))
         if dest is None:
             raise InapplicableAction(f"cannot move {action.name} from {cell}")
-        if dest in self._visited and dest not in visited:
-            visited = visited | {dest}
-        return dest, visited
+        return dest, visited | self._target_bit.get(dest, 0)
 
     def is_goal(self, state: tuple) -> bool:
-        return len(state[1]) == len(self._visited)
+        return state[1] == self._all_visited
 
     def atoms(self, state: tuple) -> frozenset:
-        cell, visited = state
-        return frozenset([self._at_atom[cell], *(self._visited[t] for t in visited)])
+        return frozenset(map(self._atom.__getitem__, mask_bits(self.atom_mask(state))))
+
+    def atom_bit(self, atom: str) -> int:
+        return self._bit_of_atom[atom]
+
+    def atom_mask(self, state: tuple) -> int:
+        return self._at_bit[state[0]] | state[1]

@@ -349,15 +349,17 @@ class PuzznicProblem(SimulatorProblem):
     move, a cursor move's destination depends on the cell alone: the problem
     asks the move rule once per cell, at construction, and answers cursor
     moves from that table; pushes still run the rule and ``settle``.
-    ``atoms`` gives the set ``puzznic_predicates`` would, built from tables
-    of atom strings that the problem makes once: cursor and block atoms per
-    cell, cleared atoms per pattern, and band atoms as scores reach them.
-    Many states share a grid, so each grid's goal flag and its block and
-    cleared atoms are built once and kept in one table; it stops taking new
-    grids at ``core.MEMO_CAP``, the memo's own bound, and later grids are
-    built on every call. The band width is at most 100 and scores are
-    multiples of 100, so a band names one score and two states are equal iff
-    their atoms are.
+    The problem gives each atom ``puzznic_predicates`` can name its bit
+    once: cleared atoms per pattern, cursor and block atoms per cell, and
+    band atoms as scores reach them. ``atom_mask`` ORs the grid's mask with
+    the cursor's bit and the band's bit, and ``atoms`` reads the mask's bits
+    off a table of atom strings. Many states share a grid, so each grid's
+    goal flag and the mask of its block and cleared atoms are worked out
+    once and kept in one table; it stops taking new grids at
+    ``core.MEMO_CAP``, the memo's own bound, and later grids are worked out
+    on every call. The band width is at most 100 and scores are multiples
+    of 100, so a band names one score and two states are equal iff their
+    atoms are.
     """
 
     def __init__(self, level: PuzznicLevel):
@@ -366,11 +368,15 @@ class PuzznicProblem(SimulatorProblem):
         grid, self._width, _ = _flat(level)
         cells = [i for i, cell in enumerate(grid) if cell != WALL]
         names = {i: f"{i // self._width}-{i % self._width}" for i in cells}
-        self._cursor_atoms = {i: f"cursor-{names[i]}" for i in cells}
-        self._block_atoms = {(p, i): f"block-{p}-{names[i]}" for p in self.patterns for i in cells}
-        self._cleared_atoms = tuple((p, f"cleared-{p}") for p in self.patterns)
-        self._band_atoms: dict = {}  # band -> its atom
-        self._grids: dict = {}  # grid -> (goal flag, its block and cleared atoms)
+        self._atom: dict = {}  # bit of an atom mask -> its atom
+        self._bit_of_atom: dict = {}
+        self._cleared_bits = tuple((p, self._new_bit(f"cleared-{p}")) for p in self.patterns)
+        self._cursor_bits = {i: self._new_bit(f"cursor-{names[i]}") for i in cells}
+        self._block_bits = {
+            (p, i): self._new_bit(f"block-{p}-{names[i]}") for p in self.patterns for i in cells
+        }
+        self._band_bits: dict = {}  # band -> its bit
+        self._grids: dict = {}  # grid -> (goal flag, the mask of its block and cleared atoms)
         self._cursor_dests: dict = {}  # (cell, cursor move name) -> the cell it reaches
         # cell -> (its applicable actions: its cursor moves, then with push-left,
         # with push-right, with both; the cells to its left and right, or the
@@ -396,6 +402,12 @@ class PuzznicProblem(SimulatorProblem):
     def from_text(cls, text: str) -> "PuzznicProblem":
         return cls(parse_puzznic(text))
 
+    def _new_bit(self, atom: str) -> int:
+        bit = 1 << len(self._atom)
+        self._atom[bit] = atom
+        self._bit_of_atom[atom] = bit
+        return bit
+
     @cached_property
     def initial(self) -> tuple:
         grid, _, cursor = _flat(self.level0)
@@ -409,7 +421,7 @@ class PuzznicProblem(SimulatorProblem):
 
     @cached_property
     def goal_predicates(self) -> tuple:
-        return tuple(atom for _, atom in self._cleared_atoms)
+        return tuple(self._atom[bit] for _, bit in self._cleared_bits)
 
     def applicable(self, state: tuple) -> tuple:
         grid, cursor, _ = state
@@ -426,12 +438,12 @@ class PuzznicProblem(SimulatorProblem):
         return grid, dest, score
 
     def _grid_entry(self, grid: str) -> tuple:
-        """``grid``'s goal flag and its block and cleared atoms."""
-        atoms = self._block_atoms
-        blocks = [atoms[cell, i] for i, cell in enumerate(grid) if cell != WALL and cell != EMPTY]
+        """``grid``'s goal flag and the mask of its block and cleared atoms."""
+        bits = self._block_bits
+        blocks = [bits[cell, i] for i, cell in enumerate(grid) if cell != WALL and cell != EMPTY]
         present = set(grid)
-        cleared = [atom for p, atom in self._cleared_atoms if p not in present]
-        entry = (not blocks, frozenset(blocks + cleared))
+        cleared = [bit for p, bit in self._cleared_bits if p not in present]
+        entry = (not blocks, sum(blocks) + sum(cleared))
         if len(self._grids) < core.MEMO_CAP:
             self._grids[grid] = entry
         return entry
@@ -440,13 +452,19 @@ class PuzznicProblem(SimulatorProblem):
         return (self._grids.get(state[0]) or self._grid_entry(state[0]))[0]
 
     def atoms(self, state: tuple) -> frozenset:
+        return frozenset(map(self._atom.__getitem__, core.mask_bits(self.atom_mask(state))))
+
+    def atom_bit(self, atom: str) -> int:
+        return self._bit_of_atom[atom]
+
+    def atom_mask(self, state: tuple) -> int:
         grid, cursor, score = state
         band = score // self.level0.band_width
-        band_atom = self._band_atoms.get(band)
-        if band_atom is None:
-            band_atom = self._band_atoms[band] = f"score-band-{band}"
-        grid_atoms = (self._grids.get(grid) or self._grid_entry(grid))[1]
-        return grid_atoms | {self._cursor_atoms[cursor], band_atom}
+        band_bit = self._band_bits.get(band)
+        if band_bit is None:
+            band_bit = self._band_bits[band] = self._new_bit(f"score-band-{band}")
+        grid_mask = (self._grids.get(grid) or self._grid_entry(grid))[1]
+        return grid_mask | self._cursor_bits[cursor] | band_bit
 
 
 def _compose_frame(caption: str, grid, cursor, score: int) -> str:

@@ -65,7 +65,7 @@ from enum import Enum
 from typing import Callable, Iterator, Optional
 
 from .behaviour import Behaviour, BehaviourSpace
-from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo
+from .core import AugmentedState, Plan, SimulatorProblem, TransitionMemo, mask_bits
 from .errors import BudgetExceeded
 from .record import MutableRecord, Record, check_int, set_field
 
@@ -291,19 +291,19 @@ def state_tuples(raw: frozenset, width: int) -> frozenset:
     return frozenset(tuples)
 
 
-def _layers(bits, size: int):
-    """The masks of the sets of at most ``size`` of the one-bit ints
-    ``bits``, each once."""
+def _layers(mask: int, size: int):
+    """The masks of the subsets of at most ``size`` atoms of the state
+    ``mask``, each once."""
     if size == 0:
         return (0,)
+    bits = mask_bits(mask)
     keys = [0, *bits]
-    if size > 1:
-        # A set of the next size is one of this size plus a bit above its
-        # highest; for a one-bit ``bit``, ``bit > key`` says exactly that.
-        layer = bits = sorted(bits)
-        for _ in range(1, size):
-            layer = [key | bit for key in layer for bit in bits if bit > key]
-            keys += layer
+    # A set of the next size is one of this size plus a bit above its
+    # highest; for a one-bit ``bit``, ``bit > key`` says exactly that.
+    layer = bits
+    for _ in range(1, size):
+        layer = [key | bit for key in layer for bit in bits if bit > key]
+        keys += layer
     return keys
 
 
@@ -334,8 +334,10 @@ class NoveltyTable:
     looks up only the keys within m of size below i that hold an added atom,
     or {} at width 1: one lookup per added atom at width 2, and none for a
     candidate that adds no atom, which is never novel. Keys are built on
-    each call from the bits the run's memo keeps per state, so the table
-    itself holds nothing per state.
+    each call from the state's mask, and only where the width needs them:
+    ``record`` splits the mask into its bits from width 2 on, and
+    ``is_novel`` from width 3 on. The table itself holds nothing per
+    state.
 
     In TRACE_LOCAL scope a node's summary is a copy of its parent's with
     the node recorded. Only the node's own children are tested against it,
@@ -344,24 +346,22 @@ class NoveltyTable:
     parent is recorded before any child is tested, so the argument above
     holds. In GLOBAL scope one summary serves the whole width iteration,
     and a true result records the candidate in it as a side effect. Masks
-    and bits must come from one run's ``TransitionMemo``.
+    must come from one problem's ``atom_mask``.
     """
 
     def __init__(self, width: int, scope: NoveltyScope):
         self.width = width
         self.scope = scope
 
-    def record(self, summary: dict, mask: int, bits: tuple) -> dict:
-        """Record the state ``mask``, whose one-bit ints are ``bits``, in
-        ``summary``, in place; return it."""
-        for key in _layers(bits, self.width - 1):
+    def record(self, summary: dict, mask: int) -> dict:
+        """Record the state ``mask`` in ``summary``, in place; return it."""
+        for key in _layers(mask, self.width - 1):
             summary[key] = summary.get(key, 0) | mask
         return summary
 
-    def is_novel(self, mask: int, bits: tuple, parent_mask: int, summary: dict) -> bool:
-        """Whether the state ``mask``, whose one-bit ints are ``bits``, is
-        novel as a child of the state ``parent_mask``, which ``summary``
-        holds."""
+    def is_novel(self, mask: int, parent_mask: int, summary: dict) -> bool:
+        """Whether the state ``mask`` is novel as a child of the state
+        ``parent_mask``, which ``summary`` holds."""
         added = mask & ~parent_mask
         if self.width == 1:
             novel = bool(added) and summary.get(0, 0) & mask != mask
@@ -369,7 +369,7 @@ class NoveltyTable:
             # Each key that holds an added atom, once: its lowest added atom
             # ``low`` plus up to width - 2 other atoms of the state, none of
             # them an added atom at or below ``low``.
-            others = _layers(bits, self.width - 2)
+            others = _layers(mask, self.width - 2)
             novel = False
             done = 0
             while added and not novel:
@@ -381,7 +381,7 @@ class NoveltyTable:
                         novel = True
                         break
         if novel and self.scope is NoveltyScope.GLOBAL:
-            self.record(summary, mask, bits)
+            self.record(summary, mask)
         return novel
 
 
@@ -432,7 +432,7 @@ def _iw_goal_stream(
         try:
             record = memo.initial
             table = NoveltyTable(width, novelty.scope)
-            summary = {} if trace_local else table.record({}, record.mask, record.bits)
+            summary = {} if trace_local else table.record({}, record.mask)
             root = _Node(record, 0, record.mask & goal_bits, None, None, summary)
             visited = {record.mask | root.latched}
             queue = deque([root])
@@ -445,14 +445,14 @@ def _iw_goal_stream(
                 parent = node.record
                 parent_mask = parent.mask
                 if trace_local:
-                    node.summary = table.record(dict(node.summary), parent_mask, parent.bits)
+                    node.summary = table.record(dict(node.summary), parent_mask)
                 summary = node.summary
                 for index, action in enumerate(memo.applicable(parent)):
                     budget.spend_node()
                     stats.nodes_generated += 1
                     record = memo.step(parent, index)
                     mask = record.mask
-                    if not table.is_novel(mask, record.bits, parent_mask, summary):
+                    if not table.is_novel(mask, parent_mask, summary):
                         stats.pruned_by_novelty += 1
                         pruned = True
                         continue

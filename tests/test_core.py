@@ -145,16 +145,22 @@ def _undo_steps(memo):
     )
 
 
-def test_memo_masks_use_dense_per_run_bits():
+def test_default_atom_bits_put_goals_first_and_stay_across_runs():
     problem = UndoToggleProblem()
+    # A fresh problem meets undone-a before gb, and still numbers the goals
+    # first, in declaration order, then every other atom as it meets it.
     memo = TransitionMemo(problem, SearchStats())
-    assert (memo.initial.mask, memo.initial.bits) == (0, ())
-    # Goals take the first bits in declaration order, other atoms follow.
+    assert memo.initial.mask == 0
+    a = _step(memo, memo.initial, "set-a")
+    assert _step(memo, a, "unset-a").mask == 0b100
+    assert [problem.atom_bit(x) for x in ("ga", "gb", "undone-a")] == [0b001, 0b010, 0b100]
     assert _undo_steps(memo) == (0b001, 0b010, 0b011, 0b100)
-    # Each run numbers atoms afresh; a new memo holds nothing of the last one.
+    # The numbering is the problem's: a new memo holds none of the last
+    # one's records, and reads the same masks.
     other = TransitionMemo(problem, SearchStats())
     assert len(other) == 1
     assert _undo_steps(other) == (0b001, 0b010, 0b011, 0b100)
+    assert [problem.atom_bit(x) for x in ("ga", "gb", "undone-a")] == [0b001, 0b010, 0b100]
 
 
 def test_memo_goal_bits_and_the_goals_of_a_mask():
@@ -166,14 +172,18 @@ def test_memo_goal_bits_and_the_goals_of_a_mask():
     assert memo.goals(undone) == frozenset()
     assert memo.goals(undone | 0b01) == frozenset({"ga"})
     assert memo.goals(0) == frozenset()
+    assert memo.goal_mask({"gb", "undone-a"}) == problem.atom_bit("gb") == 0b10
 
 
-def test_memo_bits_are_the_bits_of_the_mask():
+def test_default_atom_mask_is_the_or_of_the_atom_bits():
     problem = UndoToggleProblem()
     memo = TransitionMemo(problem, SearchStats())
     a = _step(memo, memo.initial, "set-a")
     for name in ("unset-a", "set-b"):
         got = _step(memo, a, name)
-        assert len(got.bits) == len(set(got.bits)) == bin(got.mask).count("1")
-        assert all(bit & got.mask and bit & (bit - 1) == 0 for bit in got.bits)
-    assert sorted(_step(memo, a, "set-b").bits) == [0b001, 0b010]
+        bits = [problem.atom_bit(atom) for atom in problem.atoms(got.state)]
+        assert len(bits) == len(set(bits)) == bin(got.mask).count("1")
+        assert all(bit & got.mask and bit & (bit - 1) == 0 for bit in bits)
+        assert sum(bits) == got.mask == problem.atom_mask(got.state)
+    assert problem.atom_mask(_step(memo, a, "set-b").state) == 0b011
+

@@ -306,20 +306,6 @@ class TestProblem:
         assert view[0] == problem.atoms(problem.initial) | {"cost-0"}
         assert {"cleared-a", "first-cleared-a", "goal-state", "cost-1"} <= view[1]
 
-    def test_memo_asks_atoms_once_per_distinct_state(self, monkeypatch):
-        problem = load_problem(fixture_path("pairs.puz"))
-        asked = []
-        atoms = problem.atoms
-        monkeypatch.setattr(problem, "atoms", lambda state: asked.append(state) or atoms(state))
-        successors = set()
-        simulate = problem.simulate
-        monkeypatch.setattr(
-            problem, "simulate", lambda s, a: successors.add(simulate(s, a)) or simulate(s, a)
-        )
-        fbi(problem, BehaviourSpace((GoalOrder(problem.goal_predicates),)), k=6)
-        assert len(asked) == len(set(asked))
-        assert successors | {problem.initial} == set(asked)
-
 
 # The three-pattern level of the benchmark's ``puzznic-fbi`` workload.
 FBI_LEVEL = "#########\n#a..b..c#\n##.###.##\n#a.@b..c#\n#########\n"

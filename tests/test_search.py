@@ -123,27 +123,26 @@ class PairsThenTriple(SimulatorProblem):
         return state == self.CHAIN[-1]
 
 
-# Test-local atom numbering; in a search the run's TransitionMemo assigns it.
+# Test-local atom numbering; in a search the problem's ``atom_bit`` gives it.
 BITS = {"p": 1, "q": 2, "r": 4}
 
 
 def _state(*names):
-    """``(mask, bits)`` of the state that holds ``names``."""
-    bits = tuple(BITS[n] for n in names)
-    return sum(bits), bits
+    """The mask of the state that holds ``names``."""
+    return sum(BITS[n] for n in names)
 
 
 def _summary(table, *states):
     """``table``'s summary with each state, given as atom names, recorded."""
     summary = {}
     for names in states:
-        table.record(summary, *_state(*names))
+        table.record(summary, _state(*names))
     return summary
 
 
 def _novel(table, names, parent, summary):
     """Whether the state ``names``, a child of the recorded ``parent``, is novel."""
-    return table.is_novel(*_state(*names), _state(*parent)[0], summary)
+    return table.is_novel(_state(*names), _state(*parent), summary)
 
 
 def _workload_instance(name):
@@ -231,8 +230,7 @@ class TestNovelty:
         bit = {a: 1 << i for i, a in enumerate(atoms)}
 
         def encode(state):
-            bits = tuple(bit[a] for a in state)
-            return sum(bits), bits
+            return sum(bit[a] for a in state)
 
         def near(parent):
             """``(kind, state)``: a small change of the state ``parent``."""
@@ -256,20 +254,20 @@ class TestNovelty:
             root = frozenset(rng.sample(atoms, rng.randint(0, 4)))
             # (state, summary, tuples recorded) per kept node; GLOBAL nodes
             # share one summary and one set.
-            kept = [(root, table.record({}, *encode(root)), set(state_tuples(root, width)))]
+            kept = [(root, table.record({}, encode(root)), set(state_tuples(root, width)))]
             for _ in range(30):
                 parent, summary, seen = rng.choice(kept)
                 kind, state = near(parent)
                 tuples = state_tuples(state, width)
                 expected = not tuples <= seen
-                got = table.is_novel(*encode(state), encode(parent)[0], summary)
+                got = table.is_novel(encode(state), encode(parent), summary)
                 assert got == expected, (sorted(state), sorted(parent), width, scope)
                 kinds[kind, got] += 1
                 if got and scope is NoveltyScope.GLOBAL:
                     seen |= tuples
                     kept.append((state, summary, seen))
                 elif got:
-                    record = table.record(dict(summary), *encode(state))
+                    record = table.record(dict(summary), encode(state))
                     kept.append((state, record, seen | tuples))
         for kind in ("one atom flipped", "disjoint", "some atoms swapped"):
             assert kinds[kind, True] and kinds[kind, False], kind
@@ -281,8 +279,7 @@ class TestNovelty:
         for _ in range(200):
             mask = rng.getrandbits(rng.randint(0, 12))
             bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-            rng.shuffle(bits)
-            got = list(search._layers(tuple(bits), size))
+            got = list(search._layers(mask, size))
             assert len(got) == len(set(got))
             assert sorted(got) == sorted(
                 sum(combo) for n in range(size + 1) for combo in itertools.combinations(bits, n)
@@ -297,11 +294,9 @@ class TestNovelty:
         for _ in range(200):
             mask = rng.getrandbits(rng.randint(1, 12)) | 1
             added = mask & rng.getrandbits(12) or mask & -mask
-            bits = [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-            rng.shuffle(bits)
-            keys = search._layers(tuple(bits), width - 1)
+            keys = search._layers(mask, width - 1)
             summary = LoggingDict({key: mask for key in keys})
-            assert not table.is_novel(mask, tuple(bits), mask & ~added, summary)
+            assert not table.is_novel(mask, mask & ~added, summary)
             got = summary.asked
             if width == 1:
                 assert got == [0]
@@ -318,11 +313,28 @@ class TestNovelty:
         summary = {}
         parent = 0
         for mask in range(1, 2000):
-            bits = tuple(1 << i for i in range(mask.bit_length()) if mask >> i & 1)
-            if table.is_novel(mask, bits, parent, summary) and scope is NoveltyScope.TRACE_LOCAL:
-                table.record(summary, mask, bits)
+            if table.is_novel(mask, parent, summary) and scope is NoveltyScope.TRACE_LOCAL:
+                table.record(summary, mask)
             parent = mask
         assert vars(table) == {"width": width, "scope": scope}
+
+    @pytest.mark.parametrize("scope", list(NoveltyScope), ids=lambda s: s.value)
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_splits_masks_into_bits_only_where_the_width_needs_them(
+        self, width, scope, monkeypatch
+    ):
+        # ``record`` needs a state's bits from width 2 on, ``is_novel`` from
+        # width 3 on; width 1 reads none.
+        split = []
+        mask_bits = search.mask_bits
+        monkeypatch.setattr(search, "mask_bits", lambda mask: split.append(mask) or mask_bits(mask))
+        table = NoveltyTable(width, scope)
+        summary = table.record({}, 0b011)
+        assert len(split) == (width >= 2)
+        split.clear()
+        assert table.is_novel(0b110, 0b011, dict(summary)) is True
+        records = scope is NoveltyScope.GLOBAL and width >= 2
+        assert len(split) == (width >= 3) + records
 
     @staticmethod
     def _counted_run(name, scope, monkeypatch):
