@@ -129,7 +129,7 @@ def _report(spec: TaskSpec, costs, result: PlanSetResult, outcome: str, plans_pa
     )
     doc = plan_set_document(spec, costs, result, outcome)
     if plans_path is not None:
-        Path(plans_path).write_text(json.dumps(doc, indent=2) + "\n")
+        Path(plans_path).write_text(json.dumps(doc) + "\n")
     return row, doc
 
 

@@ -37,9 +37,12 @@ Nodes hold the run memo's record of their state, and both tests above
 read its atom mask. A behaviour is read off the latched goal masks along
 its node's path; no ``AugmentedState`` is built (``node_states``, which
 the benchmark's tracer rebinds by name, converts a path back). In trace
-scope a node's novelty summary is built when the node is expanded and
-dropped when the expansion ends; its queued children carry it until they
-are expanded in turn.
+scope a node's children are tested against the novelty summary the node
+carries, its parent's: the test reads only keys that hold an atom the
+step added, which the node lacks, so recording the node changes none of
+them. The node's own summary is built only when it queues its first
+child, which carries it until it is expanded in turn; an expansion that
+queues no child builds none.
 
 Each planner filters the one stream itself. ``fbi`` first forbids
 behaviours until the space is exhausted, then falls back to forbidding
@@ -235,8 +238,9 @@ class _Node:
     ``cost`` and ``latched``, the mask of the goals true here or before.
 
     ``summary`` is the novelty summary the node's children are tested
-    against while it is expanded; before that it is its parent's, and once
-    the expansion ends it is None (see ``NoveltyTable``)."""
+    against: in trace scope that of its ancestors, built by its parent
+    when it queued its first child. Once the node's expansion ends it is
+    None (see ``NoveltyTable``)."""
 
     __slots__ = ("record", "cost", "latched", "parent", "action_name", "summary")
 
@@ -322,31 +326,36 @@ class NoveltyTable:
     together with K, so the combination K + {a} is new. That is the
     ``state_tuples`` definition, decided without building any tuple.
 
-    Only keys that hold an atom the step added need a look. The parent p of
-    a candidate is already recorded in the summary the candidate meets: in
-    TRACE_LOCAL scope that summary is p's own, in GLOBAL scope p was
-    recorded when it passed the test, and the root is recorded before any
-    child is tested. So every combination within p is seen, and a new one
-    holds an added atom, one of ``m & ~p``. Take a new combination T and an
-    added atom a in it. If T has two or more atoms, K = T minus some atom
+    Only keys that hold an atom the step added need a look. Every
+    combination within the parent p of a candidate counts as seen, so a new
+    one holds an added atom, one of ``m & ~p``. Take a new combination T and
+    an added atom a in it. If T has two or more atoms, K = T minus some atom
     other than a holds a and shows T new. If T = {a}, a was never recorded:
     K = {a} shows it from width 2 on, and K = {} at width 1. So the test
     looks up only the keys within m of size below i that hold an added atom,
-    or {} at width 1: one lookup per added atom at width 2, and none for a
-    candidate that adds no atom, which is never novel. Keys are built on
-    each call from the state's mask, and only where the width needs them:
-    ``record`` splits the mask into its bits from width 2 on, and
-    ``is_novel`` from width 3 on. The table itself holds nothing per
-    state.
+    the one-atom keys first, or {} at width 1, where it reads
+    ``summary[{}] & added``: one lookup per added atom at width 2, and
+    none for a candidate that adds no atom, which is never novel.
+    ``record`` writes only keys the test can read.
 
-    In TRACE_LOCAL scope a node's summary is a copy of its parent's with
-    the node recorded. Only the node's own children are tested against it,
-    so the search builds it when the node is popped for expansion and drops
-    it when the expansion ends; a queued node carries its parent's. The
-    parent is recorded before any child is tested, so the argument above
-    holds. In GLOBAL scope one summary serves the whole width iteration,
-    and a true result records the candidate in it as a side effect. Masks
-    must come from one problem's ``atom_mask``.
+    None of those keys is within p, so recording p changes no entry the
+    test reads: it decides the same whether or not the summary holds p, as
+    long as it holds every earlier ancestor. Keys are built from the
+    state's mask on each call, the one-atom keys without a list; only keys
+    of two atoms or more, from width 3 on, split the mask into its bits,
+    and ``is_novel`` builds them only when no one-atom key has decided.
+    The table itself holds nothing per state.
+
+    In TRACE_LOCAL scope a node's children are thus tested against the
+    summary the node carries, its parent's. The node's own, with the node
+    recorded, is built when it queues its first child, and every child it
+    queues carries it. Siblings sit side by side in the queue, so when the
+    next queued node has another parent, no other node holds the carried
+    summary and the node records into it in place instead of into a copy.
+    In GLOBAL scope one summary serves the whole width iteration: the root
+    is recorded before any child is tested, and a true result records the
+    candidate in it as a side effect. Masks must come from one problem's
+    ``atom_mask``.
     """
 
     def __init__(self, width: int, scope: NoveltyScope):
@@ -354,32 +363,51 @@ class NoveltyTable:
         self.scope = scope
 
     def record(self, summary: dict, mask: int) -> dict:
-        """Record the state ``mask`` in ``summary``, in place; return it."""
-        for key in _layers(mask, self.width - 1):
-            summary[key] = summary.get(key, 0) | mask
+        """Record the state ``mask`` in ``summary``, in place, under the keys
+        ``is_novel`` reads: {} at width 1, else its sets of 1 to width - 1
+        atoms. Return ``summary``."""
+        if self.width == 1:
+            summary[0] = summary.get(0, 0) | mask
+            return summary
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            summary[low] = summary.get(low, 0) | mask
+        if self.width > 2:
+            for key in _layers(mask, self.width - 1):
+                if key & (key - 1):  # two atoms or more
+                    summary[key] = summary.get(key, 0) | mask
         return summary
 
     def is_novel(self, mask: int, parent_mask: int, summary: dict) -> bool:
         """Whether the state ``mask`` is novel as a child of the state
-        ``parent_mask``, which ``summary`` holds."""
+        ``parent_mask``; ``summary`` holds the parent's ancestors, with or
+        without the parent itself."""
         added = mask & ~parent_mask
         if self.width == 1:
-            novel = bool(added) and summary.get(0, 0) & mask != mask
+            novel = summary.get(0, 0) & added != added
         else:
-            # Each key that holds an added atom, once: its lowest added atom
-            # ``low`` plus up to width - 2 other atoms of the state, none of
-            # them an added atom at or below ``low``.
-            others = _layers(mask, self.width - 2)
             novel = False
-            done = 0
-            while added and not novel:
-                low = added & -added
-                added ^= low
-                done |= low
-                for key in others:
-                    if not key & done and summary.get(low | key, 0) & mask != mask:
-                        novel = True
-                        break
+            rest = added
+            while rest and not novel:  # the one-atom keys first
+                low = rest & -rest
+                rest ^= low
+                novel = summary.get(low, 0) & mask != mask
+            if not novel and self.width > 2:
+                # Each larger key that holds an added atom, once: its lowest
+                # added atom ``low`` plus 1 to width - 2 other atoms of the
+                # state, none of them an added atom at or below ``low``.
+                others = _layers(mask, self.width - 2)
+                done = 0
+                while added and not novel:
+                    low = added & -added
+                    added ^= low
+                    done |= low
+                    for key in others:
+                        if key and not key & done and summary.get(low | key, 0) & mask != mask:
+                            novel = True
+                            break
         if novel and self.scope is NoveltyScope.GLOBAL:
             self.record(summary, mask)
         return novel
@@ -413,8 +441,8 @@ def _iw_goal_stream(
     restart under the larger forbidden set would arrive, and yields the
     same goal nodes in the same order. Only a node ``drop`` let through can
     tell the two apart, once its key is forbidden: ``fbi`` then restarts
-    the stream. A node still queued when the stream closes never builds its
-    own novelty summary.
+    the stream. A node still queued when the stream closes, or one that
+    queues no child, never builds its own novelty summary.
 
     A width in which novelty pruned no node ends the stream: it was a plain
     breadth-first search, so the next width would generate the same nodes
@@ -444,9 +472,10 @@ def _iw_goal_stream(
                 stats.nodes_expanded += 1
                 parent = node.record
                 parent_mask = parent.mask
-                if trace_local:
-                    node.summary = table.record(dict(node.summary), parent_mask)
                 summary = node.summary
+                # What the queued children carry; in trace scope it is built
+                # when the first one is queued.
+                handed = None if trace_local else summary
                 for index, action in enumerate(memo.applicable(parent)):
                     budget.spend_node()
                     stats.nodes_generated += 1
@@ -465,7 +494,7 @@ def _iw_goal_stream(
                     if cost > budget.cost_bound:
                         stats.pruned_by_cost += 1
                         continue
-                    child = _Node(record, cost, latched, node, action.name, summary)
+                    child = _Node(record, cost, latched, node, action.name, handed)
                     if record.goal:
                         yield child
                         if not expand_goals:
@@ -475,6 +504,12 @@ def _iw_goal_stream(
                         stats.pruned_by_behaviour += 1
                         continue
                     visited.add(key)
+                    if handed is None:
+                        # Siblings are queued side by side, so once none is
+                        # next, no other node holds ``summary``.
+                        if queue and queue[0].parent is node.parent:
+                            summary = dict(summary)
+                        handed = child.summary = table.record(summary, parent_mask)
                     queue.append(child)
                 node.summary = None
         finally:

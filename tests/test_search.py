@@ -323,24 +323,64 @@ class TestNovelty:
     def test_splits_masks_into_bits_only_where_the_width_needs_them(
         self, width, scope, monkeypatch
     ):
-        # ``record`` needs a state's bits from width 2 on, ``is_novel`` from
-        # width 3 on; width 1 reads none.
+        # ``record`` needs a state's bits from width 3 on, for its keys of two
+        # atoms or more. ``is_novel`` needs them only from width 3 on, and
+        # only when no one-atom key has decided; width 1 reads none.
         split = []
         mask_bits = search.mask_bits
         monkeypatch.setattr(search, "mask_bits", lambda mask: split.append(mask) or mask_bits(mask))
         table = NoveltyTable(width, scope)
-        summary = table.record({}, 0b011)
-        assert len(split) == (width >= 2)
+        records = scope is NoveltyScope.GLOBAL  # a novel candidate is recorded
+        summary = _summary(table, ("p", "q"))
+        assert len(split) == (width >= 3)
+        # r is new, so its one-atom key decides.
         split.clear()
-        assert table.is_novel(0b110, 0b011, dict(summary)) is True
-        records = scope is NoveltyScope.GLOBAL and width >= 2
-        assert len(split) == (width >= 3) + records
+        assert _novel(table, ("q", "r"), ("p", "q"), dict(summary)) is True
+        assert len(split) == (width >= 3 and records)
+        # Every atom has held with every other one, so only a key of two
+        # atoms or more can show {p, q, r} new.
+        summary = _summary(table, ("p", "q"), ("q", "r"), ("p", "r"))
+        split.clear()
+        assert _novel(table, ("p", "q", "r"), ("p", "r"), dict(summary)) is (width >= 3)
+        assert len(split) == (width >= 3) * (1 + records)
+
+    @pytest.mark.parametrize("with_parent", [True, False], ids=["with-parent", "without-parent"])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_trace_decisions_match_tuple_definition_without_the_parent(self, width, with_parent):
+        # In trace scope a candidate meets the summary its parent carries,
+        # which lacks the parent, or, once the parent has recorded itself in
+        # place, one that holds it. Both decide what the tuple definition
+        # over the whole path decides.
+        rng = random.Random(f"paths-{width}-{with_parent}")
+        table = NoveltyTable(width, NoveltyScope.TRACE_LOCAL)
+
+        def tuples(mask):
+            return state_tuples(frozenset(i for i in range(8) if mask >> i & 1), width)
+
+        decided = collections.Counter()
+        for _ in range(30):
+            parent = rng.getrandbits(8)
+            summary = {}  # the ancestors of ``parent``, itself left out
+            seen = set()  # their tuples
+            for _ in range(20):
+                mask = parent
+                for _ in range(rng.randint(1, 3)):
+                    mask ^= 1 << rng.randrange(8)
+                expected = not tuples(mask) <= seen | tuples(parent)
+                tested = table.record(dict(summary), parent) if with_parent else summary
+                assert table.is_novel(mask, parent, tested) == expected, (mask, parent)
+                decided[expected] += 1
+                if expected:  # walk down to the novel child
+                    table.record(summary, parent)
+                    seen |= tuples(parent)
+                    parent = mask
+        assert decided[True] >= 50 and decided[False] >= 50, decided
 
     @staticmethod
     def _counted_run(name, scope, monkeypatch):
-        """``fbi`` on the workload instance ``name`` with every novelty table
-        and record counted, and the ancestors of each yielded goal node
-        checked as it is yielded."""
+        """``fbi`` on the workload instance ``name`` with every novelty table,
+        record and node that queues a child counted, and the ancestors of
+        each yielded goal node checked as it is yielded."""
         counts = collections.Counter()
 
         class CountingTable(NoveltyTable):
@@ -373,16 +413,27 @@ class TestNovelty:
                         )
                     yield goal
 
+        class LoggingQueue(collections.deque):
+            """A search queue that notes the parent of every node it queues."""
+
+            def append(self, node):
+                queuing.add(node.parent)
+                super().append(node)
+
+        queuing = set()  # the nodes that queued a child
+        monkeypatch.setattr(search, "deque", LoggingQueue)
         monkeypatch.setattr(search, "NoveltyTable", CountingTable)
         monkeypatch.setattr(search, "_iw_goal_stream", checked_stream)
         problem, space, bound, k = _workload_instance(name)
         got = fbi(problem, space, k, NoveltyConfig(2, scope), SearchLimits(bound))
+        counts["queuing"] = len(queuing)
         return got.stats, counts
 
     @pytest.mark.parametrize("name", ["puzznic-abc", "pentest-star7"])
     def test_trace_summary_lives_only_while_its_node_is_expanded(self, name, monkeypatch):
         stats, counts = self._counted_run(name, NoveltyScope.TRACE_LOCAL, monkeypatch)
-        assert counts["records"] == stats.nodes_expanded
+        # A summary is built only by an expansion that queues a child.
+        assert counts["records"] == counts["queuing"] < stats.nodes_expanded
         assert counts["yielded"] > 0
         assert counts["parent_has_summary"] == counts["yielded"]
         assert counts["done_with_summary"] == 0
