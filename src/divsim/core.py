@@ -100,7 +100,11 @@ class SimulatorProblem(ABC):
     in the order ``atoms`` yields it, which is set order and follows the
     string hash seed; their table is not capped, as a bit must not change
     meaning. A domain that keeps its state as ints can give both natively
-    and skip building atom strings per state.
+    and skip building atom strings per state. A domain whose atoms fit in
+    a small int may keep its mask as its state, so ``atom_mask`` returns
+    the state and a step, a hash and a compare each work on one small int;
+    Grid and Pentest do. Puzznic keeps a tuple, as its masks span about 84
+    bits, and every operation on an int that wide allocates a new one.
     """
 
     @property
@@ -235,13 +239,12 @@ class TransitionMemo:
         return self._size
 
     def _record(self, state: State) -> StateRecord:
-        record = self._records.get(state)
-        if record is None:
-            problem = self.problem
-            record = StateRecord(state, problem.is_goal(state), problem.atom_mask(state))
-            if self._size < MEMO_CAP:
-                self._records[state] = record
-                self._size += 1
+        """A new record of ``state``, which the table does not hold."""
+        problem = self.problem
+        record = StateRecord(state, problem.is_goal(state), problem.atom_mask(state))
+        if self._size < MEMO_CAP:
+            self._records[state] = record
+            self._size += 1
         return record
 
     def goals(self, mask: int) -> frozenset:
@@ -270,7 +273,10 @@ class TransitionMemo:
             self.stats.memo_hits += 1
             return successors[index]
         self.stats.simulate_calls += 1
-        got = self._record(self.problem.simulate(record.state, record.applicable[index]))
+        state = self.problem.simulate(record.state, record.applicable[index])
+        got = self._records.get(state)
+        if got is None:
+            got = self._record(state)
         if index == len(successors) and self._size < MEMO_CAP:
             successors.append(got)
             self._size += 1

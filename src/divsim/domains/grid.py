@@ -58,16 +58,19 @@ def parse_grid(text: str) -> GridWorld:
 
 
 class GridProblem(SimulatorProblem):
-    """Planner view of a world: a state is ``(cell, visited)``, the agent's
-    cell and an int with one bit per target cell it has entered, in target
-    order.
+    """Planner view of a world: a state is the int ``at-bit | visited``, the
+    bit of the agent's open cell ORed with one bit per target cell it has
+    entered.
 
-    ``applicable`` and ``simulate`` look moves up in one table, made once,
-    of the open cell each move reaches from each open cell. Target i's
-    ``visited-*`` atom has bit i of an atom mask, and the open cells'
-    ``at-*`` atoms the bits above the targets', so ``atom_mask`` is the
-    cell's bit ORed with ``visited``; ``atoms`` reads the mask's bits off a
-    table of atom strings the problem makes once.
+    That int is also the state's atom mask: target i's ``visited-*`` atom
+    has bit i, and the open cells' ``at-*`` atoms, in row-major order, the
+    bits above the targets', so ``atom_mask`` returns the state itself, and
+    ``atoms`` reads its bits off a table of atom strings the problem makes
+    once. A state hashes and compares as one small int. As walls never
+    move, the problem works out each open cell's moves once, keyed by its
+    at-bit: the tuple of applicable actions, and for each move the at-bit
+    of the cell it reaches ORed with that cell's target bit, so a step is
+    one lookup and an OR.
     """
 
     def __init__(self, world: GridWorld):
@@ -84,21 +87,27 @@ class GridProblem(SimulatorProblem):
                     bit = self._at_bit[r, c] = 1 << len(self._atom)
                     self._atom[bit] = f"at-{r}-{c}"
         self._bit_of_atom = {atom: bit for bit, atom in self._atom.items()}
-        self._moves = {  # (cell, action name) -> the open cell the move reaches
-            ((r, c), name): (r + dr, c + dc)
-            for r, c in self._at_bit
-            for name, dr, dc in _MOVES
-            if (r + dr, c + dc) in self._at_bit
-        }
+        self._at_mask = sum(self._at_bit.values())
+        self._cell_of = {bit: cell for cell, bit in self._at_bit.items()}
+        self._applicable = {}  # at-bit -> the actions applicable there
+        self._moves = {}  # at-bit -> {action name -> the bits its move sets}
+        for (r, c), bit in self._at_bit.items():
+            moves = {}
+            for name, dr, dc in _MOVES:
+                dest = r + dr, c + dc
+                if dest in self._at_bit:
+                    moves[name] = self._at_bit[dest] | self._target_bit.get(dest, 0)
+            self._moves[bit] = moves
+            self._applicable[bit] = tuple(a for a in self.actions if a.name in moves)
 
     @classmethod
     def from_text(cls, text: str) -> "GridProblem":
         return cls(parse_grid(text))
 
     @cached_property
-    def initial(self) -> tuple:
+    def initial(self) -> int:
         start = self.world.start
-        return start, self._target_bit.get(start, 0)
+        return self._at_bit[start] | self._target_bit.get(start, 0)
 
     @cached_property
     def actions(self) -> tuple:
@@ -108,25 +117,24 @@ class GridProblem(SimulatorProblem):
     def goal_predicates(self) -> tuple:
         return tuple(self._atom[self._target_bit[cell]] for cell in self.world.targets)
 
-    def applicable(self, state: tuple) -> tuple:
-        cell = state[0]
-        return tuple(a for a in self.actions if (cell, a.name) in self._moves)
+    def applicable(self, state: int) -> tuple:
+        return self._applicable[state & self._at_mask]
 
-    def simulate(self, state: tuple, action: Action) -> tuple:
-        cell, visited = state
-        dest = self._moves.get((cell, action.name))
-        if dest is None:
-            raise InapplicableAction(f"cannot move {action.name} from {cell}")
-        return dest, visited | self._target_bit.get(dest, 0)
+    def simulate(self, state: int, action: Action) -> int:
+        at = state & self._at_mask
+        sets = self._moves[at].get(action.name)
+        if sets is None:
+            raise InapplicableAction(f"cannot move {action.name} from {self._cell_of[at]}")
+        return state & self._all_visited | sets
 
-    def is_goal(self, state: tuple) -> bool:
-        return state[1] == self._all_visited
+    def is_goal(self, state: int) -> bool:
+        return state & self._all_visited == self._all_visited
 
-    def atoms(self, state: tuple) -> frozenset:
-        return frozenset(map(self._atom.__getitem__, mask_bits(self.atom_mask(state))))
+    def atoms(self, state: int) -> frozenset:
+        return frozenset(map(self._atom.__getitem__, mask_bits(state)))
 
     def atom_bit(self, atom: str) -> int:
         return self._bit_of_atom[atom]
 
-    def atom_mask(self, state: tuple) -> int:
-        return self._at_bit[state[0]] | state[1]
+    def atom_mask(self, state: int) -> int:
+        return state

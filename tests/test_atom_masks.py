@@ -80,6 +80,21 @@ def test_masks_are_the_atoms_bits_and_tell_states_apart(name):
 
 
 @pytest.mark.parametrize(
+    "name",
+    sorted(
+        name
+        for name in CASES
+        if name.endswith((".json", ".grid")) or name in ("star-7-pads-2", "padded-grid")
+    ),
+)
+def test_pentest_and_grid_states_are_their_own_masks(name):
+    problem = CASES[name]()
+    assert isinstance(problem, (PentestProblem, GridProblem))
+    for state in _reachable(problem):
+        assert problem.atom_mask(state) == state
+
+
+@pytest.mark.parametrize(
     "name", ["chain3.json", "star-7-pads-2", "pairs.puz", "puzznic-fbi", "three_targets.grid"]
 )
 def test_fbi_asks_each_state_s_mask_once_and_never_its_atoms(name, monkeypatch):

@@ -68,6 +68,12 @@ class TestProblem:
         with pytest.raises(InapplicableAction):
             problem.simulate(problem.initial, problem.action_named("up"))
 
+    def test_blocked_move_names_the_move_and_the_cell(self):
+        problem = GridProblem.from_text(SMALL)
+        with pytest.raises(InapplicableAction) as err:
+            problem.simulate(problem.initial, problem.action_named("up"))
+        assert str(err.value) == "cannot move up from (1, 1)"
+
     def test_target_visit_is_recorded_in_state(self):
         problem = GridProblem.from_text(SMALL)
         trace = replay(problem, ("right", "right", "left"))
