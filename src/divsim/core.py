@@ -92,19 +92,25 @@ class SimulatorProblem(ABC):
     are already those frozensets.
 
     The search reads a state's atoms as a bitmask. ``atom_bit`` gives each
-    atom one power-of-two bit, fixed for the problem's lifetime, and
+    atom one power-of-two bit, fixed for the problem's lifetime,
+    ``mask_atoms`` turns a mask back into its atoms, and
     ``atom_mask(state)`` is the OR of ``atom_bit`` over ``atoms(state)``.
-    Only set relations between masks steer the search, so which bit an
-    atom gets changes no plan. The defaults intern atoms as they meet them:
-    the goal predicates first, in declaration order, then every other atom
-    in the order ``atoms`` yields it, which is set order and follows the
-    string hash seed; their table is not capped, as a bit must not change
-    meaning. A domain that keeps its state as ints can give both natively
-    and skip building atom strings per state. A domain whose atoms fit in
-    a small int may keep its mask as its state, so ``atom_mask`` returns
-    the state and a step, a hash and a compare each work on one small int;
-    Grid and Pentest do. Puzznic keeps a tuple, as its masks span about 84
-    bits, and every operation on an int that wide allocates a new one.
+    Every problem numbers its atoms by one rule, in one table per problem
+    kept here: the goal predicates take the lowest bits, in declaration
+    order, and every other atom takes the next free bit when ``atom_bit``
+    first meets it. The table is not capped, as a bit must not change
+    meaning. Only set relations between masks steer the search, so which
+    bit an atom gets changes no plan. Under the default ``atom_mask``,
+    atoms are met in the order ``atoms`` yields them, which is set order
+    and follows the string hash seed. A domain can instead call
+    ``atom_bit`` on its atoms while it is built, in an order that lays the
+    bits out as it needs, give ``atom_mask`` natively and read ``atoms``
+    off ``mask_atoms``, so it builds no atom strings per state. A domain
+    whose atoms fit in a small int may keep its mask as its state, so
+    ``atom_mask`` returns the state and a step, a hash and a compare each
+    work on one small int; Grid and Pentest do. Puzznic keeps a tuple, as
+    its masks span about 84 bits, and every operation on an int that wide
+    allocates a new one.
     """
 
     @property
@@ -129,16 +135,23 @@ class SimulatorProblem(ABC):
         return state
 
     @cached_property
-    def _atom_bits(self) -> dict:
-        return {atom: 1 << i for i, atom in enumerate(dict.fromkeys(self.goal_predicates))}
+    def _atom_table(self) -> tuple:
+        """``(atom -> bit, bit -> atom)``, seeded with the goal predicates."""
+        bits = {atom: 1 << i for i, atom in enumerate(dict.fromkeys(self.goal_predicates))}
+        return bits, {bit: atom for atom, bit in bits.items()}
 
     def atom_bit(self, atom: str) -> int:
         """The bit of ``atom`` in every mask of this problem."""
-        bits = self._atom_bits
+        bits, atoms = self._atom_table
         bit = bits.get(atom)
         if bit is None:
             bit = bits[atom] = 1 << len(bits)
+            atoms[bit] = atom
         return bit
+
+    def mask_atoms(self, mask: int) -> frozenset:
+        """The atoms whose bits ``mask`` sets; each must have its bit already."""
+        return frozenset(map(self._atom_table[1].__getitem__, mask_bits(mask)))
 
     def atom_mask(self, state: State) -> int:
         """The OR of the bits of the atoms true in ``state``."""
@@ -220,8 +233,9 @@ class TransitionMemo:
 
     Masks are the problem's (see ``SimulatorProblem.atom_bit``), so the
     memo keeps no table of atoms: ``goal_bits`` is the mask of the goal
-    predicates, and ``goals`` and ``goal_mask`` ask the problem for their
-    bits.
+    predicates, ``goals`` reads a mask's goal bits back through the
+    problem's ``mask_atoms``, and ``goal_mask`` asks the problem for the
+    bits of its goals.
 
     Each real ``simulate`` call and each memo hit is counted into
     ``stats.simulate_calls`` and ``stats.memo_hits``.
@@ -249,8 +263,7 @@ class TransitionMemo:
 
     def goals(self, mask: int) -> frozenset:
         """The goal predicates whose bits ``mask`` sets."""
-        bit = self.problem.atom_bit
-        return frozenset(g for g in self.problem.goal_set if bit(g) & mask)
+        return self.problem.mask_atoms(mask & self.goal_bits)
 
     def goal_mask(self, goals) -> int:
         """The mask of those of ``goals`` that are goal predicates."""

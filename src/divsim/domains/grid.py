@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from ..core import Action, SimulatorProblem, mask_bits
+from ..core import Action, SimulatorProblem
 from ..errors import InapplicableAction, LevelInvalid
 from ..record import Record
 
@@ -62,31 +62,28 @@ class GridProblem(SimulatorProblem):
     bit of the agent's open cell ORed with one bit per target cell it has
     entered.
 
-    That int is also the state's atom mask: target i's ``visited-*`` atom
-    has bit i, and the open cells' ``at-*`` atoms, in row-major order, the
-    bits above the targets', so ``atom_mask`` returns the state itself, and
-    ``atoms`` reads its bits off a table of atom strings the problem makes
-    once. A state hashes and compares as one small int. As walls never
-    move, the problem works out each open cell's moves once, keyed by its
-    at-bit: the tuple of applicable actions, and for each move the at-bit
-    of the cell it reaches ORed with that cell's target bit, so a step is
-    one lookup and an OR.
+    That int is also the state's atom mask. The problem numbers its atoms
+    by the one rule of ``SimulatorProblem`` when it is built: target i's
+    ``visited-*`` atom, goal predicate i, has bit i, and the open cells'
+    ``at-*`` atoms, in row-major order, the bits above the targets'. So
+    ``atom_mask`` returns the state itself, and ``atoms`` is
+    ``mask_atoms`` of it. A state hashes and compares as one small int. As
+    walls never move, the problem works out each open cell's moves once,
+    keyed by its at-bit: the tuple of applicable actions, and for each move
+    the at-bit of the cell it reaches ORed with that cell's target bit, so
+    a step is one lookup and an OR.
     """
 
     def __init__(self, world: GridWorld):
         self.world = world
-        self._target_bit = {cell: 1 << i for i, cell in enumerate(world.targets)}
+        self._target_bit = {(r, c): self.atom_bit(f"visited-{r}-{c}") for r, c in world.targets}
         self._all_visited = (1 << len(world.targets)) - 1
-        self._atom = {  # bit of an atom mask -> its atom
-            bit: f"visited-{r}-{c}" for (r, c), bit in self._target_bit.items()
+        self._at_bit = {  # open cell -> the bit of its at-* atom
+            (r, c): self.atom_bit(f"at-{r}-{c}")
+            for r in range(world.height)
+            for c in range(world.width)
+            if (r, c) not in world.walls
         }
-        self._at_bit = {}  # open cell -> the bit of its at-* atom
-        for r in range(world.height):
-            for c in range(world.width):
-                if (r, c) not in world.walls:
-                    bit = self._at_bit[r, c] = 1 << len(self._atom)
-                    self._atom[bit] = f"at-{r}-{c}"
-        self._bit_of_atom = {atom: bit for bit, atom in self._atom.items()}
         self._at_mask = sum(self._at_bit.values())
         self._cell_of = {bit: cell for cell, bit in self._at_bit.items()}
         self._applicable = {}  # at-bit -> the actions applicable there
@@ -115,7 +112,7 @@ class GridProblem(SimulatorProblem):
 
     @cached_property
     def goal_predicates(self) -> tuple:
-        return tuple(self._atom[self._target_bit[cell]] for cell in self.world.targets)
+        return tuple(f"visited-{r}-{c}" for r, c in self.world.targets)
 
     def applicable(self, state: int) -> tuple:
         return self._applicable[state & self._at_mask]
@@ -131,10 +128,7 @@ class GridProblem(SimulatorProblem):
         return state & self._all_visited == self._all_visited
 
     def atoms(self, state: int) -> frozenset:
-        return frozenset(map(self._atom.__getitem__, mask_bits(state)))
-
-    def atom_bit(self, atom: str) -> int:
-        return self._bit_of_atom[atom]
+        return self.mask_atoms(state)
 
     def atom_mask(self, state: int) -> int:
         return state

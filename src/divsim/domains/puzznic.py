@@ -349,11 +349,13 @@ class PuzznicProblem(SimulatorProblem):
     move, a cursor move's destination depends on the cell alone: the problem
     asks the move rule once per cell, at construction, and answers cursor
     moves from that table; pushes still run the rule and ``settle``.
-    The problem gives each atom ``puzznic_predicates`` can name its bit
-    once: cleared atoms per pattern, cursor and block atoms per cell, and
-    band atoms as scores reach them. ``atom_mask`` ORs the grid's mask with
-    the cursor's bit and the band's bit, and ``atoms`` reads the mask's bits
-    off a table of atom strings. Many states share a grid, so each grid's
+    The problem numbers the atoms ``puzznic_predicates`` can name by the
+    one rule of ``SimulatorProblem``: it calls ``atom_bit`` on the cleared
+    atoms, the goal predicates, then the cursor atoms and the block atoms
+    per cell when it is built, and on a band atom when a score first
+    reaches the band, keeping each band's bit. ``atom_mask`` ORs the grid's
+    mask with the cursor's bit and the band's bit, and ``atoms`` is
+    ``mask_atoms`` of that mask. Many states share a grid, so each grid's
     goal flag and the mask of its block and cleared atoms are worked out
     once and kept in one table; it stops taking new grids at
     ``core.MEMO_CAP``, the memo's own bound, and later grids are worked out
@@ -368,12 +370,10 @@ class PuzznicProblem(SimulatorProblem):
         grid, self._width, _ = _flat(level)
         cells = [i for i, cell in enumerate(grid) if cell != WALL]
         names = {i: f"{i // self._width}-{i % self._width}" for i in cells}
-        self._atom: dict = {}  # bit of an atom mask -> its atom
-        self._bit_of_atom: dict = {}
-        self._cleared_bits = tuple((p, self._new_bit(f"cleared-{p}")) for p in self.patterns)
-        self._cursor_bits = {i: self._new_bit(f"cursor-{names[i]}") for i in cells}
+        self._cleared_bits = tuple((p, self.atom_bit(f"cleared-{p}")) for p in self.patterns)
+        self._cursor_bits = {i: self.atom_bit(f"cursor-{names[i]}") for i in cells}
         self._block_bits = {
-            (p, i): self._new_bit(f"block-{p}-{names[i]}") for p in self.patterns for i in cells
+            (p, i): self.atom_bit(f"block-{p}-{names[i]}") for p in self.patterns for i in cells
         }
         self._band_bits: dict = {}  # band -> its bit
         self._grids: dict = {}  # grid -> (goal flag, the mask of its block and cleared atoms)
@@ -402,12 +402,6 @@ class PuzznicProblem(SimulatorProblem):
     def from_text(cls, text: str) -> "PuzznicProblem":
         return cls(parse_puzznic(text))
 
-    def _new_bit(self, atom: str) -> int:
-        bit = 1 << len(self._atom)
-        self._atom[bit] = atom
-        self._bit_of_atom[atom] = bit
-        return bit
-
     @cached_property
     def initial(self) -> tuple:
         grid, _, cursor = _flat(self.level0)
@@ -421,7 +415,7 @@ class PuzznicProblem(SimulatorProblem):
 
     @cached_property
     def goal_predicates(self) -> tuple:
-        return tuple(self._atom[bit] for _, bit in self._cleared_bits)
+        return tuple(f"cleared-{p}" for p in self.patterns)
 
     def applicable(self, state: tuple) -> tuple:
         grid, cursor, _ = state
@@ -452,17 +446,14 @@ class PuzznicProblem(SimulatorProblem):
         return (self._grids.get(state[0]) or self._grid_entry(state[0]))[0]
 
     def atoms(self, state: tuple) -> frozenset:
-        return frozenset(map(self._atom.__getitem__, core.mask_bits(self.atom_mask(state))))
-
-    def atom_bit(self, atom: str) -> int:
-        return self._bit_of_atom[atom]
+        return self.mask_atoms(self.atom_mask(state))
 
     def atom_mask(self, state: tuple) -> int:
         grid, cursor, score = state
         band = score // self.level0.band_width
         band_bit = self._band_bits.get(band)
         if band_bit is None:
-            band_bit = self._band_bits[band] = self._new_bit(f"score-band-{band}")
+            band_bit = self._band_bits[band] = self.atom_bit(f"score-band-{band}")
         grid_mask = (self._grids.get(grid) or self._grid_entry(grid))[1]
         return grid_mask | self._cursor_bits[cursor] | band_bit
 

@@ -2,12 +2,15 @@
 
 The oracle walks action sequences breadth-first up to a length and cost cap,
 with no novelty pruning, and collects the behaviour of every goal-reaching
-plan. It keeps one run-wide set of the keys it has queued, where a path's
-key is its last raw state, its cost so far and its goal order so far (the
-``latch_groups`` of the order feature's goals). A child whose key is already
-in the set is skipped. That is the search over the product of the simulator
-with a small monitor, the cost plus the goal order, on which the behaviour
-of every extension depends.
+plan. A queued path is its tip (its last augmented state), its goal order
+so far and its plan, not its whole trace: the root's order is the
+``latch_groups`` of its own latched goals, and a child's order is its
+parent's plus one group, the order feature's goals it newly latched, when
+there are any. The oracle keeps one run-wide set of the keys it has queued,
+where a path's key is its tip's raw state, its cost so far and its goal
+order so far. A child whose key is already in the set is skipped. That is
+the search over the product of the simulator with a small monitor, the cost
+plus the goal order, on which the behaviour of every extension depends.
 
 Skipping a key's later visits loses no behaviour. What a path can still
 reach depends only on its key and the length it has left, and breadth-first
@@ -23,7 +26,7 @@ import math
 from collections import deque
 from typing import Optional
 
-from .behaviour import BehaviourSpace, behaviour_of, latch_groups
+from .behaviour import Behaviour, BehaviourSpace, latch_groups
 from .core import SimulatorProblem, initial_augmented, successor_augmented
 from .errors import OracleTooLarge
 
@@ -48,34 +51,37 @@ def brute_force_behaviours(
     """
     if max_len < 0:
         raise ValueError("max_len must be non-negative")
+    cf, of = space.cost_feature, space.order_feature
     if cost_bound is None:
-        cf = space.cost_feature
         cost_bound = math.inf if cf is None else cf.bound
-    goals = space.order_feature.goals if space.order_feature is not None else ()
+    goals = frozenset(of.goals) if of is not None else frozenset()
 
-    def key(states):
-        return states[-1].raw, states[-1].cost_so_far, latch_groups(states, goals)
+    def key(aug, order):
+        return aug.raw, aug.cost_so_far, order
 
-    root = (initial_augmented(problem),)
-    seen = {key(root)}
+    root = initial_augmented(problem)
+    order = latch_groups((root,), goals)
+    seen = {key(root, order)}
     found: dict = {}
-    queue = deque([(root, ())])
+    queue = deque([(root, order, ())])
     while queue:
-        states, plan = queue.popleft()
-        tip = states[-1]
+        tip, order, plan = queue.popleft()
         if tip.goal_flag:
-            behaviour = behaviour_of(space, states)
-            if behaviour not in found:
-                found[behaviour] = plan
+            behaviour = Behaviour(
+                tip.cost_so_far if cf is not None else None, order if of is not None else None
+            )
+            found.setdefault(behaviour, plan)
         if len(plan) == max_len:
             continue
         for action in problem.applicable(tip.raw):
-            child = states + (successor_augmented(problem, tip, action),)
-            child_key = key(child)
-            if child[-1].cost_so_far > cost_bound or child_key in seen:
+            child = successor_augmented(problem, tip, action)
+            latched = (child.latched - tip.latched) & goals
+            child_order = order + (latched,) if latched else order
+            child_key = key(child, child_order)
+            if child.cost_so_far > cost_bound or child_key in seen:
                 continue
             if len(seen) == NODE_GUARD:
                 raise OracleTooLarge(len(seen) + 1, NODE_GUARD)
             seen.add(child_key)
-            queue.append((child, plan + (action.name,)))
+            queue.append((child, child_order, plan + (action.name,)))
     return found

@@ -53,16 +53,16 @@ MUTANTS = (
     Mutant(
         "oracle key without the goal order",
         "src/divsim/oracle.py",
-        "return states[-1].raw, states[-1].cost_so_far, latch_groups(states, goals)",
-        "return states[-1].raw, states[-1].cost_so_far",
+        "return aug.raw, aug.cost_so_far, order",
+        "return aug.raw, aug.cost_so_far",
         ("tests/test_oracle.py",),
         "oracle keeps one dedup rule",
     ),
     Mutant(
         "oracle key without the cost",
         "src/divsim/oracle.py",
-        "return states[-1].raw, states[-1].cost_so_far, latch_groups(states, goals)",
-        "return states[-1].raw, latch_groups(states, goals)",
+        "return aug.raw, aug.cost_so_far, order",
+        "return aug.raw, order",
         ("tests/test_oracle.py",),
         "oracle keeps one dedup rule",
     ),
@@ -95,7 +95,7 @@ MUTANTS = (
         "pentest compromise makes the last host reachable",
         PENTEST,
         "bit | opens << shift",
-        "bit | (opens | 1 << shift - 1) << shift",
+        "bit | (opens | self._bit[scenario.hosts[-1].id]) << shift",
         ("tests/test_domains_pentest.py",),
         "Pentest states as host bitmasks",
     ),
@@ -241,6 +241,23 @@ MUTANTS = (
         "return sets",
         ("tests/test_domains_grid.py",),
         "Pentest and Grid states as their atom masks",
+    ),
+    # One atom numbering rule, kept by SimulatorProblem.
+    Mutant(
+        "pentest registers reachable atoms in file order",
+        PENTEST,
+        "for host in sorted(scenario.hosts, key=lambda h: self._bit[h.id]):",
+        "for host in scenario.hosts:",
+        ("tests/test_domains_pentest.py",),
+        "one atom numbering rule",
+    ),
+    Mutant(
+        "atom table gives the goal predicates no bits up front",
+        "src/divsim/core.py",
+        "bits = {atom: 1 << i for i, atom in enumerate(dict.fromkeys(self.goal_predicates))}",
+        "bits = {}",
+        ("tests/test_atom_masks.py",),
+        "one atom numbering rule",
     ),
 )
 

@@ -57,7 +57,6 @@ def test_masks_are_the_atoms_bits_and_tell_states_apart(name):
     problem = CASES[name]()
     # Built-in domains give masks natively, not by the interning default.
     assert type(problem).atom_mask is not SimulatorProblem.atom_mask
-    assert type(problem).atom_bit is not SimulatorProblem.atom_bit
     states = _reachable(problem)
     atom_of = {}  # bit -> the one atom that has it
     masks = set()
@@ -77,6 +76,25 @@ def test_masks_are_the_atoms_bits_and_tell_states_apart(name):
     memo = TransitionMemo(problem, SearchStats())
     assert memo.goals(memo.goal_bits) == problem.goal_set
     assert memo.goal_bits == sum(problem.atom_bit(g) for g in problem.goal_set)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_domain_numbers_its_atoms_by_the_one_rule(name):
+    problem = CASES[name]()
+    # The goal predicates take the lowest bits, in declaration order, and a
+    # domain gives every other atom its bit while it is built, but for the
+    # Puzznic score bands, which get theirs as scores reach them.
+    assert [problem.atom_bit(g) for g in problem.goal_predicates] == [
+        1 << i for i in range(len(problem.goal_predicates))
+    ]
+    assert type(problem).atom_bit is SimulatorProblem.atom_bit
+    built = dict(problem._atom_table[0])
+    for state in _reachable(problem):
+        atoms = problem.atoms(state)
+        assert problem.mask_atoms(problem.atom_mask(state)) == atoms
+        for atom in atoms:
+            if not atom.startswith("score-band-"):
+                assert built.get(atom) == problem.atom_bit(atom), atom
 
 
 @pytest.mark.parametrize(

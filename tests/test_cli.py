@@ -207,6 +207,16 @@ class TestSolve:
         assert code == EXIT_DATA
         assert "must be a list" in err
 
+    @pytest.mark.parametrize("entry,key", [("subnets", "internet"), ("hosts", "sensitive")])
+    def test_scenario_flag_that_is_not_a_boolean_exits_65(self, capsys, tmp_path, entry, key):
+        data = json.loads(fixture_path("chain3.json").read_text())
+        data[entry][1][key] = "false"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run_cli(capsys, "solve", "--instance", str(path))
+        assert code == EXIT_DATA
+        assert f"{key!r} of" in err and "must be true or false" in err
+
     def test_deeply_nested_json_exits_65(self, capsys, deep_json):
         with pytest.raises(ParseError, match="bad scenario JSON"):
             load_problem(deep_json)
